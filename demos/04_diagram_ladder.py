@@ -22,7 +22,7 @@ print("\nPicard iterates approaching the closed form (sup distance on [0, 5]):")
 for order in (1, 2, 4, 8, 16, 30):
     curve = hf.one_point_picard(alpha, gamma, tau_max, order)
     if closed_curve is None:
-        closed_curve = hf.one_point_closed_form(alpha, gamma, curve.times)
+        closed_curve = hf.one_point_closed_form(alpha, gamma, curve.nodes)
     gap = float(np.max(np.abs(curve.values - closed_curve)))
     print(f"  order {order:2d}: sup error {gap:.3e}")
 

@@ -1,7 +1,7 @@
 """The dressed two-point field and its mass bookkeeping.
 
 The clocked free propagator from the origin gets dressed by repeated
-branchings of the surviving line; a Picard fixed point on a (t, x) grid
+branchings of the surviving line; one forward march over a (t, x) grid
 solves the resulting ladder equation in one spatial dimension.  Its
 spatial integral must reproduce the mass curve solved independently on
 a fine time grid, and with branching switched off (alpha = 1) the field
@@ -31,7 +31,7 @@ print("\nspatial integral of each slice vs independently solved mass curve:")
 print("  t     slice mass   mass curve")
 for t in (0.25, 0.5, 1.0, 2.0):
     j = int(round(t / field.t_step)) - 1
-    print(f"  {t:4}  {field.spatial_mass()[j]:.7f}    {float(mass.value_at(t)):.7f}")
+    print(f"  {t:4}  {field.spatial_mass()[j]:.7f}    {float(mass(t)):.7f}")
 
 print("\nwith branching off (alpha = 1) the dressing disappears:")
 bare = hf.two_point_picard(1.0, gamma, t_max=1.0, t_step=0.1, x_half_width=7.0, x_step=0.1)

@@ -8,9 +8,9 @@ The package has four layers:
   quadrature, the clocked retarded propagator, unitary time evolution;
 * :mod:`heatfield.montecarlo` -- reproducible path sampling, Feynman-Kac
   estimation, and exact event-driven branching simulation;
-* :mod:`heatfield.dyson` -- closed-form, ODE, and Picard solutions of
-  the one- and two-point ladder equations the simulator is checked
-  against.
+* :mod:`heatfield.dyson` -- closed-form, ODE, Picard and forward-marched
+  solutions of the one- and two-point ladder equations the simulator is
+  checked against.
 
 :mod:`heatfield.cli` wraps everything in a config-driven experiment
 runner (``heatfield <subcommand> --config <file>``).
@@ -52,8 +52,6 @@ from .montecarlo import (
 )
 from .dyson import (
     FertilityDistribution,
-    NoConvergenceError,
-    SampledCurve,
     SpaceTimeField,
     StabilityViolationError,
     extinction_probability,
@@ -65,4 +63,4 @@ from .dyson import (
     two_point_residual,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -128,8 +128,6 @@ _SCHEMAS = {
         "t.step": (float, _REQUIRED, _positive, "t.step > 0"),
         "x.halfwidth": (float, _REQUIRED, _positive, "x.halfwidth > 0"),
         "x.step": (float, _REQUIRED, _positive, "x.step > 0"),
-        "tol": (float, 1e-8, _positive, "tol > 0"),
-        "max.iter": (int, 10_000, lambda v: v >= 1, "max.iter >= 1"),
     },
     "ring-check": {
         "cases": (int, 10_000, lambda v: v >= 1, "cases >= 1"),
@@ -302,8 +300,8 @@ def _run_onepoint(p):
     fertility = dyson.FertilityDistribution.binary(p["alpha"])
     ode = dyson.one_point_ode(fertility, p["gamma"], 0.0, p["tau.max"], step)
     picard = dyson.one_point_picard(p["alpha"], p["gamma"], p["tau.max"], p["picard.order"], step)
-    closed = dyson.one_point_closed_form(p["alpha"], p["gamma"], ode.times)
-    rows = list(zip(ode.times, closed, ode.values, picard.values))
+    closed = dyson.one_point_closed_form(p["alpha"], p["gamma"], ode.nodes)
+    rows = list(zip(ode.nodes, closed, ode.values, picard.values))
     estimates = {
         "sup_ode_vs_closed": float(np.max(np.abs(ode.values - closed))),
         "sup_picard_vs_closed": float(np.max(np.abs(picard.values - closed))),
@@ -324,7 +322,7 @@ def _run_gf(p):
             est, err = montecarlo.estimate_generating_function(
                 config, p["theta"], float(t), p["replicas"], p["seed"]
             )
-        analytic = float(ode.value_at(t))
+        analytic = float(ode(t))
         rows.append((t, analytic, est, err))
         if err > 0:
             worst = max(worst, abs(est - analytic) / err)
@@ -340,19 +338,17 @@ def _run_twopoint(p):
         p["t.step"],
         p["x.halfwidth"],
         p["x.step"],
-        tol=p["tol"],
-        max_iter=p["max.iter"],
     )
     mass = dyson.mass_curve(p["alpha"], p["gamma"], p["t.max"])
     slice_mass = field.spatial_mass()
     rows = []
     for j, t in enumerate(field.times):
-        reference = float(mass.value_at(t))
+        reference = float(mass(t))
         for i, x in enumerate(field.xs):
             rows.append((t, x, field.values[j, i], slice_mass[j], reference))
     estimates = {
         "residual": dyson.two_point_residual(field, p["alpha"], p["gamma"]),
-        "max_mass_mismatch": float(np.max(np.abs(slice_mass - mass.value_at(field.times)))),
+        "max_mass_mismatch": float(np.max(np.abs(slice_mass - mass(field.times)))),
     }
     return ["t", "x", "dtilde", "slice_mass", "mass_curve"], rows, estimates
 

@@ -16,8 +16,12 @@ by Picard iteration of the equivalent Volterra integral equation
 
 which sums the event-tree expansion order by order.  The same
 convolution structure gives the dressed two-point function and its
-spatially integrated mass curve, both solved by Picard iteration to a
-fixed point.
+spatially integrated mass curve.  Their trapezoid discretisations are
+lower-triangular in time (the diagonal weight of node t is
+0.5*h*gamma*beta*A(t)), so each is solved exactly, up to rounding, by
+one forward march that divides by one minus that weight at every node
+(Linz, Analytical and Numerical Methods for Volterra Equations, SIAM
+1985); nothing is iterated to a tolerance.
 
 Closed form: with s = |1 - 2*alpha| and beta = 1 - alpha,
 
@@ -36,14 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GridTooNarrowError, retarded_propagator_heat
+from .kernels import GridTooNarrowError, SampledFunction, _clocked_density
 
 __all__ = [
     "FertilityDistribution",
-    "SampledCurve",
     "SpaceTimeField",
     "StabilityViolationError",
-    "NoConvergenceError",
     "one_point_closed_form",
     "one_point_ode",
     "one_point_picard",
@@ -58,10 +60,6 @@ class StabilityViolationError(RuntimeError):
     """An ODE trajectory left the admissible band [0, 1]."""
 
 
-class NoConvergenceError(RuntimeError):
-    """Picard iteration failed to reach the requested tolerance."""
-
-
 @dataclass(frozen=True)
 class FertilityDistribution:
     """Offspring law (p_0, ..., p_K) of a dying particle."""
@@ -72,8 +70,8 @@ class FertilityDistribution:
         probs = tuple(float(v) for v in self.p)
         if len(probs) == 0:
             raise ValueError("offspring law needs at least p_0")
-        if any(v < 0 for v in probs):
-            raise ValueError(f"offspring probabilities must be >= 0, got {probs}")
+        if not all(0.0 <= v <= 1.0 for v in probs):
+            raise ValueError(f"offspring probabilities must lie in [0, 1], got {probs}")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError(f"offspring probabilities must sum to 1, got sum {sum(probs)!r}")
         object.__setattr__(self, "p", probs)
@@ -94,53 +92,28 @@ class FertilityDistribution:
         return acc
 
 
-@dataclass(frozen=True)
-class SampledCurve:
-    """Values on the uniform time grid t0, t0 + step, ..."""
-
-    t0: float
-    step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("curve values must be finite")
-        if not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-        vals.flags.writeable = False
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "step", float(self.step))
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.step * np.arange(self.values.size)
-
-    def value_at(self, t):
-        return np.interp(t, self.times, self.values)
+def _validate_gamma(gamma):
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"clock rate gamma must be finite and > 0, got {gamma}")
 
 
 def _validate_alpha_gamma(alpha, gamma):
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not gamma > 0:
-        raise ValueError(f"clock rate must be > 0, got {gamma}")
+    _validate_gamma(gamma)
 
 
 def one_point_closed_form(alpha: float, gamma: float, tau):
     """Extinction probability by time-to-horizon tau, binary offspring law.
 
-    Accepts a scalar or array ``tau`` (all entries >= 0) and evaluates
+    Accepts a scalar or array ``tau`` (all entries >= 0, none NaN) and evaluates
     the coth form documented in the module docstring, with the
     alpha = 1/2 and beta = 0 limits on dedicated branches.
     """
     _validate_alpha_gamma(alpha, gamma)
     tau_arr = np.asarray(tau, dtype=float)
-    if np.any(tau_arr < 0):
-        raise ValueError("tau must be >= 0")
+    if not np.all(tau_arr >= 0):
+        raise ValueError("tau must be >= 0 and not NaN")
     alpha = float(alpha)
     beta = 1.0 - alpha
     if alpha == 0.0:
@@ -168,15 +141,31 @@ def extinction_probability(alpha: float) -> float:
     return 1.0
 
 
-def _grid_count(t_max: float, step: float) -> int:
-    if not step > 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    if not t_max > 0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
-    n = int(round(t_max / step))
+def _grid_count(span: float, step: float) -> int:
+    """Number of steps of size ``step`` in ``span``; both finite and > 0."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"grid step must be finite and > 0, got {step}")
+    if not 0.0 < span < math.inf:
+        raise ValueError(f"grid span must be finite and > 0, got {span}")
+    n = int(round(span / step))
     if n < 1:
-        raise ValueError(f"grid needs at least one step ({t_max=}, {step=})")
+        raise ValueError(f"grid needs at least one step ({span=}, {step=})")
     return n
+
+
+def _march_divisors(alpha, gamma, h, a):
+    """One minus the trapezoid diagonal weight 0.5*h*gamma*beta*A at each node.
+
+    A step so coarse that some weight reaches 1 leaves the discrete
+    ladder equation singular or its solution negative, so it is rejected.
+    """
+    div = 1.0 - 0.5 * h * gamma * (1.0 - alpha) * a
+    if not np.all(div > 0.0):
+        raise ValueError(
+            f"time step {h:g} too coarse for gamma = {gamma:g}: the trapezoid "
+            "diagonal weight 0.5*step*gamma*beta*A reaches 1"
+        )
+    return div
 
 
 def one_point_ode(
@@ -185,7 +174,7 @@ def one_point_ode(
     theta0: float,
     tau_max: float,
     step: float | None = None,
-) -> SampledCurve:
+) -> SampledFunction:
     """RK4 solution of dphi/dt = gamma * (pgf(phi) - phi), phi(0) = theta0.
 
     theta0 is the weight counted per surviving particle, so theta0 = 0
@@ -195,8 +184,7 @@ def one_point_ode(
     inside [-1e-9, 1 + 1e-9]; anything else raises
     StabilityViolationError.
     """
-    if not gamma > 0:
-        raise ValueError(f"clock rate must be > 0, got {gamma}")
+    _validate_gamma(gamma)
     if not 0.0 <= theta0 <= 1.0:
         raise ValueError(f"theta0 must lie in [0, 1], got {theta0}")
     if step is None:
@@ -222,7 +210,7 @@ def one_point_ode(
             f"trajectory left [0, 1] (range [{values.min():g}, {values.max():g}]); "
             "reduce the step"
         )
-    return SampledCurve(0.0, h, values)
+    return SampledFunction(0.0, h, values)
 
 
 def _volterra_conv(f: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
@@ -240,7 +228,7 @@ def one_point_picard(
     tau_max: float,
     order: int,
     step: float | None = None,
-) -> SampledCurve:
+) -> SampledFunction:
     """Picard iterate of the one-point Volterra equation, binary law.
 
     Starting from the zero function, each iteration adds one more layer
@@ -266,7 +254,7 @@ def one_point_picard(
     a = np.zeros(n + 1)
     for _ in range(order):
         a = base + _volterra_conv(f, a * a, h)
-    return SampledCurve(0.0, h, a)
+    return SampledFunction(0.0, h, a)
 
 
 def mass_curve(
@@ -274,15 +262,18 @@ def mass_curve(
     gamma: float,
     t_max: float,
     step: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> SampledCurve:
-    """Fixed point of M(t) = exp(-gamma*t) + gamma*beta * (conv of
-    exp(-gamma*w) with A*M), the spatial integral of the dressed
-    two-point function.
+) -> SampledFunction:
+    """Spatial integral M of the dressed two-point function, binary law.
 
-    Iterates from M = exp(-gamma*t) until the sup-norm update drops
-    below ``tol``; raises NoConvergenceError after ``max_iter`` rounds.
+    Solves the trapezoid discretisation of
+
+        M(t) = exp(-gamma*t) + gamma*beta * int_0^t exp(-gamma*w) A(t-w) M(t-w) dw
+
+    with the closed-form one-point function A, marching forward one node
+    at a time: only the diagonal term 0.5*step*gamma*beta*A(t)*M(t) of
+    node t involves M(t), so dividing by one minus that weight gives the
+    discrete solution exactly, up to rounding.  Raises ValueError when
+    ``step`` is so coarse that the weight reaches 1.
     """
     _validate_alpha_gamma(alpha, gamma)
     if step is None:
@@ -292,15 +283,17 @@ def mass_curve(
     times = h * np.arange(n + 1)
     base = np.exp(-gamma * times)
     a_curve = one_point_closed_form(alpha, gamma, times)
+    div = _march_divisors(alpha, gamma, h, a_curve)
     f = gamma * (1.0 - alpha) * base
+    f_rev = f[::-1].copy()  # f_rev[n - k] = f[k]: each ladder sum is a contiguous dot
+    q = np.zeros(n + 1)  # A * M on the nodes marched so far
     m = base.copy()
-    for _ in range(max_iter):
-        m_next = base + _volterra_conv(f, a_curve * m, h)
-        delta = float(np.max(np.abs(m_next - m)))
-        m = m_next
-        if delta < tol:
-            return SampledCurve(0.0, h, m)
-    raise NoConvergenceError(f"mass curve not converged after {max_iter} iterations (last update {delta:g})")
+    for i in range(1, n + 1):
+        # Trapezoid sum of f[i-k] q[k] over 0 < k < i: the k = 0 end
+        # carries A(0) = 0 and the k = i end is the diagonal, in div.
+        m[i] = (base[i] + h * np.dot(f_rev[n - i + 1 : n], q[1:i])) / div[i]
+        q[i] = a_curve[i] * m[i]
+    return SampledFunction(0.0, h, m)
 
 
 @dataclass(frozen=True)
@@ -345,15 +338,13 @@ class SpaceTimeField:
 
 
 class _TwoPointOperator:
-    """Discrete ladder map whose fixed point is the dressed two-point field."""
+    """Trapezoid ladder map whose fixed point is the dressed two-point field."""
 
     def __init__(self, alpha, gamma, t_max, t_step, x_half_width, x_step):
         _validate_alpha_gamma(alpha, gamma)
         self.nt = _grid_count(t_max, t_step)
         self.k = float(t_step)
-        half = int(round(x_half_width / x_step))
-        if half < 1:
-            raise ValueError("spatial grid needs at least one node on each side of 0")
+        half = _grid_count(x_half_width, x_step)
         self.h = float(x_step)
         self.xs = self.h * np.arange(-half, half + 1)
         t_top = self.nt * self.k
@@ -363,39 +354,48 @@ class _TwoPointOperator:
                 f"{6.0 * math.sqrt(t_top):g}"
             )
         self.gamma = float(gamma)
-        self.beta = 1.0 - float(alpha)
+        self.coeff = self.gamma * (1.0 - float(alpha)) * self.k
         times = self.k * np.arange(1, self.nt + 1)
-        # Clock-dressed free propagator from the origin, sampled pointwise.
+        # Clock-dressed free propagator from the origin, one scalar
+        # expression per cell so that it equals retarded_propagator_heat
+        # bit for bit.
+        r2s = (self.xs**2).tolist()
         self.base = np.array(
-            [
-                [retarded_propagator_heat((0.0, 0.0), (t, x), gamma) for x in self.xs]
-                for t in times
-            ]
+            [[_clocked_density(t, r2, self.gamma, 1) for r2 in r2s] for t in times.tolist()]
         )
         self.a = one_point_closed_form(alpha, gamma, times)  # a[m-1] = A(m*k)
+        self.div = _march_divisors(alpha, gamma, self.k, self.a)
         self.decay = np.exp(-gamma * times)  # decay[w-1] = exp(-gamma*w*k)
         self.kern = [
             (2.0 * math.pi * w) ** -0.5 * np.exp(-(self.xs**2) / (2.0 * w)) for w in times
         ]
 
+    def _ladder(self, field: np.ndarray, j: int) -> np.ndarray:
+        # Trapezoid sum for row j over the intermediate event times w*k,
+        # 0 < w < j, using rows m = j - w < j only.  The w = 0 end (spatial
+        # kernel = identity) is the diagonal term 0.5*a[j-1]*field[j-1],
+        # left to the caller; the w = j end carries weight A(0) = 0.
+        acc = np.zeros(self.xs.size)
+        for m in range(1, j):
+            w = j - m
+            acc += (self.decay[w - 1] * self.a[m - 1] * self.h) * np.convolve(
+                field[m - 1], self.kern[w - 1], mode="same"
+            )
+        return acc
+
     def apply(self, field: np.ndarray) -> np.ndarray:
-        out = self.base.copy()
-        coeff = self.gamma * self.beta * self.k
+        out = np.empty_like(self.base)
         for j in range(1, self.nt + 1):
-            # Trapezoid over the intermediate event time w in [0, j*k].
-            # The w = 0 endpoint collapses the spatial kernel to the
-            # identity; the w = j*k endpoint carries weight A(0) = 0.
-            acc = 0.5 * self.a[j - 1] * field[j - 1]
-            for m in range(1, j):
-                w = j - m
-                acc = acc + (
-                    self.decay[w - 1]
-                    * self.a[m - 1]
-                    * self.h
-                    * np.convolve(field[m - 1], self.kern[w - 1], mode="same")
-                )
-            out[j - 1] += coeff * acc
+            diagonal = 0.5 * self.a[j - 1] * field[j - 1]
+            out[j - 1] = self.base[j - 1] + self.coeff * (diagonal + self._ladder(field, j))
         return out
+
+    def march(self) -> np.ndarray:
+        """The fixed point, one time row at a time."""
+        field = np.empty_like(self.base)
+        for j in range(1, self.nt + 1):
+            field[j - 1] = (self.base[j - 1] + self.coeff * self._ladder(field, j)) / self.div[j - 1]
+        return field
 
 
 def two_point_picard(
@@ -405,28 +405,23 @@ def two_point_picard(
     t_step: float,
     x_half_width: float,
     x_step: float,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
 ) -> SpaceTimeField:
     """Dressed two-point function of the binary model, d = 1.
 
-    Solves D(t, x) = exp(-gamma*t) p_t(x) + gamma*beta * (ladder term)
-    by Picard iteration from the free term until the sup-norm update is
-    below ``tol``.  The spatial half-width must be at least
-    6*sqrt(t_max) so that truncated Gaussian mass stays below 1e-8.
-    Raises NoConvergenceError after ``max_iter`` sweeps.
+    Solves the trapezoid discretisation of
+    D(t, x) = exp(-gamma*t) p_t(x) + gamma*beta * (ladder term) by one
+    forward march in time: row t depends on earlier rows and, through
+    the diagonal weight 0.5*t_step*gamma*beta*A(t), on itself, so each
+    row is solved exactly, up to rounding, once its predecessors are
+    known.  The result is the fixed point that Picard iteration of the
+    ladder map approaches; ``two_point_residual`` of it is at rounding
+    level.  The spatial half-width must be at least 6*sqrt(t_max) so
+    that truncated Gaussian mass stays below 1e-8, else
+    GridTooNarrowError; a time step so coarse that the diagonal weight
+    reaches 1 raises ValueError.
     """
     op = _TwoPointOperator(alpha, gamma, t_max, t_step, x_half_width, x_step)
-    field = op.base.copy()
-    for _ in range(max_iter):
-        nxt = op.apply(field)
-        delta = float(np.max(np.abs(nxt - field)))
-        field = nxt
-        if delta < tol:
-            return SpaceTimeField(op.k, op.h, field)
-    raise NoConvergenceError(
-        f"two-point field not converged after {max_iter} iterations (last update {delta:g})"
-    )
+    return SpaceTimeField(op.k, op.h, op.march())
 
 
 def two_point_residual(field: SpaceTimeField, alpha: float, gamma: float) -> float:

@@ -55,6 +55,27 @@ def _as_point(x) -> np.ndarray:
     return p
 
 
+def _validated_r2(t, x, y):
+    # Squared distance |x-y|^2 and dimension d of a valid kernel argument.
+    if not t > 0:
+        raise NonPositiveTimeError(f"duration must be > 0, got {t}")
+    px, py = _as_point(x), _as_point(y)
+    if px.size != py.size:
+        raise DimensionMismatchError(f"dimension mismatch: {px.size} vs {py.size}")
+    return float(np.sum((px - py) ** 2)), px.size
+
+
+def _heat_density(t: float, r2: float, d: int) -> float:
+    return (2.0 * math.pi * t) ** (-0.5 * d) * math.exp(-r2 / (2.0 * t))
+
+
+def _clocked_density(t: float, r2: float, gamma: float, d: int) -> float:
+    # exp(-gamma*t) * p_t at squared distance r2, unvalidated.  Grid builds
+    # that must match retarded_propagator_heat bit for bit call this same
+    # expression: np.exp differs from math.exp in the last bits.
+    return math.exp(-gamma * t) * _heat_density(t, r2, d)
+
+
 def heat_kernel(t: float, x, y) -> float:
     """Transition density (2*pi*t)**(-d/2) * exp(-|x-y|^2 / (2t)).
 
@@ -62,13 +83,8 @@ def heat_kernel(t: float, x, y) -> float:
     dimension d with 1 <= d <= 3.  Raises NonPositiveTimeError for
     t <= 0 and DimensionMismatchError on unequal dimensions.
     """
-    if not t > 0:
-        raise NonPositiveTimeError(f"duration must be > 0, got {t}")
-    px, py = _as_point(x), _as_point(y)
-    if px.size != py.size:
-        raise DimensionMismatchError(f"dimension mismatch: {px.size} vs {py.size}")
-    r2 = float(np.sum((px - py) ** 2))
-    return (2.0 * math.pi * t) ** (-0.5 * px.size) * math.exp(-r2 / (2.0 * t))
+    r2, d = _validated_r2(t, x, y)
+    return _heat_density(t, r2, d)
 
 
 # Relative threshold below which grid values are treated as outside the
@@ -217,7 +233,8 @@ def retarded_propagator_heat(x, y, gamma: float) -> float:
     dt = float(ty) - float(tx)
     if dt <= 0.0:
         return 0.0
-    return math.exp(-gamma * dt) * heat_kernel(dt, sx, sy)
+    r2, d = _validated_r2(dt, sx, sy)
+    return _clocked_density(dt, r2, gamma, d)
 
 
 def event_probability(gamma: float, dtau: float) -> float:

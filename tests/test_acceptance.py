@@ -46,7 +46,7 @@ def test_criterion_2_closed_form_vs_ode():
     worst = 0.0
     for alpha in (0.1, 0.25, 0.5, 0.75, 0.9):
         curve = hf.one_point_ode(BINARY(alpha), 1.0, 0.0, 10.0, step=1e-3)
-        closed = hf.one_point_closed_form(alpha, 1.0, curve.times)
+        closed = hf.one_point_closed_form(alpha, 1.0, curve.nodes)
         worst = max(worst, float(np.max(np.abs(curve.values - closed))))
     spot = abs(hf.one_point_closed_form(0.5, 1.0, 2.0) - 0.5)
     ok = worst < 1e-8 and spot <= 1e-12
@@ -60,7 +60,7 @@ def test_criterion_2_closed_form_vs_ode():
 
 def test_criterion_3_diagram_summation():
     first = hf.one_point_picard(0.5, 1.0, 5.0, order=1)
-    bare = 0.5 * -np.expm1(-first.times)
+    bare = 0.5 * -np.expm1(-first.nodes)
     first_err = float(np.max(np.abs(first.values - bare)))
     monotone = True
     prev = np.zeros_like(first.values)
@@ -69,7 +69,7 @@ def test_criterion_3_diagram_summation():
         monotone &= bool(np.all(curve.values >= prev - 1e-15))
         prev = curve.values
     deep = hf.one_point_picard(0.5, 1.0, 5.0, order=30)
-    closed = hf.one_point_closed_form(0.5, 1.0, deep.times)
+    closed = hf.one_point_closed_form(0.5, 1.0, deep.nodes)
     deep_err = float(np.max(np.abs(deep.values - closed)))
     ok = first_err < 1e-6 and monotone and deep_err < 1e-3
     report(
@@ -174,13 +174,13 @@ def test_criterion_8_feynman_kac():
 
 def test_criterion_9_two_point_self_consistency():
     field = hf.two_point_picard(
-        0.5, 1.0, t_max=2.0, t_step=0.05, x_half_width=10.0, x_step=0.1, tol=1e-8
+        0.5, 1.0, t_max=2.0, t_step=0.05, x_half_width=10.0, x_step=0.1
     )
     residual = hf.two_point_residual(field, 0.5, 1.0)
     mass = hf.mass_curve(0.5, 1.0, 2.0, step=1e-3)
-    mass_gap = float(np.max(np.abs(field.spatial_mass() - mass.value_at(field.times))))
+    mass_gap = float(np.max(np.abs(field.spatial_mass() - mass(field.times))))
     bare = hf.two_point_picard(
-        1.0, 1.0, t_max=2.0, t_step=0.05, x_half_width=10.0, x_step=0.1, tol=1e-8
+        1.0, 1.0, t_max=2.0, t_step=0.05, x_half_width=10.0, x_step=0.1
     )
     sampled = np.array(
         [

@@ -92,6 +92,16 @@ class TestMain:
         assert cli.main(["extinction", "--config", path]) == 1
         assert "alpha" in capsys.readouterr().err
 
+    def test_twopoint_rejects_removed_solver_keys(self, tmp_path, capsys):
+        # The two-point solve marches to the exact discrete solution, so
+        # it has no tolerance or iteration cap to configure.
+        grid = "alpha = 0.5\ngamma = 1.0\nt.max = 0.5\nt.step = 0.1\nx.halfwidth = 5.0\nx.step = 0.1\n"
+        for extra, key in (("tol = 1e-8\n", "tol"), ("max.iter = 100\n", "max.iter")):
+            path = write(tmp_path / "tp.cfg", grid + extra)
+            assert cli.main(["twopoint", "--config", path, "--out", str(tmp_path / "tp.csv")]) == 1
+            assert f"{key}: unknown key for 'twopoint'" in capsys.readouterr().err
+        assert not (tmp_path / "tp.csv").exists()
+
     def test_extinction_run(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", EXTINCTION_CFG)
         out = tmp_path / "ext.csv"

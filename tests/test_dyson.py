@@ -7,8 +7,6 @@ from scipy.integrate import simpson
 from heatfield import dyson, kernels
 from heatfield.dyson import (
     FertilityDistribution,
-    NoConvergenceError,
-    SampledCurve,
     StabilityViolationError,
     extinction_probability,
     mass_curve,
@@ -49,6 +47,12 @@ class TestFertility:
             FertilityDistribution((0.5, 0.4))
         with pytest.raises(ValueError):
             FertilityDistribution.binary(1.5)
+
+    def test_non_finite_entries_rejected(self):
+        # NaN compares false against every bound, so the sum check alone lets it through.
+        for law in ((math.nan, 1.0), (math.inf, 1.0), (0.5, 0.5, math.nan)):
+            with pytest.raises(ValueError):
+                FertilityDistribution(law)
 
     def test_pgf(self):
         binary = FertilityDistribution.binary(0.3)
@@ -103,6 +107,12 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             one_point_closed_form(0.5, 1.0, -0.1)
 
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError, match="tau"):
+            one_point_closed_form(0.25, 1.0, math.nan)
+        with pytest.raises(ValueError, match="tau"):
+            one_point_closed_form(0.25, 1.0, np.array([0.5, math.nan]))
+
 
 class TestExtinctionProbability:
     def test_branches(self):
@@ -115,7 +125,7 @@ class TestExtinctionProbability:
 class TestOnePointOde:
     def test_matches_closed_form(self):
         curve = one_point_ode(BINARY_QUARTER, 1.0, 0.0, 5.0, 1e-3)
-        closed = one_point_closed_form(0.25, 1.0, curve.times)
+        closed = one_point_closed_form(0.25, 1.0, curve.nodes)
         assert np.max(np.abs(curve.values - closed)) < 1e-8
 
     def test_single_offspring_is_fixed_point(self):
@@ -141,11 +151,33 @@ class TestOnePointOde:
         with pytest.raises(ValueError):
             one_point_ode(BINARY_QUARTER, -1.0, 0.5, 1.0)
 
+    def test_non_finite_grid_rejected(self):
+        # Each used to reach int(round(inf)) and raise OverflowError.
+        with pytest.raises(ValueError, match="span"):
+            one_point_ode(BINARY_QUARTER, 1.0, 0.0, math.inf)
+        with pytest.raises(ValueError, match="span"):
+            mass_curve(0.25, 1.0, math.inf)
+        with pytest.raises(ValueError, match="step"):
+            one_point_picard(0.25, 1.0, 1.0, 3, step=math.nan)
+        with pytest.raises(ValueError, match="step"):
+            two_point_picard(0.5, 1.0, 1.0, math.inf, 6.5, 0.1)
+        with pytest.raises(ValueError, match="span"):
+            two_point_picard(0.5, 1.0, 1.0, 0.1, math.inf, 0.1)
+
+    def test_infinite_gamma_names_gamma(self):
+        for call in (
+            lambda: mass_curve(0.25, math.inf, 1.0),
+            lambda: one_point_ode(BINARY_QUARTER, math.inf, 0.0, 1.0),
+            lambda: one_point_closed_form(0.25, math.inf, 1.0),
+        ):
+            with pytest.raises(ValueError, match="gamma"):
+                call()
+
 
 class TestOnePointPicard:
     def test_first_order_is_bare_death_integral(self):
         curve = one_point_picard(0.25, 1.0, 5.0, order=1)
-        want = 0.25 * -np.expm1(-curve.times)
+        want = 0.25 * -np.expm1(-curve.nodes)
         assert np.max(np.abs(curve.values - want)) < 1e-6
 
     def test_orders_increase_pointwise(self):
@@ -157,7 +189,7 @@ class TestOnePointPicard:
 
     def test_high_order_reaches_closed_form(self):
         curve = one_point_picard(0.5, 1.0, 5.0, order=30)
-        closed = one_point_closed_form(0.5, 1.0, curve.times)
+        closed = one_point_closed_form(0.5, 1.0, curve.nodes)
         assert np.max(np.abs(curve.values - closed)) < 1e-3
 
     def test_updates_contract_from_second_order(self):
@@ -169,7 +201,7 @@ class TestOnePointPicard:
 class TestMassCurve:
     def test_pure_death_is_exponential(self):
         curve = mass_curve(1.0, 2.0, 3.0, step=1e-3)
-        np.testing.assert_array_equal(curve.values, np.exp(-2.0 * curve.times))
+        np.testing.assert_array_equal(curve.values, np.exp(-2.0 * curve.nodes))
 
     def test_starts_at_one(self):
         assert mass_curve(0.5, 1.0, 1.0).values[0] == 1.0
@@ -177,7 +209,7 @@ class TestMassCurve:
     def test_satisfies_equation_under_independent_quadrature(self):
         gamma, alpha = 1.0, 0.5
         curve = mass_curve(alpha, gamma, 2.0, step=1e-3)
-        times = curve.times
+        times = curve.nodes
         decay = np.exp(-gamma * times)
         a_vals = one_point_closed_form(alpha, gamma, times)
         worst = 0.0
@@ -190,9 +222,21 @@ class TestMassCurve:
             worst = max(worst, abs(curve.values[idx] - rhs))
         assert worst < 1e-6
 
-    def test_no_convergence_error(self):
-        with pytest.raises(NoConvergenceError):
-            mass_curve(0.5, 1.0, 1.0, step=1e-2, tol=1e-16, max_iter=2)
+    def test_trapezoid_defect_is_roundoff_to_t_40(self):
+        # The discrete equation itself, evaluated at every integer time.
+        # An absolute stopping tolerance on a curve that decays to 1e-5
+        # once left a relative defect of 4e-3 at t = 40.
+        alpha, gamma, h = 0.1, 1.0, 1e-3
+        curve = mass_curve(alpha, gamma, 40.0)
+        m = curve.values
+        t = curve.nodes
+        f = gamma * (1 - alpha) * np.exp(-gamma * t)
+        q = one_point_closed_form(alpha, gamma, t) * m
+        worst = 0.0
+        for i in range(1000, m.size, 1000):
+            conv = h * (np.dot(f[: i + 1], q[i::-1]) - 0.5 * (f[0] * q[i] + f[i] * q[0]))
+            worst = max(worst, abs(m[i] - math.exp(-gamma * t[i]) - conv) / m[i])
+        assert worst <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -206,11 +250,13 @@ class TestTwoPoint:
         np.testing.assert_allclose(field.values, field.values[:, ::-1], rtol=0, atol=1e-14)
 
     def test_fixed_point_residual(self, field):
-        assert two_point_residual(field, 0.5, 1.0) < 1e-6
+        residual = two_point_residual(field, 0.5, 1.0)
+        assert residual < 1e-6
+        assert residual < 1e-13  # the march solves the discrete equation, not to a tolerance
 
     def test_slice_mass_matches_mass_curve(self, field):
         mass = mass_curve(0.5, 1.0, 1.0, step=1e-3)
-        want = mass.value_at(field.times)
+        want = mass(field.times)
         assert np.max(np.abs(field.spatial_mass() - want)) < 2e-4
 
     def test_pure_death_equals_retarded_propagator_exactly(self):
@@ -227,19 +273,22 @@ class TestTwoPoint:
         with pytest.raises(kernels.GridTooNarrowError):
             two_point_picard(0.5, 1.0, t_max=4.0, t_step=0.1, x_half_width=3.0, x_step=0.1)
 
-    def test_no_convergence_error(self):
-        with pytest.raises(NoConvergenceError):
-            two_point_picard(
-                0.5, 1.0, t_max=1.0, t_step=0.1, x_half_width=6.5, x_step=0.1, tol=1e-30, max_iter=1
-            )
+    def test_coarse_step_rejected(self):
+        # At gamma*step = 10 the diagonal weight 0.5*step*gamma*beta*A
+        # exceeds 1: the discrete equation has no nonnegative solution.
+        with pytest.raises(ValueError, match="too coarse"):
+            two_point_picard(0.5, 10.0, t_max=2.0, t_step=1.0, x_half_width=9.0, x_step=0.1)
+        with pytest.raises(ValueError, match="too coarse"):
+            mass_curve(0.5, 10.0, 2.0, step=1.0)
 
 
-class TestSampledCurve:
-    def test_validation_and_times(self):
-        with pytest.raises(ValueError):
-            SampledCurve(0.0, -1.0, [1.0])
-        with pytest.raises(ValueError):
-            SampledCurve(0.0, 1.0, [math.inf])
-        curve = SampledCurve(1.0, 0.5, [0.0, 1.0, 4.0])
-        np.testing.assert_array_equal(curve.times, [1.0, 1.5, 2.0])
-        assert curve.value_at(1.25) == 0.5
+def test_curve_solvers_return_sampled_functions():
+    curves = (
+        mass_curve(0.5, 1.0, 1.0, step=0.1),
+        one_point_ode(BINARY_QUARTER, 1.0, 0.0, 1.0, 0.1),
+        one_point_picard(0.25, 1.0, 1.0, 3, step=0.1),
+    )
+    for curve in curves:
+        assert isinstance(curve, kernels.SampledFunction)
+        np.testing.assert_allclose(curve.nodes, 0.1 * np.arange(11), rtol=0, atol=1e-15)
+        assert curve(0.15) == pytest.approx(0.5 * (curve.values[1] + curve.values[2]), abs=1e-15)

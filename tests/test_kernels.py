@@ -74,6 +74,15 @@ class TestSampledFunction:
         assert u(-3.0) == 0.0  # clamped to edge values
         assert u(9.0) == 4.0
 
+    def test_step_nodes_and_interpolation(self):
+        with pytest.raises(ValueError):
+            SampledFunction(0.0, -1.0, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            SampledFunction(0.0, 1.0, [math.inf, 1.0])
+        u = SampledFunction(1.0, 0.5, [0.0, 1.0, 4.0])
+        np.testing.assert_array_equal(u.nodes, [1.0, 1.5, 2.0])
+        assert u(1.25) == 0.5
+
 
 class TestSemigroup:
     def test_gaussian_spreads_by_t(self):
