@@ -52,11 +52,11 @@ class ExperimentConfig:
 
 
 def _positive(x):
-    return x > 0
+    return 0 < x < math.inf
 
 
 def _non_negative(x):
-    return x >= 0
+    return 0 <= x < math.inf
 
 
 def _unit_interval(x):
@@ -248,20 +248,18 @@ def _run_semigroup(p):
 
 def _run_clock(p):
     gamma, replicas, seed = p["gamma"], p["replicas"], p["seed"]
-    rows = [
-        (d, kernels.event_probability(gamma, d))
-        for d in _grid(0.0, p["dtau.max"], p["dtau.count"])
-    ]
+    rows = [(d, kernels.event_probability(gamma, d)) for d in _grid(0.0, p["dtau.max"], p["dtau.count"])]
     # Single-particle lifetimes: pure-death law, horizon long enough
     # that the no-event probability exp(-50) is negligible.
     config = montecarlo.BranchingConfig(gamma, dyson.FertilityDistribution((1.0,)))
     horizon = 50.0 / gamma
-    times = []
-    for r in range(replicas):
-        log = montecarlo.simulate_branching(config, horizon, (), seed, replica=r)
-        if log.events:
-            times.append(log.events[0].time)
-    times = np.asarray(times)
+
+    def first_event(r):
+        events = montecarlo.simulate_branching(config, horizon, (), seed, replica=r).events
+        return events[0].time if events else math.nan
+
+    times = montecarlo._replica_values(replicas, first_event)
+    times = times[~np.isnan(times)]
     stat, pvalue = montecarlo.lifetime_ks(times, gamma)
     estimates = {
         "lifetime_mean": float(np.mean(times)),

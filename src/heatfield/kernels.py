@@ -65,6 +65,11 @@ def _validated_r2(t, x, y):
     return float(np.sum((px - py) ** 2)), px.size
 
 
+def _check_rate(gamma):
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"clock rate gamma must be finite and >= 0, got {gamma}")
+
+
 def _heat_density(t: float, r2: float, d: int) -> float:
     return (2.0 * math.pi * t) ** (-0.5 * d) * math.exp(-r2 / (2.0 * t))
 
@@ -224,10 +229,10 @@ def retarded_propagator_heat(x, y, gamma: float) -> float:
     ``x`` and ``y`` are spacetime points, pairs (time, space vector).
     Returns 0 whenever dt = y_time - x_time <= 0 (equal times count as
     not-yet-propagated) and otherwise
-    exp(-gamma*dt) * heat_kernel(dt, x_space, y_space).
+    exp(-gamma*dt) * heat_kernel(dt, x_space, y_space).  Raises
+    ValueError unless gamma is finite and >= 0.
     """
-    if gamma < 0:
-        raise ValueError(f"clock rate must be >= 0, got {gamma}")
+    _check_rate(gamma)
     tx, sx = x
     ty, sy = y
     dt = float(ty) - float(tx)
@@ -238,12 +243,15 @@ def retarded_propagator_heat(x, y, gamma: float) -> float:
 
 
 def event_probability(gamma: float, dtau: float) -> float:
-    """Probability 1 - exp(-gamma*dtau) that the clock fires within dtau."""
-    if gamma < 0:
-        raise ValueError(f"clock rate must be >= 0, got {gamma}")
-    if dtau < 0:
-        raise ValueError(f"duration must be >= 0, got {dtau}")
-    return -math.expm1(-gamma * dtau)
+    """Probability 1 - exp(-gamma*dtau) that the clock fires within dtau.
+
+    Raises ValueError unless gamma is finite and >= 0 and dtau >= 0
+    (dtau may be inf).
+    """
+    _check_rate(gamma)
+    if not dtau >= 0:
+        raise ValueError(f"duration dtau must be >= 0, got {dtau}")
+    return -math.expm1(-gamma * dtau) if gamma else 0.0  # 0 * inf is nan; a rate-0 clock never fires
 
 
 def time_evolution(energy: float, t: float) -> PseudoComplex:

@@ -6,9 +6,9 @@ are reproducible and replicas are independent work units:
 * replica ``r`` of a run with seed ``s`` uses the generator
   ``PCG64(splitmix64(s + (r + 1) * 0x9E3779B97F4A7C15))`` (all mod
   2**64, splitmix64 being the standard 64-bit finalizer below);
-* per-replica results are collected in replica order and reduced with
-  numpy's pairwise summation, so the reported estimates do not depend
-  on how the replicas were scheduled.
+* one loop, ``_replica_values``, runs the replicas of every estimator
+  and collects their results in replica order; numpy's pairwise sum
+  reduces them, so estimates do not depend on replica scheduling.
 
 The branching simulator is event driven: every particle carries an
 exponential lifetime, diffuses by exact Gaussian increments between
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyson import FertilityDistribution
+from .dyson import FertilityDistribution, _validate_gamma
 from .kernels import SampledFunction
 
 __all__ = [
@@ -81,12 +81,29 @@ def derive_stream(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(mixed))
 
 
-def _mean_stderr(values: np.ndarray):
-    values = np.asarray(values, dtype=float)
-    mean = float(np.mean(values))
-    if values.size < 2:
-        return mean, float("nan")
-    return mean, float(np.std(values, ddof=1) / math.sqrt(values.size))
+def _check_count(name, n, least=1):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
+def _check_time(name, t, positive=False):
+    if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {t}")
+
+
+def _replica_values(replicas, one):
+    """one(r) for r = 0 .. replicas-1, as a float array in replica order."""
+    values = np.empty(_check_count("replicas", replicas))
+    for r in range(replicas):
+        values[r] = one(r)
+    return values
+
+
+def _replica_mean(replicas, one):
+    # (mean, stderr) over the replicas; a stderr needs at least two.
+    values = _replica_values(_check_count("replicas", replicas, least=2), one)
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0) -> np.ndarray:
@@ -94,15 +111,16 @@ def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0
 
     Returns an array of shape (n_steps + 1, d) whose first row is x0;
     increments are i.i.d. Gaussian with variance t/n_steps per
-    coordinate.
+    coordinate.  Raises ValueError unless x0 is finite, t is finite
+    and > 0 and n_steps is an integer >= 1.
     """
-    if not t > 0:
-        raise ValueError(f"duration must be > 0, got {t}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_time("t", t, positive=True)
+    _check_count("n_steps", n_steps)
     start = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not all(map(math.isfinite, start)):
+        raise ValueError("x0 must be finite")
     rng = derive_stream(seed, replica)
-    steps = rng.standard_normal((int(n_steps), start.size)) * math.sqrt(t / n_steps)
+    steps = rng.standard_normal((n_steps, start.size)) * math.sqrt(t / n_steps)
     path = np.empty((n_steps + 1, start.size))
     path[0] = start
     path[1:] = start + np.cumsum(steps, axis=0)
@@ -110,13 +128,7 @@ def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0
 
 
 def feynman_kac_estimate(
-    u: SampledFunction,
-    v,
-    t: float,
-    x: float,
-    replicas: int,
-    n_steps: int,
-    seed: int,
+    u: SampledFunction, v, t: float, x: float, replicas: int, n_steps: int, seed: int
 ):
     """Monte Carlo value of E[ u(B_t) * exp(-int_0^t v(B_s) ds) ].
 
@@ -124,21 +136,18 @@ def feynman_kac_estimate(
     each point (bounded below); the exponent integral is a
     left-endpoint Riemann sum over the n_steps path increments, and
     ``u`` is evaluated by linear interpolation on its grid.  Returns
-    (estimate, stderr).  One spatial dimension.
+    (estimate, stderr).  One spatial dimension.  Raises ValueError
+    unless replicas is an integer >= 2, x is finite, t is finite and
+    > 0 and n_steps is an integer >= 1.
     """
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
     x0 = float(np.asarray(x, dtype=float).reshape(()))
-    dt = t / n_steps
-    values = np.empty(replicas)
-    for r in range(replicas):
-        rng = derive_stream(seed, r)
-        steps = rng.standard_normal(n_steps) * math.sqrt(dt)
-        positions = x0 + np.cumsum(steps)
-        visited = np.concatenate(([x0], positions[:-1]))
-        exponent = dt * float(np.sum(np.asarray(v(visited), dtype=float)))
-        values[r] = float(u(positions[-1])) * math.exp(-exponent)
-    return _mean_stderr(values)
+
+    def one(r):
+        path = sample_brownian_path(x0, t, n_steps, seed, r)[:, 0]
+        exponent = t / n_steps * float(np.sum(np.asarray(v(path[:-1]), dtype=float)))
+        return float(u(path[-1])) * math.exp(-exponent)
+
+    return _replica_mean(replicas, one)
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,9 @@ class BranchingConfig:
 
     gamma is the clock rate, fertility the offspring law, d the spatial
     dimension (1..3), x0 the common start point, and max_particles the
-    live-population cap beyond which a tree counts as exploded.
+    live-population cap beyond which a tree counts as exploded.  Raises
+    ValueError unless gamma is finite and > 0, d an integer in 1..3, x0
+    a finite point of dimension d and max_particles an integer >= 1.
     """
 
     gamma: float
@@ -157,17 +168,15 @@ class BranchingConfig:
     max_particles: int = 1_000_000
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"clock rate must be > 0, got {self.gamma}")
-        if not 1 <= self.d <= 3:
-            raise ValueError(f"spatial dimension must be 1..3, got {self.d}")
+        _validate_gamma(self.gamma)
+        if not 1 <= _check_count("d", self.d) <= 3:
+            raise ValueError(f"spatial dimension d must be 1..3, got {self.d}")
         start = tuple(float(c) for c in np.atleast_1d(np.asarray(self.x0, dtype=float)))
         if len(start) != self.d:
             raise ValueError(f"x0 has dimension {len(start)}, expected {self.d}")
         if not all(math.isfinite(c) for c in start):
             raise ValueError("x0 must be finite")
-        if self.max_particles < 1:
-            raise ValueError(f"max_particles must be >= 1, got {self.max_particles}")
+        _check_count("max_particles", self.max_particles)
         object.__setattr__(self, "x0", start)
 
     @property
@@ -221,20 +230,19 @@ def simulate_branching(
     are advanced by single Gaussian increments between birth and death
     (or horizon), which is exact in law.  Raises
     PopulationExplosionError when the live count passes
-    config.max_particles.
+    config.max_particles, and ValueError unless horizon is finite and
+    >= 0 and every sample time lies in [0, horizon].
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    _check_time("horizon", horizon)
     sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times.size and (sample_times.min() < 0 or sample_times.max() > horizon):
-        raise ValueError("sample times must lie within [0, horizon]")
+    if sample_times.size and not np.all((sample_times >= 0) & (sample_times <= horizon)):
+        raise ValueError("sample_times must lie within [0, horizon]")
     rng = derive_stream(seed, replica)
     gamma = config.gamma
     cdf = config.offspring_cdf
     x0 = np.asarray(config.x0, dtype=float)
 
     births = {0: (0.0, x0)}
-    spans = {}  # id -> (birth time, death time); survivors get inf
     heap = [(rng.standard_exponential() / gamma, 0)]
     next_id = 1
     live = 1
@@ -247,16 +255,13 @@ def simulate_branching(
         displacement = rng.standard_normal(config.d) * math.sqrt(death_time - birth_time)
         pos = birth_pos + displacement
         k = int(np.searchsorted(cdf, rng.random(), side="right"))
-        spans[pid] = (birth_time, death_time)
         children = tuple(range(next_id, next_id + k))
         for cid in children:
             births[cid] = (death_time, pos)
             heapq.heappush(heap, (death_time + rng.standard_exponential() / gamma, cid))
         next_id += k
         live += k - 1
-        events.append(
-            Event(death_time, "branch" if k else "death", pid, children, pos)
-        )
+        events.append(Event(death_time, "branch" if k else "death", pid, children, pos))
         if live > config.max_particles:
             raise PopulationExplosionError(
                 f"live population exceeded max_particles={config.max_particles} "
@@ -270,19 +275,12 @@ def simulate_branching(
     positions = np.empty((len(survivor_ids), config.d))
     for row, sid in enumerate(survivor_ids):
         birth_time, birth_pos = births[sid]
-        positions[row] = birth_pos + rng.standard_normal(config.d) * math.sqrt(
-            horizon - birth_time
-        )
-        spans[sid] = (birth_time, float("inf"))
+        positions[row] = birth_pos + rng.standard_normal(config.d) * math.sqrt(horizon - birth_time)
 
-    if sample_times.size:
-        starts = np.array([spans[i][0] for i in sorted(spans)])
-        ends = np.array([spans[i][1] for i in sorted(spans)])
-        counts = np.array(
-            [int(np.sum((starts <= tau) & (ends > tau))) for tau in sample_times]
-        )
-    else:
-        counts = np.zeros(0, dtype=int)
+    counts = np.zeros(0, dtype=int)
+    if sample_times.size:  # live count after each event, read at the sample times
+        live = np.cumsum([1] + [len(e.children) - 1 for e in events])
+        counts = live[np.searchsorted([e.time for e in events], sample_times, side="right")]
 
     return EventLog(
         events=events,
@@ -354,23 +352,20 @@ def sample_extinction_times(
     count crosses config.max_particles is classified as never extinct,
     which biases the extinction estimate downward by at most the
     probability that a tree of cap size dies out (astronomically small
-    for any generous cap in the subcritical-survival regime).
+    for any generous cap in the subcritical-survival regime).  Raises
+    ValueError unless horizon is finite and >= 0 and replicas is an
+    integer >= 1.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    _check_time("horizon", horizon)
     cdf = config.offspring_cdf
-    times = np.empty(replicas)
-    for r in range(replicas):
-        rng = derive_stream(seed, r)
-        t_ext, _, _ = _total_mass_run(config.gamma, cdf, horizon, config.max_particles, rng)
-        times[r] = t_ext
-    return times
+    return _replica_values(
+        replicas,
+        lambda r: _total_mass_run(config.gamma, cdf, horizon, config.max_particles, derive_stream(seed, r))[0],
+    )
 
 
 def estimate_extinction(config: BranchingConfig, horizon: float, replicas: int, seed: int):
-    """Fraction of replicas extinct by the horizon, with binomial stderr."""
+    """Extinct fraction at the horizon, with binomial stderr; ValueError as sample_extinction_times."""
     times = sample_extinction_times(config, horizon, replicas, seed)
     p_hat = float(np.mean(np.isfinite(times)))
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / replicas)
@@ -384,24 +379,24 @@ def estimate_generating_function(
 
     0**0 counts as 1, so theta = 0 reproduces the finite-horizon
     extinction estimate.  Raises PopulationExplosionError if any
-    replica crosses the population cap before t.
+    replica crosses the population cap before t, and ValueError unless
+    theta lies in [0, 1], t is finite and >= 0 and replicas is an
+    integer >= 2.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    _check_time("t", t)
     cdf = config.offspring_cdf
-    values = np.empty(replicas)
-    for r in range(replicas):
-        rng = derive_stream(seed, r)
-        t_ext, n_final, exploded = _total_mass_run(
-            config.gamma, cdf, t, config.max_particles, rng
-        )
+
+    def one(r):
+        t_ext, n_final, exploded = _total_mass_run(config.gamma, cdf, t, config.max_particles, derive_stream(seed, r))
         if exploded:
             raise PopulationExplosionError(
                 f"replica {r} exceeded max_particles={config.max_particles} before t={t:g}"
             )
-        n = 0 if math.isfinite(t_ext) else n_final
-        values[r] = float(theta) ** n  # 0.0**0 == 1.0
-    return _mean_stderr(values)
+        return float(theta) ** (0 if math.isfinite(t_ext) else n_final)  # 0.0**0 == 1.0
+
+    return _replica_mean(replicas, one)
 
 
 def estimate_mckean_product(
@@ -412,29 +407,34 @@ def estimate_mckean_product(
     ``phi`` must take values in [0, 1] on its grid; it is evaluated by
     linear interpolation, clamped to the edge values outside.  The
     empty product (extinct replica) counts as 1.  One spatial
-    dimension.
+    dimension.  Raises PopulationExplosionError as simulate_branching
+    does, and ValueError unless config.d is 1, phi lies in [0, 1], t is
+    finite and >= 0 and replicas is an integer >= 2.
     """
     if config.d != 1:
         raise ValueError("product functionals are supported in one spatial dimension only")
     if np.any(phi.values < 0.0) or np.any(phi.values > 1.0):
         raise ValueError("phi must take values in [0, 1]")
-    values = np.empty(replicas)
-    for r in range(replicas):
-        log = simulate_branching(config, t, (), seed, replica=r)
-        values[r] = float(np.prod(phi(log.final.positions[:, 0])))
-    return _mean_stderr(values)
+    _check_time("t", t)
+    return _replica_mean(
+        replicas,
+        lambda r: float(np.prod(phi(simulate_branching(config, t, (), seed, replica=r).final.positions[:, 0]))),
+    )
 
 
 def lifetime_ks(times, rate: float):
     """Kolmogorov-Smirnov test of samples against Exp(rate).
 
     Returns (statistic, p_value) with the usual asymptotic Kolmogorov
-    tail (Stephens' small-sample correction on the argument).
+    tail (Stephens' small-sample correction on the argument).  Raises
+    ValueError unless rate is finite and > 0 and times holds one or
+    more finite samples >= 0.
     """
+    _check_time("rate", rate, positive=True)
     x = np.sort(np.asarray(times, dtype=float))
     n = x.size
-    if n < 1:
-        raise ValueError("need at least one sample")
+    if n < 1 or not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError("times must hold at least one finite sample >= 0")
     cdf = -np.expm1(-rate * x)
     d_plus = float(np.max(np.arange(1, n + 1) / n - cdf))
     d_minus = float(np.max(cdf - np.arange(0, n) / n))

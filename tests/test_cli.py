@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from heatfield import cli
+from heatfield import cli, dyson, montecarlo
 from heatfield.cli import ParseError, ValidationError, parse_config
 
 
@@ -221,3 +221,41 @@ class TestMain:
         assert cli.main(["ring-check", "--config", str(cfg)]) == 0
         assert (tmp_path / "named.csv").exists()
         assert (tmp_path / "named.csv.manifest.json").exists()
+
+    def test_clock_lifetimes_follow_replica_streams(self, tmp_path):
+        cfg = write(tmp_path / "clock.cfg", "gamma = 2.0\ndtau.max = 2.0\nreplicas = 500\nseed = 9\n")
+        assert cli.main(["clock", "--config", cfg, "--out", str(tmp_path / "clock.csv")]) == 0
+        estimates = json.loads((tmp_path / "clock.csv.manifest.json").read_text())["estimates"]
+        config = montecarlo.BranchingConfig(2.0, dyson.FertilityDistribution((1.0,)))
+        times = []
+        for r in range(500):
+            log = montecarlo.simulate_branching(config, 25.0, (), 9, replica=r)
+            if log.events:
+                times.append(log.events[0].time)
+        times = np.asarray(times)
+        assert estimates["lifetime_mean"] == float(np.mean(times))
+        assert estimates["lifetime_mean_stderr"] == float(np.std(times, ddof=1) / math.sqrt(times.size))
+        assert estimates["ks_statistic"] == montecarlo.lifetime_ks(times, 2.0)[0]
+
+    VALID = {
+        "kernel": "t.min = 0.5\nt.max = 1.0\nt.count = 2\nr.max = 1.0\nr.count = 2\n",
+        "semigroup": "t = 0.25\ngrid.origin = -8.0\ngrid.step = 0.02\ngrid.count = 801\n",
+        "clock": "gamma = 2.0\ndtau.max = 2.0\nreplicas = 100\n",
+        "extinction": "alpha = 0.25\ngamma = 1.0\nhorizon = 5.0\nreplicas = 50\n",
+        "onepoint": "alpha = 0.25\ngamma = 1.0\ntau.max = 1.0\ntau.step = 0.01\n",
+        "gf": "alpha = 0.25\ngamma = 1.0\ntheta = 0.5\nt.max = 1.0\nreplicas = 50\n",
+        "twopoint": "alpha = 0.5\ngamma = 1.0\nt.max = 0.5\nt.step = 0.1\nx.halfwidth = 5.0\nx.step = 0.1\n",
+        "ring-check": "cases = 10\n",
+    }
+
+    def test_infinite_float_keys_exit_1(self, tmp_path, capsys):
+        assert set(self.VALID) == set(cli._SCHEMAS)
+        for kind, schema in cli._SCHEMAS.items():
+            base = dict(line.split(" = ") for line in self.VALID[kind].splitlines())
+            parse_config(write(tmp_path / "ok.cfg", self.VALID[kind]), kind)
+            for key in (k for k, spec in schema.items() if spec[0] is float):
+                text = "".join(f"{k} = {v}\n" for k, v in {**base, key: "inf"}.items())
+                out = tmp_path / f"{kind}-{key}.csv"
+                assert cli.main([kind, "--config", write(tmp_path / "inf.cfg", text), "--out", str(out)]) == 1
+                assert f"heatfield {kind}: {key}: must satisfy" in capsys.readouterr().err
+                assert not out.exists()

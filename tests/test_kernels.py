@@ -168,6 +168,11 @@ class TestRetardedPropagator:
         with pytest.raises(ValueError):
             retarded_propagator_heat((0.0, 0.0), (1.0, 0.0), -0.5)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            retarded_propagator_heat((0.0, 0.0), (1.0, 0.0), gamma)
+
 
 class TestEventProbability:
     def test_half_life_is_exact(self):
@@ -183,6 +188,22 @@ class TestEventProbability:
             event_probability(-1.0, 1.0)
         with pytest.raises(ValueError):
             event_probability(1.0, -1.0)
+
+    def test_infinite_rate_rejected(self):
+        with pytest.raises(ValueError, match="gamma"):
+            event_probability(math.inf, 0.0)
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValueError, match="gamma"):
+            event_probability(math.nan, 1.0)
+
+    def test_nan_duration_rejected(self):
+        with pytest.raises(ValueError, match="dtau"):
+            event_probability(1.0, math.nan)
+
+    def test_infinite_duration(self):
+        assert event_probability(2.0, math.inf) == 1.0
+        assert event_probability(0.0, math.inf) == 0.0
 
 
 class TestTimeEvolution:

@@ -318,3 +318,144 @@ class TestConfigValidation:
             BranchingConfig(1.0, BINARY_QUARTER, d=2, x0=(0.0,))
         with pytest.raises(ValueError):
             BranchingConfig(1.0, BINARY_QUARTER, max_particles=0)
+
+
+class TestReplicaContract:
+    """Each estimator equals an explicit loop over derive_stream(seed, r)."""
+
+    SEEDS = (1, 7, 123456)
+
+    def test_extinction_times_follow_replica_streams(self):
+        config = binary_config(0.25, cap=1000)
+        for seed in self.SEEDS:
+            want = np.array(
+                [
+                    montecarlo._total_mass_run(1.0, config.offspring_cdf, 10.0, 1000, derive_stream(seed, r))[0]
+                    for r in range(300)
+                ]
+            )
+            np.testing.assert_array_equal(sample_extinction_times(config, 10.0, 300, seed), want)
+
+    def test_feynman_kac_matches_inline_sampler(self):
+        u = kernels.SampledFunction.sample(lambda x: np.exp(-(x**2) / 0.5), -8.0, 0.02, 801)
+
+        def v(xs):
+            return 0.5 * xs**2
+
+        t, x0, n_steps, replicas = 0.8, 0.3, 32, 300
+        dt = t / n_steps
+        for seed in self.SEEDS:
+            values = np.empty(replicas)
+            for r in range(replicas):
+                steps = derive_stream(seed, r).standard_normal(n_steps) * math.sqrt(dt)
+                positions = x0 + np.cumsum(steps)
+                visited = np.concatenate(([x0], positions[:-1]))
+                values[r] = float(u(positions[-1])) * math.exp(-dt * float(np.sum(v(visited))))
+            want = (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(replicas)))
+            assert feynman_kac_estimate(u, v, t, x0, replicas, n_steps, seed) == want
+
+    def test_mckean_matches_tree_loop(self):
+        config = binary_config(0.25)
+        phi = kernels.SampledFunction.sample(lambda x: 1.0 - 0.5 * np.exp(-(x**2)), -6.0, 0.05, 241)
+        for seed in self.SEEDS:
+            values = np.array(
+                [
+                    float(np.prod(phi(simulate_branching(config, 1.5, (), seed, replica=r).final.positions[:, 0])))
+                    for r in range(200)
+                ]
+            )
+            want = (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size)))
+            assert estimate_mckean_product(config, phi, 1.5, 200, seed) == want
+
+    def test_counts_match_lifespans_rebuilt_from_events(self):
+        for alpha, horizon in ((0.25, 3.0), (0.7, 6.0)):
+            config = binary_config(alpha)
+            for seed in self.SEEDS:
+                bare = simulate_branching(config, horizon, (), seed)
+                event_times = [e.time for e in bare.events]
+                # Sample exactly on every event time, between events and at the ends.
+                grid = np.linspace(0.0, horizon, 17)
+                sample_times = np.sort(np.concatenate((grid, event_times)))
+                log = simulate_branching(config, horizon, sample_times, seed)
+                assert [e.time for e in log.events] == event_times
+                np.testing.assert_array_equal(log.final.positions, bare.final.positions)
+                born, died = {0: 0.0}, {}
+                for e in log.events:
+                    died[e.parent] = e.time
+                    born.update((c, e.time) for c in e.children)
+                want = [
+                    sum(born[i] <= tau < died.get(i, math.inf) for i in born) for tau in sample_times
+                ]
+                np.testing.assert_array_equal(log.counts, want)
+
+
+class TestArgumentChecks:
+    """Misused arguments raise ValueError naming the argument."""
+
+    PHI = kernels.SampledFunction(-5.0, 0.1, np.full(101, 0.5))
+    U = kernels.SampledFunction(-5.0, 0.1, np.ones(101))
+
+    @staticmethod
+    def zero(xs):
+        return np.zeros_like(xs)
+
+    def test_config(self):
+        with pytest.raises(ValueError, match="gamma"):
+            BranchingConfig(math.inf, BINARY_QUARTER)
+        with pytest.raises(ValueError, match="gamma"):
+            BranchingConfig(math.nan, BINARY_QUARTER)
+        with pytest.raises(ValueError, match="^d must"):
+            BranchingConfig(1.0, BINARY_QUARTER, d=True)
+        with pytest.raises(ValueError, match="^max_particles must"):
+            BranchingConfig(1.0, BINARY_QUARTER, max_particles=2.5)
+
+    def test_horizons(self):
+        with pytest.raises(ValueError, match="^horizon must"):
+            estimate_extinction(binary_config(0.25), math.nan, 10, seed=1)
+        with pytest.raises(ValueError, match="^horizon must"):
+            simulate_branching(binary_config(0.25), math.nan, (), seed=1)
+        with pytest.raises(ValueError, match="^sample_times must"):
+            simulate_branching(binary_config(0.25), 1.0, (math.nan,), seed=1)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_estimator_times(self, t):
+        with pytest.raises(ValueError, match="^t must"):
+            estimate_generating_function(binary_config(0.25), 0.5, t, 10, seed=1)
+        with pytest.raises(ValueError, match="^t must"):
+            estimate_mckean_product(binary_config(0.25), self.PHI, t, 10, seed=1)
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
+    def test_path_times(self, t):
+        with pytest.raises(ValueError, match="^t must"):
+            feynman_kac_estimate(self.U, self.zero, t, 0.0, 10, 4, seed=1)
+        with pytest.raises(ValueError, match="^t must"):
+            sample_brownian_path(0.0, t, 4, seed=1)
+
+    def test_path_counts_and_start(self):
+        with pytest.raises(ValueError, match="^n_steps must"):
+            feynman_kac_estimate(self.U, self.zero, 1.0, 0.0, 10, 0, seed=1)
+        with pytest.raises(ValueError, match="^n_steps must"):
+            sample_brownian_path(0.0, 1.0, 2.0, seed=1)
+        with pytest.raises(ValueError, match="^x0 must"):
+            feynman_kac_estimate(self.U, self.zero, 1.0, math.nan, 10, 4, seed=1)
+
+    @pytest.mark.parametrize("replicas", [0, 1, -2, 1.5, True])
+    def test_replica_counts(self, replicas):
+        config = binary_config(0.25)
+        with pytest.raises(ValueError, match="^replicas must"):
+            estimate_generating_function(config, 0.5, 1.0, replicas, seed=1)
+        with pytest.raises(ValueError, match="^replicas must"):
+            estimate_mckean_product(config, self.PHI, 1.0, replicas, seed=1)
+        with pytest.raises(ValueError, match="^replicas must"):
+            feynman_kac_estimate(self.U, self.zero, 1.0, 0.0, replicas, 4, seed=1)
+        if replicas != 1:  # one replica gives an extinction fraction and its binomial stderr
+            with pytest.raises(ValueError, match="^replicas must"):
+                estimate_extinction(config, 1.0, replicas, seed=1)
+
+    def test_lifetime_ks(self):
+        with pytest.raises(ValueError, match="^rate must"):
+            lifetime_ks([0.5, 1.0], math.nan)
+        with pytest.raises(ValueError, match="^times must"):
+            lifetime_ks([0.5, math.nan], 1.0)
+        with pytest.raises(ValueError, match="^times must"):
+            lifetime_ks([], 1.0)

@@ -1,0 +1,128 @@
+"""Property tests over the Monte Carlo entry points.
+
+Every call either raises a documented exception (ValueError, or
+PopulationExplosionError where the docstring names it) or returns finite
+values inside the documented range.  Times include nan, +-inf and
+negatives; counts include zero, negatives, a bool and a non-integer.
+The population cap is 64 so that every run stays short.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heatfield import dyson, kernels
+from heatfield.montecarlo import (
+    BranchingConfig,
+    PopulationExplosionError,
+    estimate_extinction,
+    estimate_generating_function,
+    estimate_mckean_product,
+    feynman_kac_estimate,
+    lifetime_ks,
+    sample_brownian_path,
+    sample_extinction_times,
+    simulate_branching,
+)
+
+CAP = 64
+TIMES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0]))
+COUNTS = st.one_of(st.integers(-2, 4), st.sampled_from([True, 2.5]))
+ALPHAS = st.floats(0.0, 1.0)
+SEEDS = st.integers(0, 2**32)
+PROPERTY = settings(max_examples=50, deadline=None, database=None)
+
+PHI = kernels.SampledFunction(-5.0, 0.1, 0.5 + 0.5 * np.cos(np.linspace(-5.0, 5.0, 101)))
+U = kernels.SampledFunction.sample(lambda x: np.exp(-(x**2)), -8.0, 0.05, 321)
+
+
+def config(alpha):
+    return BranchingConfig(1.0, dyson.FertilityDistribution.binary(alpha), max_particles=CAP)
+
+
+def outcome(fn, *args, allowed=(ValueError,), **kwargs):
+    """fn(*args, **kwargs), or None if it raised one of the allowed exceptions."""
+    try:
+        return fn(*args, **kwargs)
+    except allowed:
+        return None
+
+
+EXPLODES = (ValueError, PopulationExplosionError)
+
+
+def assert_estimate(result, lo=0.0, hi=1.0):
+    if result is not None:
+        est, err = result
+        assert lo <= est <= hi
+        assert math.isfinite(err) and err >= 0.0
+
+
+@PROPERTY
+@given(TIMES, COUNTS, COUNTS)
+def test_branching_config(gamma, d, cap):
+    made = outcome(BranchingConfig, gamma, dyson.FertilityDistribution.binary(0.5), d=d, max_particles=cap)
+    if made is not None:
+        assert 0.0 < made.gamma < math.inf
+        assert made.d == 1 and made.max_particles >= 1  # the default x0 is a 1-d point
+
+
+@PROPERTY
+@given(ALPHAS, TIMES, st.lists(TIMES, max_size=4), SEEDS)
+def test_simulate_branching(alpha, horizon, sample_times, seed):
+    log = outcome(simulate_branching, config(alpha), horizon, sample_times, seed, allowed=EXPLODES)
+    if log is not None:
+        assert math.isfinite(log.final.time)
+        assert np.all((log.sample_times >= 0.0) & (log.sample_times <= horizon))
+        assert np.all(log.counts >= 0) and log.counts.shape == (len(sample_times),)
+        assert all(0.0 <= e.time <= horizon for e in log.events)
+        assert np.all(np.isfinite(log.final.positions))
+        assert log.extinction_time == math.inf or 0.0 <= log.extinction_time <= horizon
+
+
+@PROPERTY
+@given(ALPHAS, TIMES, COUNTS, SEEDS)
+def test_extinction(alpha, horizon, replicas, seed):
+    times = outcome(sample_extinction_times, config(alpha), horizon, replicas, seed)
+    if times is not None:
+        assert times.shape == (replicas,)
+        assert np.all((times == math.inf) | ((times >= 0.0) & (times <= horizon)))
+    assert_estimate(outcome(estimate_extinction, config(alpha), horizon, replicas, seed))
+
+
+@PROPERTY
+@given(ALPHAS, st.one_of(st.floats(-0.5, 1.5), st.just(math.nan)), TIMES, COUNTS, SEEDS)
+def test_generating_function(alpha, theta, t, replicas, seed):
+    assert_estimate(outcome(estimate_generating_function, config(alpha), theta, t, replicas, seed, allowed=EXPLODES))
+
+
+@PROPERTY
+@given(ALPHAS, TIMES, COUNTS, SEEDS)
+def test_mckean_product(alpha, t, replicas, seed):
+    assert_estimate(outcome(estimate_mckean_product, config(alpha), PHI, t, replicas, seed, allowed=EXPLODES))
+
+
+@PROPERTY
+@given(TIMES, TIMES, COUNTS, COUNTS, SEEDS)
+def test_feynman_kac(t, x, replicas, n_steps, seed):
+    # u in [0, 1] and a potential >= 0 keep the estimate in [0, 1].
+    assert_estimate(outcome(feynman_kac_estimate, U, lambda xs: 0.5 * xs**2, t, x, replicas, n_steps, seed))
+
+
+@PROPERTY
+@given(st.lists(TIMES, max_size=4), TIMES, COUNTS, SEEDS)
+def test_brownian_path(x0, t, n_steps, seed):
+    path = outcome(sample_brownian_path, x0 or 0.0, t, n_steps, seed)
+    if path is not None:
+        assert path.shape[0] == n_steps + 1 and np.all(np.isfinite(path))
+
+
+@PROPERTY
+@given(st.lists(TIMES, max_size=6), TIMES)
+def test_lifetime_ks(times, rate):
+    result = outcome(lifetime_ks, times, rate)
+    if result is not None:
+        stat, pvalue = result
+        assert 0.0 <= stat <= 1.0 and 0.0 <= pvalue <= 1.0
