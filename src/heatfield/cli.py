@@ -7,12 +7,15 @@ ignored, every other line is ``key = value`` with dotted lowercase
 keys.  Values are decimal numbers except for the output path ``out``
 and enumerated choices such as ``u.kind``.  Each subcommand validates
 its keys against the target operation's preconditions before running
-anything, writes one CSV (17 significant digits, Unix newlines, fixed
-column order) and a JSON manifest next to it.  Runs are bit
+anything, writes one CSV (fixed column order, Unix newlines; doubles at
+17 significant digits, integers as decimals, booleans as 0/1, ring-check
+property names verbatim) and a JSON manifest next to it.  Runs are bit
 reproducible: identical configs give byte-identical CSVs.
 
-Exit status: 0 on success, 1 on config parse/validation errors, 2 when
-the computation itself fails (the manifest then records the error).
+Exit status: 0 on success, 1 on config parse/validation errors or a
+missing output directory (checked before anything runs; no file is
+written), 2 when the computation itself fails (the manifest then
+records the error).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -160,13 +164,9 @@ def _read_pairs(path: str):
     return pairs
 
 
-def _convert(kind, key, text, target):
+def _convert(key, text, target):
     try:
-        if target is int:
-            return int(text)
-        if target is float:
-            return float(text)
-        return text
+        return target(text)
     except ValueError as err:
         raise ValidationError(f"{key}: expected {target.__name__}, got {text!r}") from err
 
@@ -186,7 +186,7 @@ def parse_config(path: str, kind: str) -> ExperimentConfig:
         if key not in schema:
             raise ValidationError(f"{key}: unknown key for '{kind}'")
         target, _, check, constraint = schema[key]
-        typed = _convert(kind, key, value, target)
+        typed = _convert(key, value, target)
         if not check(typed):
             raise ValidationError(f"{key}: must satisfy {constraint}, got {typed!r}")
         params[key] = typed
@@ -206,31 +206,20 @@ def parse_config(path: str, kind: str) -> ExperimentConfig:
     return ExperimentConfig(kind=kind, params=params, out=out)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _grid(lo, hi, count):
-    return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
-
-
 def _run_kernel(p):
     origin = np.zeros(p["d"])
-    rows = []
-    for t in _grid(p["t.min"], p["t.max"], p["t.count"]):
-        for r in _grid(p["r.min"], p["r.max"], p["r.count"]):
-            target = np.zeros(p["d"])
-            target[0] = r
-            hk = kernels.heat_kernel(t, origin, target)
-            ret = kernels.retarded_propagator_heat((0.0, origin), (t, target), p["gamma"])
-            rows.append((t, r, hk, ret))
-    return ["t", "r", "heat_kernel", "retarded_propagator"], rows, {}
+    t_grid = np.linspace(p["t.min"], p["t.max"], p["t.count"])
+    r_grid = np.linspace(p["r.min"], p["r.max"], p["r.count"])
+    targets = np.zeros((r_grid.size, p["d"]))
+    targets[:, 0] = r_grid
+    pairs = [(t, y) for t in t_grid for y in targets]
+    columns = {
+        "t": np.repeat(t_grid, r_grid.size),
+        "r": np.tile(r_grid, t_grid.size),
+        "heat_kernel": [kernels.heat_kernel(t, origin, y) for t, y in pairs],
+        "retarded_propagator": [kernels.retarded_propagator_heat((0.0, origin), (t, y), p["gamma"]) for t, y in pairs],
+    }
+    return columns, {}
 
 
 def _run_semigroup(p):
@@ -242,13 +231,13 @@ def _run_semigroup(p):
         u0 = ((nodes >= p["u.lo"]) & (nodes <= p["u.hi"])).astype(float)
     u = kernels.SampledFunction(p["grid.origin"], p["grid.step"], u0)
     evolved = kernels.apply_semigroup(u, p["t"])
-    rows = [(x, a, b) for x, a, b in zip(nodes, u.values, evolved.values)]
-    return ["x", "u", "evolved"], rows, {}
+    return {"x": nodes, "u": u.values, "evolved": evolved.values}, {}
 
 
 def _run_clock(p):
     gamma, replicas, seed = p["gamma"], p["replicas"], p["seed"]
-    rows = [(d, kernels.event_probability(gamma, d)) for d in _grid(0.0, p["dtau.max"], p["dtau.count"])]
+    dtau = np.linspace(0.0, p["dtau.max"], p["dtau.count"])
+    columns = {"dtau": dtau, "event_probability": [kernels.event_probability(gamma, d) for d in dtau]}
     # Single-particle lifetimes: pure-death law, horizon long enough
     # that the no-event probability exp(-50) is negligible.
     config = montecarlo.BranchingConfig(gamma, dyson.FertilityDistribution((1.0,)))
@@ -268,7 +257,7 @@ def _run_clock(p):
         "ks_statistic": stat,
         "ks_pvalue": pvalue,
     }
-    return ["dtau", "event_probability"], rows, estimates
+    return columns, estimates
 
 
 def _run_extinction(p):
@@ -278,54 +267,43 @@ def _run_extinction(p):
         max_particles=p["max.particles"],
     )
     times = montecarlo.sample_extinction_times(config, p["horizon"], p["replicas"], p["seed"])
-    rows = []
-    for tau in _grid(0.0, p["horizon"], p["tau.count"]):
-        analytic = dyson.one_point_closed_form(p["alpha"], p["gamma"], tau)
-        p_hat = float(np.mean(times <= tau))
-        stderr = math.sqrt(p_hat * (1.0 - p_hat) / p["replicas"])
-        rows.append((tau, analytic, p_hat, stderr))
+    taus = np.linspace(0.0, p["horizon"], p["tau.count"])
+    analytic = [dyson.one_point_closed_form(p["alpha"], p["gamma"], tau) for tau in taus]
+    p_hat = np.array([np.mean(times <= tau) for tau in taus])
+    stderr = np.sqrt(p_hat * (1.0 - p_hat) / p["replicas"])
     estimates = {
-        "final_analytic": rows[-1][1],
-        "final_mc_estimate": rows[-1][2],
-        "final_mc_stderr": rows[-1][3],
+        "final_analytic": analytic[-1],
+        "final_mc_estimate": float(p_hat[-1]),
+        "final_mc_stderr": float(stderr[-1]),
         "eventual_extinction": dyson.extinction_probability(p["alpha"]),
     }
-    return ["tau", "analytic", "mc_estimate", "mc_stderr"], rows, estimates
+    return {"tau": taus, "analytic": analytic, "mc_estimate": p_hat, "mc_stderr": stderr}, estimates
 
 
 def _run_onepoint(p):
-    step = p["tau.step"] if p["tau.step"] is not None else 1e-3 / p["gamma"]
     fertility = dyson.FertilityDistribution.binary(p["alpha"])
-    ode = dyson.one_point_ode(fertility, p["gamma"], 0.0, p["tau.max"], step)
-    picard = dyson.one_point_picard(p["alpha"], p["gamma"], p["tau.max"], p["picard.order"], step)
+    ode = dyson.one_point_ode(fertility, p["gamma"], 0.0, p["tau.max"], p["tau.step"])
+    picard = dyson.one_point_picard(p["alpha"], p["gamma"], p["tau.max"], p["picard.order"], p["tau.step"])
     closed = dyson.one_point_closed_form(p["alpha"], p["gamma"], ode.nodes)
-    rows = list(zip(ode.nodes, closed, ode.values, picard.values))
     estimates = {
         "sup_ode_vs_closed": float(np.max(np.abs(ode.values - closed))),
         "sup_picard_vs_closed": float(np.max(np.abs(picard.values - closed))),
     }
-    return ["tau", "closed_form", "ode", "picard"], rows, estimates
+    return {"tau": ode.nodes, "closed_form": closed, "ode": ode.values, "picard": picard.values}, estimates
 
 
 def _run_gf(p):
+    theta, replicas, seed = p["theta"], p["replicas"], p["seed"]
     fertility = dyson.FertilityDistribution.binary(p["alpha"])
     config = montecarlo.BranchingConfig(p["gamma"], fertility, max_particles=p["max.particles"])
-    ode = dyson.one_point_ode(fertility, p["gamma"], p["theta"], p["t.max"])
-    rows = []
-    worst = 0.0
-    for t in _grid(0.0, p["t.max"], p["t.count"]):
-        if t == 0.0:
-            est, err = p["theta"], 0.0
-        else:
-            est, err = montecarlo.estimate_generating_function(
-                config, p["theta"], float(t), p["replicas"], p["seed"]
-            )
-        analytic = float(ode(t))
-        rows.append((t, analytic, est, err))
-        if err > 0:
-            worst = max(worst, abs(est - analytic) / err)
-    estimates = {"max_abs_deviation_in_stderr": worst}
-    return ["t", "ode", "mc_estimate", "mc_stderr"], rows, estimates
+    ode = dyson.one_point_ode(fertility, p["gamma"], theta, p["t.max"])
+    ts = np.linspace(0.0, p["t.max"], p["t.count"])
+    mc = [montecarlo.estimate_generating_function(config, theta, float(t), replicas, seed) for t in ts[1:]]
+    est, err = np.array([(theta, 0.0)] + mc).T
+    analytic = ode(ts)
+    seen = err > 0  # theta = 1 (and t = 0) gives stderr 0, which measures no deviation
+    estimates = {"max_abs_deviation_in_stderr": float(np.max(np.abs(est - analytic)[seen] / err[seen], initial=0.0))}
+    return {"t": ts, "ode": analytic, "mc_estimate": est, "mc_stderr": err}, estimates
 
 
 def _run_twopoint(p):
@@ -337,26 +315,36 @@ def _run_twopoint(p):
         p["x.halfwidth"],
         p["x.step"],
     )
-    mass = dyson.mass_curve(p["alpha"], p["gamma"], p["t.max"])
+    mass = dyson.mass_curve(p["alpha"], p["gamma"], p["t.max"])(field.times)
     slice_mass = field.spatial_mass()
-    rows = []
-    for j, t in enumerate(field.times):
-        reference = float(mass(t))
-        for i, x in enumerate(field.xs):
-            rows.append((t, x, field.values[j, i], slice_mass[j], reference))
+    nx = field.xs.size
+    columns = {
+        "t": np.repeat(field.times, nx),
+        "x": np.tile(field.xs, field.times.size),
+        "dtilde": field.values.ravel(),
+        "slice_mass": np.repeat(slice_mass, nx),
+        "mass_curve": np.repeat(mass, nx),
+    }
     estimates = {
         "residual": dyson.two_point_residual(field, p["alpha"], p["gamma"]),
-        "max_mass_mismatch": float(np.max(np.abs(slice_mass - mass(field.times)))),
+        "max_mass_mismatch": float(np.max(np.abs(slice_mass - mass))),
     }
-    return ["t", "x", "dtilde", "slice_mass", "mass_curve"], rows, estimates
+    return columns, estimates
 
 
 def _run_ring_check(p):
     tol = 1e-12
     errs = pring.self_check(p["cases"], p["seed"])
-    rows = [(name, p["cases"], err, tol, err < tol) for name, err in errs.items()]
-    estimates = {"max_defect": max(errs.values()), "all_passed": all(e < tol for e in errs.values())}
-    return ["property", "cases", "max_defect", "tolerance", "passed"], rows, estimates
+    defects = np.array(list(errs.values()))
+    passed = defects < tol
+    columns = {
+        "property": list(errs),
+        "cases": np.full(defects.size, p["cases"]),
+        "max_defect": defects,
+        "tolerance": np.full(defects.size, tol),
+        "passed": passed,
+    }
+    return columns, {"max_defect": float(defects.max()), "all_passed": bool(passed.all())}
 
 
 _RUNNERS = {
@@ -371,20 +359,29 @@ _RUNNERS = {
 }
 
 
-def _write_csv(path: str, header, rows):
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "b": "%d", "U": "%s"}
+
+
+def _write_csv(path: str, columns: dict):
+    cells = [np.asarray(col) for col in columns.values()]
+    row = ",".join(_CELL_FORMATS[col.dtype.kind] for col in cells) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row % cell for cell in zip(*cells))
 
 
 def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:
     """Execute one experiment: write its CSV and manifest, return exit code.
 
     The manifest is written even when the computation fails, with the
-    error recorded and status "error" (exit code 2).
+    error recorded and status "error" (exit code 2).  When the directory
+    of the CSV path does not exist, nothing runs or is written (exit 1).
     """
     csv_path = out or config.out or f"{config.kind}.csv"
+    folder = os.path.dirname(csv_path) or "."
+    if not os.path.isdir(folder):
+        print(f"heatfield {config.kind}: out: no such directory {folder!r}", file=sys.stderr)
+        return 1
     manifest_path = csv_path + ".manifest.json"
     manifest = {
         "command": config.kind,
@@ -397,8 +394,8 @@ def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:
     }
     started = time.perf_counter()
     try:
-        header, rows, estimates = _RUNNERS[config.kind](config.params)
-        _write_csv(csv_path, header, rows)
+        columns, estimates = _RUNNERS[config.kind](config.params)
+        _write_csv(csv_path, columns)
         manifest["estimates"] = estimates
         with open(csv_path, "rb") as fh:
             manifest["csv_sha256"] = hashlib.sha256(fh.read()).hexdigest()

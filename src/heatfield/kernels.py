@@ -13,7 +13,7 @@ spatial dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,7 +102,8 @@ class SampledFunction:
     """Real function sampled on a uniform 1-d grid.
 
     ``origin`` is the first node, ``step`` the spacing, ``values`` the
-    node values.  Instances are immutable; evaluation between nodes is
+    node values and ``nodes`` the read-only grid ``origin + step*arange(n)``,
+    computed once.  Instances are immutable; evaluation between nodes is
     by linear interpolation, clamped to the edge values outside the
     grid.
     """
@@ -110,6 +111,7 @@ class SampledFunction:
     origin: float
     step: float
     values: np.ndarray
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -119,14 +121,13 @@ class SampledFunction:
             raise ValueError("sampled values must be finite")
         if not self.step > 0:
             raise ValueError(f"grid step must be > 0, got {self.step}")
+        nodes = float(self.origin) + float(self.step) * np.arange(vals.size)
         vals.flags.writeable = False
+        nodes.flags.writeable = False
         object.__setattr__(self, "origin", float(self.origin))
         object.__setattr__(self, "step", float(self.step))
         object.__setattr__(self, "values", vals)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.origin + self.step * np.arange(self.values.size)
+        object.__setattr__(self, "nodes", nodes)
 
     @classmethod
     def sample(cls, f, origin: float, step: float, count: int) -> "SampledFunction":

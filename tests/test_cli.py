@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heatfield import cli, dyson, montecarlo
+from heatfield import cli, dyson, montecarlo, pring
 from heatfield.cli import ParseError, ValidationError, parse_config
 
 
@@ -222,6 +224,16 @@ class TestMain:
         assert (tmp_path / "named.csv").exists()
         assert (tmp_path / "named.csv.manifest.json").exists()
 
+    def test_out_in_missing_directory_exits_1_before_running(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(pring, "self_check", lambda *args: calls.append(args))
+        target = tmp_path / "no" / "such" / "x.csv"
+        for args, text in ((["--out", str(target)], "cases = 5\n"), ([], f"cases = 5\nout = {target}\n")):
+            assert cli.main(["ring-check", "--config", write(tmp_path / "rc.cfg", text), *args]) == 1
+            assert f"heatfield ring-check: out: no such directory '{target.parent}'" in capsys.readouterr().err
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["rc.cfg"]
+
     def test_clock_lifetimes_follow_replica_streams(self, tmp_path):
         cfg = write(tmp_path / "clock.cfg", "gamma = 2.0\ndtau.max = 2.0\nreplicas = 500\nseed = 9\n")
         assert cli.main(["clock", "--config", cfg, "--out", str(tmp_path / "clock.csv")]) == 0
@@ -259,3 +271,34 @@ class TestMain:
                 assert cli.main([kind, "--config", write(tmp_path / "inf.cfg", text), "--out", str(out)]) == 1
                 assert f"heatfield {kind}: {key}: must satisfy" in capsys.readouterr().err
                 assert not out.exists()
+
+
+def _readme_schemas():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return {kind: cols.split(", ") for kind, cols in re.findall(r"^\| `([a-z-]+)`\s*\| `([^`]+)`", readme, re.M)}
+
+
+@pytest.mark.parametrize("kind", sorted(TestMain.VALID))
+def test_csv_cell_formats(kind, tmp_path):
+    out = tmp_path / f"{kind}.csv"
+    assert cli.main([kind, "--config", write(tmp_path / "run.cfg", TestMain.VALID[kind]), "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.endswith(b"\n") and b"\r" not in data
+    header, rows = read_csv(out)
+    assert header == _readme_schemas()[kind]
+    assert rows and all(len(row) == len(header) for row in rows)
+    for name, cells in zip(header, zip(*rows)):
+        if name == "cases":
+            assert all(c.isdigit() and str(int(c)) == c for c in cells)
+        elif name == "passed":
+            assert set(cells) <= {"0", "1"}
+        elif name != "property":
+            assert all(format(float(c), ".17g") == c for c in cells)
+    if kind == "ring-check":
+        assert [row[0] for row in rows] == list(pring.self_check(10, 0))
+    if kind == "twopoint":
+        field = dyson.two_point_picard(0.5, 1.0, 0.5, 0.1, 5.0, 0.1)
+        columns = dict(zip(header, (np.array(col, dtype=float) for col in zip(*rows))))
+        assert np.array_equal(columns["dtilde"], field.values.ravel())
+        assert np.array_equal(columns["t"], np.repeat(field.times, field.xs.size))
+        assert np.array_equal(columns["x"], np.tile(field.xs, field.times.size))

@@ -83,6 +83,14 @@ class TestSampledFunction:
         np.testing.assert_array_equal(u.nodes, [1.0, 1.5, 2.0])
         assert u(1.25) == 0.5
 
+    def test_nodes_are_cached_and_read_only(self):
+        u = SampledFunction(-10.5, 0.01, np.zeros(2101))
+        assert u.nodes is u.nodes
+        assert not u.nodes.flags.writeable
+        assert np.array_equal(u.nodes, -10.5 + 0.01 * np.arange(2101))
+        with pytest.raises(ValueError):
+            u.nodes[0] = 0.0
+
 
 class TestSemigroup:
     def test_gaussian_spreads_by_t(self):
