@@ -12,10 +12,10 @@ anything, writes one CSV (fixed column order, Unix newlines; doubles at
 property names verbatim) and a JSON manifest next to it.  Runs are bit
 reproducible: identical configs give byte-identical CSVs.
 
-Exit status: 0 on success, 1 on config parse/validation errors or a
-missing output directory (checked before anything runs; no file is
-written), 2 when the computation itself fails (the manifest then
-records the error).
+Exit status: 0 on success, 1 on config parse/validation errors, a
+missing output directory or an output path that is a directory (checked
+before anything runs; no file is written), 2 when the computation
+itself fails (the manifest then records the error).
 """
 
 from __future__ import annotations
@@ -375,12 +375,14 @@ def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:
 
     The manifest is written even when the computation fails, with the
     error recorded and status "error" (exit code 2).  When the directory
-    of the CSV path does not exist, nothing runs or is written (exit 1).
+    of the CSV path does not exist or the path is itself a directory,
+    nothing runs or is written (exit 1).
     """
     csv_path = out or config.out or f"{config.kind}.csv"
     folder = os.path.dirname(csv_path) or "."
-    if not os.path.isdir(folder):
-        print(f"heatfield {config.kind}: out: no such directory {folder!r}", file=sys.stderr)
+    if not os.path.isdir(folder) or os.path.isdir(csv_path):
+        problem = f"{csv_path!r} is a directory" if os.path.isdir(csv_path) else f"no such directory {folder!r}"
+        print(f"heatfield {config.kind}: out: {problem}", file=sys.stderr)
         return 1
     manifest_path = csv_path + ".manifest.json"
     manifest = {
@@ -397,8 +399,11 @@ def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:
         columns, estimates = _RUNNERS[config.kind](config.params)
         _write_csv(csv_path, columns)
         manifest["estimates"] = estimates
+        digest = hashlib.sha256()
         with open(csv_path, "rb") as fh:
-            manifest["csv_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
+        manifest["csv_sha256"] = digest.hexdigest()
         code = 0
     except Exception as err:  # noqa: BLE001 - every library error maps to exit 2
         manifest["status"] = "error"

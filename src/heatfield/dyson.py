@@ -23,6 +23,13 @@ one forward march that divides by one minus that weight at every node
 (Linz, Analytical and Numerical Methods for Volterra Equations, SIAM
 1985); nothing is iterated to a tolerance.
 
+Each ladder kernel is one exponential in the elapsed time w:
+exp(-gamma*w), and exp(-(gamma + xi**2/2)*w) per spatial Fourier mode xi
+of the two-point field.  So every trapezoid history sum obeys
+S_i = r*(S_{i-1} + q_{i-1}) with r = exp(-lambda*h) and costs O(1) per
+node (fast convolution quadrature, Lubich and Schaedle, SIAM J. Sci.
+Comput. 24, 2002, in its exact single-exponential case).
+
 Closed form: with s = |1 - 2*alpha| and beta = 1 - alpha,
 
     A(tau) = (1 - s * coth(s*gamma*tau/2 + artanh(s))) / (2*beta),
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -95,6 +103,12 @@ class FertilityDistribution:
 def _validate_gamma(gamma):
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"clock rate gamma must be finite and > 0, got {gamma}")
+
+
+def _check_count(name, n, least=1):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
 
 
 def _validate_alpha_gamma(alpha, gamma):
@@ -213,15 +227,6 @@ def one_point_ode(
     return SampledFunction(0.0, h, values)
 
 
-def _volterra_conv(f: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
-    # Trapezoid rule for int_0^{tau_i} f(w) q(tau_i - w) dw on a shared
-    # uniform grid: full discrete convolution minus the half-weight end
-    # corrections.
-    n = f.size
-    conv = np.convolve(f, q)[:n]
-    return h * (conv - 0.5 * (f[0] * q + f * q[0]))
-
-
 def one_point_picard(
     alpha: float,
     gamma: float,
@@ -234,26 +239,27 @@ def one_point_picard(
     Starting from the zero function, each iteration adds one more layer
     of event-tree topologies, so the iterates increase pointwise toward
     the closed form.  ``order`` counts applications of the map (order 1
-    is the bare death integral alpha*(1 - exp(-gamma*tau))).  Integrals
-    use the composite trapezoid rule; step <= 1e-3/gamma keeps the
-    quadrature error around 1e-6.
+    is the bare death integral alpha*(1 - exp(-gamma*tau))) and must be
+    an integer >= 1.  Integrals use the composite trapezoid rule; step
+    <= 1e-3/gamma keeps the quadrature error around 1e-6.
     """
     _validate_alpha_gamma(alpha, gamma)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    _check_count("order", order)
     if step is None:
         step = 1e-3 / gamma
     n = _grid_count(tau_max, step)
     h = float(step)
-    taus = h * np.arange(n + 1)
-    decay = np.exp(-gamma * taus)
+    survival = np.exp(-gamma * (h * np.arange(n + 1)))
     # cumulative trapezoid of gamma*alpha*exp(-gamma*w)
-    base = np.concatenate(([0.0], np.cumsum(0.5 * h * (decay[1:] + decay[:-1]))))
+    base = np.concatenate(([0.0], np.cumsum(0.5 * h * (survival[1:] + survival[:-1]))))
     base *= gamma * alpha
-    f = gamma * (1.0 - alpha) * decay
+    c = 0.5 * h * gamma * (1.0 - alpha)
+    r = math.exp(-gamma * h)
     a = np.zeros(n + 1)
     for _ in range(order):
-        a = base + _volterra_conv(f, a * a, h)
+        q = a * a
+        s = accumulate(q[:-1].tolist(), lambda acc, qk: r * (acc + qk), initial=0.0)
+        a = base + c * (2.0 * np.fromiter(s, float, n + 1) + q)
     return SampledFunction(0.0, h, a)
 
 
@@ -284,15 +290,14 @@ def mass_curve(
     base = np.exp(-gamma * times)
     a_curve = one_point_closed_form(alpha, gamma, times)
     div = _march_divisors(alpha, gamma, h, a_curve)
-    f = gamma * (1.0 - alpha) * base
-    f_rev = f[::-1].copy()  # f_rev[n - k] = f[k]: each ladder sum is a contiguous dot
-    q = np.zeros(n + 1)  # A * M on the nodes marched so far
+    r = math.exp(-gamma * h)
+    coeff = h * gamma * (1.0 - alpha)
     m = base.copy()
+    s = q = 0.0  # history sum over 0 < k < i of A*M; the k = 0 end has A(0) = 0
     for i in range(1, n + 1):
-        # Trapezoid sum of f[i-k] q[k] over 0 < k < i: the k = 0 end
-        # carries A(0) = 0 and the k = i end is the diagonal, in div.
-        m[i] = (base[i] + h * np.dot(f_rev[n - i + 1 : n], q[1:i])) / div[i]
-        q[i] = a_curve[i] * m[i]
+        s = r * (s + q)
+        m[i] = (base[i] + coeff * s) / div[i]
+        q = a_curve[i] * m[i]
     return SampledFunction(0.0, h, m)
 
 
@@ -346,6 +351,8 @@ class _TwoPointOperator:
         self.k = float(t_step)
         half = _grid_count(x_half_width, x_step)
         self.h = float(x_step)
+        if not self.h <= math.sqrt(self.k):
+            raise ValueError(f"x_step {self.h:g} must be <= sqrt(t_step) = {math.sqrt(self.k):g}")
         self.xs = self.h * np.arange(-half, half + 1)
         t_top = self.nt * self.k
         if half * self.h < 6.0 * math.sqrt(t_top):
@@ -365,37 +372,31 @@ class _TwoPointOperator:
         )
         self.a = one_point_closed_form(alpha, gamma, times)  # a[m-1] = A(m*k)
         self.div = _march_divisors(alpha, gamma, self.k, self.a)
-        self.decay = np.exp(-gamma * times)  # decay[w-1] = exp(-gamma*w*k)
-        self.kern = [
-            (2.0 * math.pi * w) ** -0.5 * np.exp(-(self.xs**2) / (2.0 * w)) for w in times
-        ]
-
-    def _ladder(self, field: np.ndarray, j: int) -> np.ndarray:
-        # Trapezoid sum for row j over the intermediate event times w*k,
-        # 0 < w < j, using rows m = j - w < j only.  The w = 0 end (spatial
-        # kernel = identity) is the diagonal term 0.5*a[j-1]*field[j-1],
-        # left to the caller; the w = j end carries weight A(0) = 0.
-        acc = np.zeros(self.xs.size)
-        for m in range(1, j):
-            w = j - m
-            acc += (self.decay[w - 1] * self.a[m - 1] * self.h) * np.convolve(
-                field[m - 1], self.kern[w - 1], mode="same"
-            )
-        return acc
+        xi = 2.0 * math.pi * np.fft.rfftfreq(self.xs.size, self.h)
+        self.rate = self.gamma + 0.5 * xi**2
 
     def apply(self, field: np.ndarray) -> np.ndarray:
+        # Each lag's multiplier is evaluated directly, O(nt**2 * nx), so
+        # that the residual does not share the march's recursion.
+        spectra = self.a[:, None] * np.fft.rfft(field, axis=1)
         out = np.empty_like(self.base)
         for j in range(1, self.nt + 1):
-            diagonal = 0.5 * self.a[j - 1] * field[j - 1]
-            out[j - 1] = self.base[j - 1] + self.coeff * (diagonal + self._ladder(field, j))
+            lags = self.k * np.arange(j - 1, 0, -1)  # (j - m)*k for rows m = 1 .. j-1
+            history = (np.exp(-np.outer(lags, self.rate)) * spectra[: j - 1]).sum(axis=0)
+            ladder = 0.5 * self.a[j - 1] * field[j - 1] + np.fft.irfft(history, self.xs.size)
+            out[j - 1] = self.base[j - 1] + self.coeff * ladder
         return out
 
     def march(self) -> np.ndarray:
-        """The fixed point, one time row at a time."""
+        """The fixed point, one time row at a time, negative rounding clamped to 0."""
         field = np.empty_like(self.base)
+        step = np.exp(-self.rate * self.k)
+        history = np.zeros(self.rate.size, dtype=complex)
         for j in range(1, self.nt + 1):
-            field[j - 1] = (self.base[j - 1] + self.coeff * self._ladder(field, j)) / self.div[j - 1]
-        return field
+            ladder = np.fft.irfft(history, self.xs.size)
+            field[j - 1] = (self.base[j - 1] + self.coeff * ladder) / self.div[j - 1]
+            history = step * (history + self.a[j - 1] * np.fft.rfft(field[j - 1]))
+        return np.maximum(field, 0.0, out=field)
 
 
 def two_point_picard(
@@ -408,17 +409,21 @@ def two_point_picard(
 ) -> SpaceTimeField:
     """Dressed two-point function of the binary model, d = 1.
 
-    Solves the trapezoid discretisation of
-    D(t, x) = exp(-gamma*t) p_t(x) + gamma*beta * (ladder term) by one
-    forward march in time: row t depends on earlier rows and, through
-    the diagonal weight 0.5*t_step*gamma*beta*A(t), on itself, so each
-    row is solved exactly, up to rounding, once its predecessors are
-    known.  The result is the fixed point that Picard iteration of the
-    ladder map approaches; ``two_point_residual`` of it is at rounding
-    level.  The spatial half-width must be at least 6*sqrt(t_max) so
-    that truncated Gaussian mass stays below 1e-8, else
-    GridTooNarrowError; a time step so coarse that the diagonal weight
-    reaches 1 raises ValueError.
+    Solves the discretisation of
+    D(t, x) = exp(-gamma*t) p_t(x) + gamma*beta * (ladder term) that is
+    trapezoid in time and spectral in x (each earlier row is smoothed
+    per np.fft.rfft mode, with its history carried as in the module
+    docstring) by one forward march: row t depends on earlier rows and,
+    through the diagonal weight 0.5*t_step*gamma*beta*A(t), on itself,
+    so each row is exact up to rounding.  The spatial half-width must be
+    at least 6*sqrt(t_max), else GridTooNarrowError; that keeps the
+    truncated Gaussian mass, and the periodic wrap of the spectral x
+    grid, below 1e-8.  x_step must be at most sqrt(t_step), else
+    ValueError: at that limit the first row's mass is off by
+    2*exp(-2*pi**2) = 5.4e-9.  Negative entries are clamped to 0: they
+    are below 1e-17 for x_step <= sqrt(t_step)/2 and up to about 4e-8 at
+    the limit, which then bounds ``two_point_residual``.  A time step so
+    coarse that the diagonal weight reaches 1 raises ValueError.
     """
     op = _TwoPointOperator(alpha, gamma, t_max, t_step, x_half_width, x_step)
     return SpaceTimeField(op.k, op.h, op.march())
@@ -426,13 +431,5 @@ def two_point_picard(
 
 def two_point_residual(field: SpaceTimeField, alpha: float, gamma: float) -> float:
     """Sup-norm defect |T(D) - D| of a candidate two-point field."""
-    half = (field.values.shape[1] - 1) // 2
-    op = _TwoPointOperator(
-        alpha,
-        gamma,
-        t_max=field.t_step * field.values.shape[0],
-        t_step=field.t_step,
-        x_half_width=half * field.x_step,
-        x_step=field.x_step,
-    )
+    op = _TwoPointOperator(alpha, gamma, field.times[-1], field.t_step, field.xs[-1], field.x_step)
     return float(np.max(np.abs(op.apply(field.values) - field.values)))

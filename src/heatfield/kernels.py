@@ -101,11 +101,11 @@ _SUPPORT_RTOL = 1e-12
 class SampledFunction:
     """Real function sampled on a uniform 1-d grid.
 
-    ``origin`` is the first node, ``step`` the spacing, ``values`` the
-    node values and ``nodes`` the read-only grid ``origin + step*arange(n)``,
-    computed once.  Instances are immutable; evaluation between nodes is
-    by linear interpolation, clamped to the edge values outside the
-    grid.
+    ``origin`` is the first node (finite), ``step`` the spacing (finite
+    and > 0), ``values`` the node values and ``nodes`` the read-only grid
+    ``origin + step*arange(n)``, computed once.  Instances are immutable;
+    evaluation between nodes is by linear interpolation, clamped to the
+    edge values outside the grid.
     """
 
     origin: float
@@ -119,8 +119,10 @@ class SampledFunction:
             raise ValueError("values must be a 1-d array with at least 2 nodes")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sampled values must be finite")
-        if not self.step > 0:
-            raise ValueError(f"grid step must be > 0, got {self.step}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"grid step must be finite and > 0, got {self.step}")
+        if not math.isfinite(self.origin):
+            raise ValueError(f"grid origin must be finite, got {self.origin}")
         nodes = float(self.origin) + float(self.step) * np.arange(vals.size)
         vals.flags.writeable = False
         nodes.flags.writeable = False

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyson import FertilityDistribution, _validate_gamma
+from .dyson import FertilityDistribution, _check_count, _validate_gamma
 from .kernels import SampledFunction
 
 __all__ = [
@@ -79,12 +79,6 @@ def derive_stream(seed: int, replica: int = 0) -> np.random.Generator:
     """
     mixed = splitmix64((int(seed) + (int(replica) + 1) * _GOLDEN) & _MASK64)
     return np.random.Generator(np.random.PCG64(mixed))
-
-
-def _check_count(name, n, least=1):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
-    return int(n)
 
 
 def _check_time(name, t, positive=False):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import heatfield
 from heatfield import cli, dyson, montecarlo, pring
 from heatfield.cli import ParseError, ValidationError, parse_config
 
@@ -209,6 +211,30 @@ class TestMain:
         assert "GridTooNarrow" in manifest["error"]
         assert not out2.exists()
 
+    def test_under_resolved_twopoint_grid_exits_2(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path / "tp.cfg",
+            "alpha = 0.5\ngamma = 1.0\nt.max = 1.0\nt.step = 0.01\nx.halfwidth = 6.5\nx.step = 0.5\n",
+        )
+        out = tmp_path / "tp.csv"
+        assert cli.main(["twopoint", "--config", cfg, "--out", str(out)]) == 2
+        assert "heatfield twopoint: ValueError: x_step 0.5 must be <= sqrt(t_step) = 0.1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_hash_matches_csv_file(self, tmp_path):
+        # A twopoint CSV of several 64 KiB blocks.
+        cfg = write(
+            tmp_path / "tp.cfg",
+            "alpha = 0.5\ngamma = 1.0\nt.max = 1.0\nt.step = 0.05\nx.halfwidth = 6.5\nx.step = 0.1\n",
+        )
+        out = tmp_path / "tp.csv"
+        assert cli.main(["twopoint", "--config", cfg, "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert len(data) > 3 * 65536
+        manifest = json.loads((tmp_path / "tp.csv.manifest.json").read_text())
+        assert manifest["csv_sha256"] == hashlib.sha256(data).hexdigest()
+        assert manifest["library_version"] == heatfield.__version__
+
     def test_ring_check_passes(self, tmp_path):
         cfg = write(tmp_path / "rc.cfg", "cases = 3000\nseed = 12\n")
         out = tmp_path / "rc.csv"
@@ -233,6 +259,18 @@ class TestMain:
             assert f"heatfield ring-check: out: no such directory '{target.parent}'" in capsys.readouterr().err
         assert calls == []
         assert [p.name for p in tmp_path.iterdir()] == ["rc.cfg"]
+
+    def test_out_naming_a_directory_exits_1_before_running(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(pring, "self_check", lambda *args: calls.append(args))
+        target = tmp_path / "results"
+        target.mkdir()
+        for args, text in ((["--out", str(target)], "cases = 5\n"), ([], f"cases = 5\nout = {target}\n")):
+            assert cli.main(["ring-check", "--config", write(tmp_path / "rc.cfg", text), *args]) == 1
+            assert f"heatfield ring-check: out: '{target}' is a directory" in capsys.readouterr().err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rc.cfg", "results"]
+        assert list(target.iterdir()) == []
 
     def test_clock_lifetimes_follow_replica_streams(self, tmp_path):
         cfg = write(tmp_path / "clock.cfg", "gamma = 2.0\ndtau.max = 2.0\nreplicas = 500\nseed = 9\n")
@@ -302,3 +340,8 @@ def test_csv_cell_formats(kind, tmp_path):
         assert np.array_equal(columns["dtilde"], field.values.ravel())
         assert np.array_equal(columns["t"], np.repeat(field.times, field.xs.size))
         assert np.array_equal(columns["x"], np.tile(field.xs, field.times.size))
+
+
+def test_package_and_project_versions_agree():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == heatfield.__version__

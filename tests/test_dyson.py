@@ -24,6 +24,36 @@ BINARY_QUARTER = FertilityDistribution.binary(0.25)
 RK4_ORACLE_QUARTER_AT_1 = 0.16439288929438495
 
 
+def volterra_oracle(alpha, gamma, h, prev):
+    # Direct O(n^2) trapezoid history sum of one Picard step, the full
+    # discrete convolution minus the half-weight end corrections.
+    f = gamma * (1.0 - alpha) * np.exp(-gamma * h * np.arange(prev.size))
+    q = prev * prev
+    return h * (np.convolve(f, q)[: prev.size] - 0.5 * (f[0] * q + f * q[0]))
+
+
+def direct_two_point_march(alpha, gamma, t_max, t_step, x_half_width, x_step):
+    # Forward march with each lag's Gaussian convolution taken as an
+    # x-trapezoid sum on the grid, O(nt^2 nx^2), not spectrally.
+    times = t_step * np.arange(1, round(t_max / t_step) + 1)
+    half = round(x_half_width / x_step)
+    xs = x_step * np.arange(-half, half + 1)
+    base = np.array(
+        [[kernels.retarded_propagator_heat((0.0, 0.0), (t, x), gamma) for x in xs] for t in times]
+    )
+    a = one_point_closed_form(alpha, gamma, times)
+    coeff = gamma * (1.0 - alpha) * t_step
+    field = np.empty_like(base)
+    for j in range(times.size):
+        ladder = np.zeros(xs.size)
+        for m in range(j):
+            w = times[j - m - 1]
+            gauss = np.exp(-(xs**2) / (2.0 * w)) / math.sqrt(2.0 * math.pi * w)
+            ladder += math.exp(-gamma * w) * a[m] * x_step * np.convolve(field[m], gauss, mode="same")
+        field[j] = (base[j] + coeff * ladder) / (1.0 - 0.5 * coeff * a[j])
+    return field
+
+
 def rk4_oracle(alpha, gamma, tau, h=1e-4):
     beta = 1.0 - alpha
     y = 0.0
@@ -192,6 +222,22 @@ class TestOnePointPicard:
         closed = one_point_closed_form(0.5, 1.0, curve.nodes)
         assert np.max(np.abs(curve.values - closed)) < 1e-3
 
+    def test_each_order_matches_direct_convolution(self):
+        alpha, gamma, h = 0.5, 1.0, 1e-3
+        base = one_point_picard(alpha, gamma, 5.0, 1).values
+        prev = base
+        for order in range(2, 9):
+            curve = one_point_picard(alpha, gamma, 5.0, order)
+            want = base + volterra_oracle(alpha, gamma, h, prev)
+            assert np.max(np.abs(curve.values - want)) < 1e-13
+            prev = curve.values
+
+    @pytest.mark.parametrize("order", [2.5, True, 0, np.float64(3.0)])
+    def test_order_must_be_an_integer_at_least_1(self, order):
+        # 2.5 used to raise an undocumented TypeError and True ran as order 1.
+        with pytest.raises(ValueError, match="order"):
+            one_point_picard(0.25, 1.0, 1.0, order, step=0.1)
+
     def test_updates_contract_from_second_order(self):
         curves = [one_point_picard(0.5, 1.0, 5.0, order) for order in range(1, 9)]
         gaps = [np.max(np.abs(b.values - a.values)) for a, b in zip(curves, curves[1:])]
@@ -253,6 +299,23 @@ class TestTwoPoint:
         residual = two_point_residual(field, 0.5, 1.0)
         assert residual < 1e-6
         assert residual < 1e-13  # the march solves the discrete equation, not to a tolerance
+
+    def test_matches_direct_x_trapezoid_march(self, field):
+        want = direct_two_point_march(0.5, 1.0, 1.0, 0.05, 6.5, 0.1)
+        assert np.max(np.abs(field.values - want)) < 1e-11
+
+    def test_under_resolved_x_step_rejected(self):
+        # x_step = .5 at t_step = .01 used to return a field whose slice
+        # mass missed mass_curve by 0.985.
+        with pytest.raises(ValueError, match="x_step"):
+            two_point_picard(0.5, 1.0, t_max=1.0, t_step=0.01, x_half_width=6.5, x_step=0.5)
+
+    def test_x_step_at_sqrt_t_step_accepted(self):
+        field = two_point_picard(0.5, 1.0, t_max=0.5, t_step=0.01, x_half_width=5.0, x_step=0.1)
+        assert np.all(field.values >= 0.0)
+        assert two_point_residual(field, 0.5, 1.0) < 1e-6
+        mass = mass_curve(0.5, 1.0, 0.5, step=1e-3)(field.times)
+        assert np.max(np.abs(field.spatial_mass() - mass)) < 2e-4
 
     def test_slice_mass_matches_mass_curve(self, field):
         mass = mass_curve(0.5, 1.0, 1.0, step=1e-3)

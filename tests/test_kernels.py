@@ -67,6 +67,12 @@ class TestSampledFunction:
         with pytest.raises(ValueError):
             SampledFunction(0.0, 0.1, [1.0, math.nan])
 
+    @pytest.mark.parametrize("origin, step", [(0.0, math.inf), (math.nan, 0.1), (-math.inf, 0.1), (0.0, math.nan)])
+    def test_non_finite_grid_rejected(self, origin, step):
+        # Each used to build NaN nodes and evaluate to NaN.
+        with pytest.raises(ValueError, match="origin" if step == 0.1 else "step"):
+            SampledFunction(origin, step, [1.0, 2.0])
+
     def test_immutability_and_interp(self):
         u = SampledFunction(0.0, 1.0, [0.0, 2.0, 4.0])
         assert not u.values.flags.writeable
