@@ -20,13 +20,15 @@ Within one replica the draw order is fixed and documented by the
 implementations: the tree simulator draws, per event in time order,
 the parent displacement, then the offspring count, then the children's
 lifetimes, and finally one endpoint displacement per survivor in id
-order; the mass-only simulator draws uniforms and exponentials in
-fixed-size blocks (64, 256, 1024, 4096, 16384, then 65536 repeating).
+order; the mass-only simulator draws uniforms and exponentials in blocks
+of 64, 256, 1024, 4096, 16384, then 65536 repeating, and returns the
+whole jump chain, so one walk per replica serves every time read from it.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -87,17 +89,16 @@ def _check_time(name, t, positive=False):
 
 
 def _replica_values(replicas, one):
-    """one(r) for r = 0 .. replicas-1, as a float array in replica order."""
-    values = np.empty(_check_count("replicas", replicas))
-    for r in range(replicas):
-        values[r] = one(r)
-    return values
+    """one(r) for r = 0 .. replicas-1 (a float or a row of floats), stacked in replica order."""
+    return np.array([one(r) for r in range(_check_count("replicas", replicas))], dtype=float)
 
 
 def _replica_mean(replicas, one):
-    # (mean, stderr) over the replicas; a stderr needs at least two.
-    values = _replica_values(_check_count("replicas", replicas, least=2), one)
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
+    # (mean, stderr): floats, or per row entry each reduced as one contiguous array (pairwise sum).
+    columns = np.ascontiguousarray(_replica_values(_check_count("replicas", replicas, least=2), one).T)
+    mean = np.mean(columns, axis=-1)
+    stderr = np.std(columns, axis=-1, ddof=1) / math.sqrt(replicas)
+    return (mean, stderr) if columns.ndim > 1 else (float(mean), float(stderr))
 
 
 def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0) -> np.ndarray:
@@ -290,29 +291,22 @@ def simulate_branching(
 _BLOCK_SCHEDULE = (64, 256, 1024, 4096, 16384, 65536)
 
 
-def _iter_blocks():
-    yield from _BLOCK_SCHEDULE
-    while True:
-        yield _BLOCK_SCHEDULE[-1]
-
-
 def _total_mass_run(gamma, cdf, horizon, cap, rng):
     """Jump chain of the live count only (no positions).
 
     The total population is a continuous-time branching walk: with n
     particles alive the next clock fires after Exp(n*gamma) and changes
-    n by k - 1.  Returns (extinction_time, n_final, exploded) where
-    extinction_time is inf unless the walk hit 0 within the horizon,
-    n_final is the population at the horizon (or at the cap crossing),
-    and exploded flags a cap crossing.  Draws per block: uniforms for
-    the offspring counts first, then exponential spacings.
+    n by k - 1.  Returns (times, counts): the event times up to the
+    horizon and the live count after each, led by the initial 1, so N_s
+    is counts[searchsorted(times, s, "right")].  The chain ends at the
+    horizon, at 0 or past the cap.  Draws per block: uniforms for the
+    offspring counts first, then exponential spacings.
     """
     n = 1
     t = 0.0
-    top = len(cdf) - 1
-    for block in _iter_blocks():
-        ks = np.searchsorted(cdf, rng.random(block), side="right")
-        np.minimum(ks, top, out=ks)
+    times, counts = [], [[1]]
+    for block in itertools.chain(_BLOCK_SCHEDULE, itertools.repeat(_BLOCK_SCHEDULE[-1])):
+        ks = np.searchsorted(cdf, rng.random(block), side="right")  # < len(cdf): cdf[-1] is 1
         spacings = rng.standard_exponential(block)
         n_after = n + np.cumsum(ks - 1)
         n_before = np.concatenate(([n], n_after[:-1])).astype(float)
@@ -320,21 +314,16 @@ def _total_mass_run(gamma, cdf, horizon, cap, rng):
             event_times = t + np.cumsum(spacings / (gamma * n_before))
 
         crossed = event_times > horizon
-        died = n_after == 0
-        burst = n_after > cap
-        j_h = int(np.argmax(crossed)) if crossed.any() else block
-        j_e = int(np.argmax(died)) if died.any() else block
-        j_x = int(np.argmax(burst)) if burst.any() else block
-
-        if j_h <= j_e and j_h <= j_x and j_h < block:
-            # The next event would fire past the horizon.
-            return float("inf"), int(n_before[j_h]), False
-        if j_e <= j_x and j_e < block:
-            return float(event_times[j_e]), 0, False
-        if j_x < block:
-            return float("inf"), int(n_after[j_x]), True
+        stop = crossed | (n_after == 0) | (n_after > cap)
+        j = int(np.argmax(stop))
+        end = j + int(not crossed[j]) if stop[j] else block  # event j fires unless past the horizon
+        times.append(event_times[:end])
+        counts.append(n_after[:end])
+        if stop[j]:
+            break
         n = int(n_after[-1])
         t = float(event_times[-1])
+    return np.concatenate(times), np.concatenate(counts)
 
 
 def sample_extinction_times(
@@ -352,10 +341,12 @@ def sample_extinction_times(
     """
     _check_time("horizon", horizon)
     cdf = config.offspring_cdf
-    return _replica_values(
-        replicas,
-        lambda r: _total_mass_run(config.gamma, cdf, horizon, config.max_particles, derive_stream(seed, r))[0],
-    )
+
+    def one(r):
+        times, counts = _total_mass_run(config.gamma, cdf, horizon, config.max_particles, derive_stream(seed, r))
+        return times[-1] if counts[-1] == 0 else math.inf
+
+    return _replica_values(replicas, one)
 
 
 def estimate_extinction(config: BranchingConfig, horizon: float, replicas: int, seed: int):
@@ -367,28 +358,36 @@ def estimate_extinction(config: BranchingConfig, horizon: float, replicas: int, 
 
 
 def estimate_generating_function(
-    config: BranchingConfig, theta: float, t: float, replicas: int, seed: int
+    config: BranchingConfig, theta: float, t: float | np.ndarray, replicas: int, seed: int
 ):
     """Monte Carlo mean of theta**N_t over the total population N_t.
 
-    0**0 counts as 1, so theta = 0 reproduces the finite-horizon
-    extinction estimate.  Raises PopulationExplosionError if any
-    replica crosses the population cap before t, and ValueError unless
-    theta lies in [0, 1], t is finite and >= 0 and replicas is an
+    ``t`` is a time (floats returned) or a 1-D ascending array (arrays
+    returned); each replica's jump chain is walked once, to max(t).  0**0
+    counts as 1, so theta = 0 gives the finite-horizon extinction
+    estimate.  Raises PopulationExplosionError if a replica crosses the
+    cap before max(t), and ValueError unless theta lies in [0, 1], t is
+    finite and >= 0 (an array: non-empty, ascending) and replicas is an
     integer >= 2.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    _check_time("t", t)
+    grid = np.array(t, dtype=float, ndmin=1)
+    if grid.ndim > 1 or not grid.size or np.any(grid[1:] < grid[:-1]):
+        raise ValueError(f"t must be a time or a non-empty ascending 1-D array of times, got {t!r}")
+    _check_time("t", float(grid.min()))  # nan, negative and -inf times
+    horizon = float(grid.max())
+    _check_time("t", horizon)
     cdf = config.offspring_cdf
 
     def one(r):
-        t_ext, n_final, exploded = _total_mass_run(config.gamma, cdf, t, config.max_particles, derive_stream(seed, r))
-        if exploded:
+        times, counts = _total_mass_run(config.gamma, cdf, horizon, config.max_particles, derive_stream(seed, r))
+        if counts[-1] > config.max_particles:
             raise PopulationExplosionError(
-                f"replica {r} exceeded max_particles={config.max_particles} before t={t:g}"
+                f"replica {r} exceeded max_particles={config.max_particles} before t={horizon:g}"
             )
-        return float(theta) ** (0 if math.isfinite(t_ext) else n_final)  # 0.0**0 == 1.0
+        powers = [float(theta) ** int(n) for n in counts[np.searchsorted(times, grid, side="right")]]
+        return powers if np.ndim(t) else powers[0]  # 0.0**0 == 1.0
 
     return _replica_mean(replicas, one)
 

@@ -203,10 +203,12 @@ def self_check(cases: int = 10_000, seed: int = 0) -> dict:
     diagonal's ulp, so e.g. the unitarity defect of exp(-I*E*t)
     unavoidably grows like eps * cosh(E*t)**2 in absolute terms while
     staying at a few eps on this scale.  All entries should sit far
-    below 1e-12.
+    below 1e-12.  Raises ValueError unless cases is an integer >= 1.
     """
     import numpy as np
 
+    if isinstance(cases, bool) or not isinstance(cases, (int, np.integer)) or cases < 1:
+        raise ValueError(f"cases must be an integer >= 1, got {cases!r}")
     rng = np.random.default_rng(seed)
     errs = {
         "gamma_additive": 0.0,

@@ -186,6 +186,27 @@ class TestMain:
         assert header == ["t", "ode", "mc_estimate", "mc_stderr"]
         assert float(rows[0][2]) == 0.5  # theta**1 at t = 0
 
+    @pytest.mark.parametrize("theta, text", [(0.3, "0.29999999999999999"), (0.7, "0.69999999999999996")])
+    def test_gf_first_row_is_exact_and_deviation_matches_rows(self, tmp_path, theta, text):
+        # N_0 = 1, so the t = 0 row is (theta, 0) exactly.  A replica mean there can
+        # sit an ulp off theta (151 copies of 0.7 do) with a stderr of ~1e-16, which
+        # would swamp the deviation.
+        cfg = write(
+            tmp_path / "gf.cfg",
+            f"alpha = 0.25\ngamma = 1.0\ntheta = {theta}\nt.max = 2.0\nreplicas = 151\nseed = 11\n",
+        )
+        out = tmp_path / "gf.csv"
+        assert cli.main(["gf", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        ode0 = dyson.one_point_ode(dyson.FertilityDistribution.binary(0.25), 1.0, theta, 2.0)(np.zeros(1))[0]
+        assert ",".join(rows[0]) == f"0,{ode0:.17g},{text},0"
+        t, ode, est, err = np.array(rows, dtype=float).T
+        seen = err > 0
+        assert seen.sum() == len(rows) - 1
+        manifest = json.loads((tmp_path / "gf.csv.manifest.json").read_text())
+        want = max(abs(e - o) / s for e, o, s in zip(est[seen], ode[seen], err[seen]))
+        assert manifest["estimates"]["max_abs_deviation_in_stderr"] == want
+
     def test_twopoint_run_and_runtime_error(self, tmp_path):
         cfg = write(
             tmp_path / "tp.cfg",

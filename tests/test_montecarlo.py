@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,46 @@ BINARY_QUARTER = dyson.FertilityDistribution.binary(0.25)
 
 def binary_config(alpha, gamma=1.0, cap=1_000_000):
     return BranchingConfig(gamma, dyson.FertilityDistribution.binary(alpha), max_particles=cap)
+
+
+def horizon_walk_oracle(gamma, cdf, horizon, cap, rng):
+    """The mass-only walk to one horizon, three stop conditions ranked apart.
+
+    Returns (extinction_time, n_final, exploded): extinction_time is inf
+    unless the walk hit 0 within the horizon, n_final is the population
+    at the horizon (or at the cap crossing) and exploded flags a cap
+    crossing.  Same draws as montecarlo._total_mass_run: per block of
+    64, 256, 1024, 4096, 16384, then 65536 repeating, uniforms for the
+    offspring counts first, then exponential spacings.
+    """
+    n = 1
+    t = 0.0
+    top = len(cdf) - 1
+    for block in itertools.chain((64, 256, 1024, 4096, 16384), itertools.repeat(65536)):
+        ks = np.searchsorted(cdf, rng.random(block), side="right")
+        np.minimum(ks, top, out=ks)
+        spacings = rng.standard_exponential(block)
+        n_after = n + np.cumsum(ks - 1)
+        n_before = np.concatenate(([n], n_after[:-1])).astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            event_times = t + np.cumsum(spacings / (gamma * n_before))
+
+        crossed = event_times > horizon
+        died = n_after == 0
+        burst = n_after > cap
+        j_h = int(np.argmax(crossed)) if crossed.any() else block
+        j_e = int(np.argmax(died)) if died.any() else block
+        j_x = int(np.argmax(burst)) if burst.any() else block
+
+        if j_h <= j_e and j_h <= j_x and j_h < block:
+            # The next event would fire past the horizon.
+            return float("inf"), int(n_before[j_h]), False
+        if j_e <= j_x and j_e < block:
+            return float(event_times[j_e]), 0, False
+        if j_x < block:
+            return float("inf"), int(n_after[j_x]), True
+        n = int(n_after[-1])
+        t = float(event_times[-1])
 
 
 class TestStreams:
@@ -299,7 +340,7 @@ class TestAggregation:
         config = binary_config(0.25)
         for r in range(500):
             rng = derive_stream(34, r)
-            t_ext, n, _ = montecarlo._total_mass_run(1.0, config.offspring_cdf, 1.0, 10**6, rng)
+            t_ext, n, _ = horizon_walk_oracle(1.0, config.offspring_cdf, 1.0, 10**6, rng)
             values[r] = 0.5 ** (0 if math.isfinite(t_ext) else n)
         est, _ = estimate_generating_function(config, 0.5, 1.0, 500, seed=34)
         forward = float(np.mean(values))
@@ -330,11 +371,48 @@ class TestReplicaContract:
         for seed in self.SEEDS:
             want = np.array(
                 [
-                    montecarlo._total_mass_run(1.0, config.offspring_cdf, 10.0, 1000, derive_stream(seed, r))[0]
+                    horizon_walk_oracle(1.0, config.offspring_cdf, 10.0, 1000, derive_stream(seed, r))[0]
                     for r in range(300)
                 ]
             )
             np.testing.assert_array_equal(sample_extinction_times(config, 10.0, 300, seed), want)
+
+    def test_chain_read_matches_oracle_walk(self):
+        # One chain walked to t = 10 and read at t equals the oracle walked to t:
+        # 0 once extinct, N_t while alive, the count past the cap once exploded.
+        seen = set()
+        for alpha, cap in ((0.25, 10**6), (0.0, 64)):
+            cdf = binary_config(alpha).offspring_cdf
+            for seed in self.SEEDS:
+                for r in range(300):
+                    times, counts = montecarlo._total_mass_run(1.0, cdf, 10.0, cap, derive_stream(seed, r))
+                    for t in (0.0, 0.1, 0.5, 1.0, 2.5, 10.0):
+                        t_ext, n_final, exploded = horizon_walk_oracle(1.0, cdf, t, cap, derive_stream(seed, r))
+                        assert counts[np.searchsorted(times, t, side="right")] == n_final
+                        seen.add("extinct" if math.isfinite(t_ext) else "exploded" if exploded else "alive")
+                    assert times.size == counts.size - 1
+                    assert np.all(np.diff(times) >= 0) and np.all(times <= 10.0)
+                    assert np.all((counts[:-1] > 0) & (counts[:-1] <= cap))  # only the last event stops the chain
+                    assert (times[-1] if counts[-1] == 0 else math.inf) == t_ext
+                    assert (counts[-1] > cap) == exploded
+        assert seen == {"extinct", "alive", "exploded"}
+
+    def test_gf_time_array_equals_scalar_calls(self):
+        ts = np.array([0.0, 0.5, 1.0, 1.0, 2.5])
+        for alpha in (0.25, 0.6):
+            config = binary_config(alpha)
+            for seed in self.SEEDS:
+                for theta in (0.0, 0.3, 0.7):
+                    est, err = estimate_generating_function(config, theta, ts, 300, seed)
+                    want = [estimate_generating_function(config, theta, float(t), 300, seed) for t in ts]
+                    assert all(type(v) is float for pair in want for v in pair)
+                    assert est.shape == err.shape == ts.shape
+                    np.testing.assert_array_equal(est, [w[0] for w in want])
+                    np.testing.assert_array_equal(err, [w[1] for w in want])
+
+    def test_gf_time_array_explosion_names_the_horizon(self):
+        with pytest.raises(PopulationExplosionError, match="before t=40$"):
+            estimate_generating_function(binary_config(0.0, cap=32), 0.5, [1.0, 40.0], 200, seed=28)
 
     def test_feynman_kac_matches_inline_sampler(self):
         u = kernels.SampledFunction.sample(lambda x: np.exp(-(x**2) / 0.5), -8.0, 0.02, 801)
@@ -423,6 +501,13 @@ class TestArgumentChecks:
             estimate_generating_function(binary_config(0.25), 0.5, t, 10, seed=1)
         with pytest.raises(ValueError, match="^t must"):
             estimate_mckean_product(binary_config(0.25), self.PHI, t, 10, seed=1)
+
+    @pytest.mark.parametrize(
+        "t", [[], [1.0, 0.5], [0.5, math.nan], [math.nan], [-1.0, 1.0], [0.5, math.inf], [[0.5, 1.0]]]
+    )
+    def test_estimator_time_arrays(self, t):
+        with pytest.raises(ValueError, match="^t must"):
+            estimate_generating_function(binary_config(0.25), 0.5, np.array(t), 10, seed=1)
 
     @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
     def test_path_times(self, t):

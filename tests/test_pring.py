@@ -132,3 +132,14 @@ def test_randomized_property_suite():
     errs = pring.self_check(cases=10_000, seed=101)
     for name, err in errs.items():
         assert err < 1e-12, f"{name}: defect {err:.3e}"
+
+
+@pytest.mark.parametrize("cases", [0, -1, 2.5, True])
+def test_self_check_needs_an_integer_case_count(cases):
+    # No case checked is no check passed: zero or negative counts must not return all-zero defects.
+    with pytest.raises(ValueError, match="^cases must"):
+        pring.self_check(cases)
+
+
+def test_self_check_accepts_a_numpy_integer_case_count():
+    assert pring.self_check(np.int64(3)) == pring.self_check(3)

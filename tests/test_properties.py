@@ -53,11 +53,12 @@ def outcome(fn, *args, allowed=(ValueError,), **kwargs):
 EXPLODES = (ValueError, PopulationExplosionError)
 
 
-def assert_estimate(result, lo=0.0, hi=1.0):
+def assert_estimate(result, lo=0.0, hi=1.0, shape=()):
     if result is not None:
         est, err = result
-        assert lo <= est <= hi
-        assert math.isfinite(err) and err >= 0.0
+        assert np.shape(est) == np.shape(err) == shape
+        assert np.all((lo <= np.asarray(est)) & (np.asarray(est) <= hi))
+        assert np.all(np.isfinite(err) & (np.asarray(err) >= 0.0))
 
 
 @PROPERTY
@@ -93,9 +94,17 @@ def test_extinction(alpha, horizon, replicas, seed):
 
 
 @PROPERTY
-@given(ALPHAS, st.one_of(st.floats(-0.5, 1.5), st.just(math.nan)), TIMES, COUNTS, SEEDS)
+@given(
+    ALPHAS,
+    st.one_of(st.floats(-0.5, 1.5), st.just(math.nan)),
+    st.one_of(TIMES, st.lists(TIMES, max_size=4), st.lists(TIMES, max_size=4).map(sorted)),
+    COUNTS,
+    SEEDS,
+)
 def test_generating_function(alpha, theta, t, replicas, seed):
-    assert_estimate(outcome(estimate_generating_function, config(alpha), theta, t, replicas, seed, allowed=EXPLODES))
+    # t is one time (a pair of floats back) or a list of times (a pair of arrays of its length).
+    result = outcome(estimate_generating_function, config(alpha), theta, t, replicas, seed, allowed=EXPLODES)
+    assert_estimate(result, shape=np.shape(t))
 
 
 @PROPERTY
