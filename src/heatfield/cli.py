@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import sys
 import time
@@ -358,15 +359,28 @@ _RUNNERS = {
 }
 
 
-_CELL_FORMATS = {"f": "%.17g", "i": "%d", "b": "%d", "U": "%s"}
+_CELL_FORMATS = {"i": "%d", "b": "%d", "U": "%s"}  # floats: "%.17g"
+_CSV_BLOCK = 1024
+
+
+def _cells(col: np.ndarray):
+    if col.dtype.kind != "f":
+        return [_CELL_FORMATS[col.dtype.kind] % v for v in col.tolist()]
+    distinct, where = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
+    return np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()], dtype=object)[where]
 
 
 def _write_csv(path: str, columns: dict):
-    cells = [np.asarray(col) for col in columns.values()]
-    row = ",".join(_CELL_FORMATS[col.dtype.kind] for col in cells) + "\n"
+    # Rows are written _CSV_BLOCK at a time.  In a block each float column formats
+    # every distinct value once (two-point t, x and mass columns repeat most):
+    # np.unique on the int64 view compares bit patterns, so -0.0 and 0.0 and NaN
+    # payloads stay apart, and its inverse index puts the strings in row order.
+    cols = [np.asarray(col) for col in columns.values()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(row % cell for cell in zip(*cells))
+        for lo in range(0, min(map(len, cols), default=0), _CSV_BLOCK):
+            cells = [_cells(col[lo : lo + _CSV_BLOCK]) for col in cols]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:
@@ -388,6 +402,12 @@ def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:
         "command": config.kind,
         "config": dict(sorted(config.params.items())),
         "library_version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+            "libc": " ".join(platform.libc_ver()).strip(),
+        },
         "csv": csv_path,
         "status": "ok",
         "error": None,

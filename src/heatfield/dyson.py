@@ -363,13 +363,9 @@ class _TwoPointOperator:
         self.gamma = float(gamma)
         self.coeff = self.gamma * (1.0 - float(alpha)) * self.k
         times = self.k * np.arange(1, self.nt + 1)
-        # Clock-dressed free propagator from the origin, one scalar
-        # expression per cell so that it equals retarded_propagator_heat
-        # bit for bit.
-        r2s = (self.xs**2).tolist()
-        self.base = np.array(
-            [[_clocked_density(t, r2, self.gamma, 1) for r2 in r2s] for t in times.tolist()]
-        )
+        # Clock-dressed free propagator from the origin, one row per time through
+        # the scalar expression, so that it equals retarded_propagator_heat bit for bit.
+        self.base = np.array([_clocked_density(t, self.xs**2, self.gamma, 1) for t in times.tolist()])
         self.a = one_point_closed_form(alpha, gamma, times)  # a[m-1] = A(m*k)
         self.div = _march_divisors(alpha, gamma, self.k, self.a)
         xi = 2.0 * math.pi * np.fft.rfftfreq(self.xs.size, self.h)

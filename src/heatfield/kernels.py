@@ -70,12 +70,12 @@ def _check_rate(gamma):
         raise ValueError(f"clock rate gamma must be finite and >= 0, got {gamma}")
 
 
-def _heat_density(t: float, r2: float, d: int) -> float:
-    return (2.0 * math.pi * t) ** (-0.5 * d) * math.exp(-r2 / (2.0 * t))
+def _heat_density(t: float, r2, d: int):
+    return (2.0 * math.pi * t) ** (-0.5 * d) * pring._per_element(math.exp, -r2 / (2.0 * t))
 
 
-def _clocked_density(t: float, r2: float, gamma: float, d: int) -> float:
-    # exp(-gamma*t) * p_t at squared distance r2, unvalidated.  Grid builds
+def _clocked_density(t: float, r2, gamma: float, d: int):
+    # exp(-gamma*t) * p_t at squared distance(s) r2, unvalidated.  Grid builds
     # that must match retarded_propagator_heat bit for bit call this same
     # expression: np.exp differs from math.exp in the last bits.
     return math.exp(-gamma * t) * _heat_density(t, r2, d)

@@ -9,12 +9,19 @@ exponentials are evaluated on the diagonal components for exactly this
 reason: reciprocal pairs like ``exp(x) * exp(-x)`` then stay at 1 to a
 few ulp instead of suffering catastrophic cancellation in the
 ``(a, b)`` basis.
+
+Components may also be float arrays of one shape: the value is then a
+batch of elements (a sampled ring-valued field), every operation acts
+elementwise by the scalar steps, so bit for bit as one element at a
+time, and equality, hashing and ``repr`` are for scalars only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "PseudoComplex",
@@ -39,16 +46,35 @@ class ZeroDivisorError(ArithmeticError):
     """Raised when inverting an element of a maximal ideal (a = +-b)."""
 
 
-def _check_finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
+def _check_finite(value, name: str):
+    value = np.asarray(value, dtype=float) if isinstance(value, np.ndarray) and value.ndim else float(value)
+    if not (np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)):
         raise ValueError(f"{name} component must be finite, got {value!r}")
     return value
 
 
+def _per_element(fn, x):
+    # fn on each element as a Python float: numpy's vector exp (and
+    # square) differ from libm's math.exp (and **) in the last bits.
+    return np.frompyfunc(fn, 1, 1)(x).astype(float) if isinstance(x, np.ndarray) else fn(x)
+
+
+def _ring_op(method):
+    # Ints and floats are real elements; other right operands get NotImplemented.
+    def op(self, other):
+        if isinstance(other, (int, float)):
+            other = PseudoComplex(float(other), 0.0)
+        return method(self, other) if isinstance(other, PseudoComplex) else NotImplemented
+    return op
+
+
 @dataclass(frozen=True)
 class PseudoComplex:
-    """Number a + I*b with I**2 = 1. Immutable; components always finite."""
+    """Number a + I*b with I**2 = 1. Immutable; components always finite.
+
+    Components are floats, or float arrays of one shape (not copied) for a
+    batch acted on elementwise; ``==``, ``hash`` and ``repr`` are scalar-only.
+    """
 
     re: float
     im: float = 0.0
@@ -58,38 +84,30 @@ class PseudoComplex:
         object.__setattr__(self, "im", _check_finite(self.im, "im"))
 
     @property
-    def is_zero_divisor(self) -> bool:
+    def is_zero_divisor(self):
         # Exact comparison by design: a tolerance would silently change
         # the algebra for callers sitting near the diagonals.
-        return self.re == self.im or self.re == -self.im
+        return (self.re == self.im) | (self.re == -self.im)
 
     def conj(self) -> "PseudoComplex":
         return PseudoComplex(self.re, -self.im)
 
+    @_ring_op
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return PseudoComplex(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
+    @_ring_op
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return PseudoComplex(self.re - other.re, self.im - other.im)
 
+    @_ring_op
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
+    @_ring_op
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         # (ac + bd) + I(ad + bc), evaluated branchwise so that the
         # homomorphism property holds to rounding error.
         return zd_compose(
@@ -99,10 +117,8 @@ class PseudoComplex:
 
     __rmul__ = __mul__
 
+    @_ring_op
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * inverse(other)
 
     def __neg__(self):
@@ -111,14 +127,6 @@ class PseudoComplex:
     def __repr__(self):
         sign = "+" if self.im >= 0 or math.isnan(self.im) else "-"
         return f"({self.re!r} {sign} I*{abs(self.im)!r})"
-
-
-def _coerce(value):
-    if isinstance(value, PseudoComplex):
-        return value
-    if isinstance(value, (int, float)):
-        return PseudoComplex(float(value), 0.0)
-    return NotImplemented
 
 
 ZERO = PseudoComplex(0.0, 0.0)
@@ -149,8 +157,6 @@ def gamma_project(p: PseudoComplex, sign: int) -> float:
 
 def zd_compose(u_plus: float, u_minus: float) -> PseudoComplex:
     """Assemble u_plus * SIGMA_PLUS + u_minus * SIGMA_MINUS."""
-    u_plus = float(u_plus)
-    u_minus = float(u_minus)
     return PseudoComplex(0.5 * (u_plus + u_minus), 0.5 * (u_plus - u_minus))
 
 
@@ -162,29 +168,37 @@ def conjugate(p: PseudoComplex) -> PseudoComplex:
 def exp(p: PseudoComplex) -> PseudoComplex:
     """Ring exponential, exp(a)*(cosh b + I sinh b).
 
-    Computed branchwise as zd_compose(exp(a+b), exp(a-b)) so that
-    gamma_plus(exp(p)) == exp(gamma_plus(p)) without truncation error.
+    Computed branchwise as zd_compose(exp(a+b), exp(a-b)), one libm
+    ``math.exp`` per element, so that gamma_plus(exp(p)) == exp(gamma_plus(p)).
     """
-    return zd_compose(math.exp(gamma_plus(p)), math.exp(gamma_minus(p)))
+    return zd_compose(_per_element(math.exp, gamma_plus(p)), _per_element(math.exp, gamma_minus(p)))
 
 
 def inverse(p: PseudoComplex) -> PseudoComplex:
-    """Multiplicative inverse; raises ZeroDivisorError on the diagonals."""
-    if p.is_zero_divisor:
-        raise ZeroDivisorError(f"{p!r} lies on a zero-divisor diagonal and has no inverse")
+    """Multiplicative inverse; ZeroDivisorError if any element is on a diagonal."""
+    if np.count_nonzero(p.is_zero_divisor):
+        where = "a batch element" if isinstance(p.is_zero_divisor, np.ndarray) else repr(p)
+        raise ZeroDivisorError(f"{where} lies on a zero-divisor diagonal and has no inverse")
     return zd_compose(1.0 / gamma_plus(p), 1.0 / gamma_minus(p))
 
 
 def magnitude(p: PseudoComplex) -> float:
     """Sup norm max(|gamma_plus|, |gamma_minus|); submultiplicative."""
-    return max(abs(gamma_plus(p)), abs(gamma_minus(p)))
+    plus, minus = abs(gamma_plus(p)), abs(gamma_minus(p))
+    return np.maximum(plus, minus) if isinstance(plus, np.ndarray) else max(plus, minus)
 
 
-def _identity_err(got: PseudoComplex, want: PseudoComplex, scale: float) -> float:
+def _identity_err(got: PseudoComplex, want: PseudoComplex, scale):
     # Defect of an algebraic identity relative to the forward-error
     # scale of the operation that produced it.  Division by (1 + scale)
     # keeps small cases on an absolute footing.
-    return max(abs(got.re - want.re), abs(got.im - want.im)) / (1.0 + scale)
+    return np.maximum(abs(got.re - want.re), abs(got.im - want.im)) / (1.0 + scale)
+
+
+# Bounds of the draws, one row per case in draw order (names in self_check).
+_DRAW_LO = np.array([-10.0, -10.0, -10.0, -10.0, 0.0, -1.0, -1.0, -2.0])
+_DRAW_HI = np.array([10.0, 10.0, 10.0, 10.0, 10.0, 1.0, 1.0, 2.0])
+_BATCH = 1024
 
 
 def self_check(cases: int = 10_000, seed: int = 0) -> dict:
@@ -195,7 +209,8 @@ def self_check(cases: int = 10_000, seed: int = 0) -> dict:
     conjugation involution, the exponential law exp(p)exp(q) = exp(p+q),
     inversion (elements with both diagonal magnitudes >= 1e-6), and the
     clock evolution exp(-I*E*t) for |E*t| up to 20 (semigroup and
-    unitarity).
+    unitarity).  Cases run in draw order, in batches of up to 1024 held
+    in array-valued elements: bit for bit a case-by-case check.
 
     Each defect is measured relative to the product of the operands'
     sup norms, the forward-error scale of the operation: storing an
@@ -205,64 +220,33 @@ def self_check(cases: int = 10_000, seed: int = 0) -> dict:
     staying at a few eps on this scale.  All entries should sit far
     below 1e-12.  Raises ValueError unless cases is an integer >= 1.
     """
-    import numpy as np
-
     if isinstance(cases, bool) or not isinstance(cases, (int, np.integer)) or cases < 1:
         raise ValueError(f"cases must be an integer >= 1, got {cases!r}")
     rng = np.random.default_rng(seed)
-    errs = {
-        "gamma_additive": 0.0,
-        "gamma_multiplicative": 0.0,
-        "involution": 0.0,
-        "conj_swaps_gammas": 0.0,
-        "exp_law": 0.0,
-        "inverse": 0.0,
-        "unitary_evolution": 0.0,
-        "evolution_semigroup": 0.0,
-    }
-    for _ in range(cases):
-        a, b, c, d = rng.uniform(-10.0, 10.0, size=4)
-        p = PseudoComplex(a, b)
-        q = PseudoComplex(c, d)
-        pair_scale = magnitude(p) * magnitude(q)
-        for gamma in (gamma_plus, gamma_minus):
-            errs["gamma_additive"] = max(
-                errs["gamma_additive"],
-                abs(gamma(p + q) - (gamma(p) + gamma(q))) / (1.0 + magnitude(p) + magnitude(q)),
-            )
-            errs["gamma_multiplicative"] = max(
-                errs["gamma_multiplicative"],
-                abs(gamma(p * q) - gamma(p) * gamma(q)) / (1.0 + pair_scale),
-            )
-        r = p.conj().conj()
-        errs["involution"] = max(errs["involution"], abs(r.re - p.re), abs(r.im - p.im))
-        errs["conj_swaps_gammas"] = max(
-            errs["conj_swaps_gammas"], abs(gamma_plus(p.conj()) - gamma_minus(p))
-        )
+    errs = {}
+    for done in range(0, cases, _BATCH):
+        a, b, c, d, energy, t, s, t_u = rng.uniform(_DRAW_LO, _DRAW_HI, (min(_BATCH, cases - done), 8)).T
+        p, q = PseudoComplex(a, b), PseudoComplex(c, d)
+        mp, mq = magnitude(p), magnitude(q)
         ep, eq = exp(p), exp(q)
-        errs["exp_law"] = max(
-            errs["exp_law"],
-            _identity_err(ep * eq, exp(p + q), magnitude(ep) * magnitude(eq)),
-        )
-        if min(abs(gamma_plus(p)), abs(gamma_minus(p))) >= 1e-6:
-            inv = inverse(p)
-            errs["inverse"] = max(
-                errs["inverse"], _identity_err(inv * p, ONE, magnitude(inv) * magnitude(p))
-            )
-        energy = rng.uniform(0.0, 10.0)
-        t, s = rng.uniform(-1.0, 1.0, size=2)
-        u_t = exp(PseudoComplex(0.0, -energy * t))
-        u_s = exp(PseudoComplex(0.0, -energy * s))
-        errs["evolution_semigroup"] = max(
-            errs["evolution_semigroup"],
-            _identity_err(
-                u_t * u_s,
-                exp(PseudoComplex(0.0, -energy * (t + s))),
-                magnitude(u_t) * magnitude(u_s),
-            ),
-        )
-        u = exp(PseudoComplex(0.0, -energy * rng.uniform(-2.0, 2.0)))  # |E t| <= 20
-        errs["unitary_evolution"] = max(
-            errs["unitary_evolution"], _identity_err(u * u.conj(), ONE, magnitude(u) ** 2)
-        )
+        keep = np.minimum(abs(gamma_plus(p)), abs(gamma_minus(p))) >= 1e-6
+        p_inv = PseudoComplex(a[keep], b[keep])
+        inv = inverse(p_inv)
+        u_t, u_s = exp(PseudoComplex(0.0, -energy * t)), exp(PseudoComplex(0.0, -energy * s))
+        u_ts = exp(PseudoComplex(0.0, -energy * (t + s)))
+        u = exp(PseudoComplex(0.0, -energy * t_u))  # |E t| <= 20
+        # Python's ** per element, as squaring one case's norm does.
+        u_scale = _per_element(lambda m: m**2, magnitude(u))
+        defects = {  # in output order
+            "gamma_additive": [abs(g(p + q) - (g(p) + g(q))) / (1.0 + mp + mq) for g in (gamma_plus, gamma_minus)],
+            "gamma_multiplicative": [abs(g(p * q) - g(p) * g(q)) / (1.0 + mp * mq) for g in (gamma_plus, gamma_minus)],
+            "involution": [_identity_err(p.conj().conj(), p, 0.0)],
+            "conj_swaps_gammas": [abs(gamma_plus(p.conj()) - gamma_minus(p))],
+            "exp_law": [_identity_err(ep * eq, exp(p + q), magnitude(ep) * magnitude(eq))],
+            "inverse": [_identity_err(inv * p_inv, ONE, magnitude(inv) * magnitude(p_inv))],
+            "unitary_evolution": [_identity_err(u * u.conj(), ONE, u_scale)],
+            "evolution_semigroup": [_identity_err(u_t * u_s, u_ts, magnitude(u_t) * magnitude(u_s))],
+        }
+        for name, batch in defects.items():
+            errs[name] = max(errs.get(name, 0.0), *(float(np.max(x, initial=0.0)) for x in batch))
     return errs

@@ -256,6 +256,14 @@ class TestMain:
         assert manifest["csv_sha256"] == hashlib.sha256(data).hexdigest()
         assert manifest["library_version"] == heatfield.__version__
 
+    def test_manifest_records_the_environment(self, tmp_path):
+        cfg = write(tmp_path / "rc.cfg", "cases = 5\n")
+        assert cli.main(["ring-check", "--config", cfg, "--out", str(tmp_path / "rc.csv")]) == 0
+        environment = json.loads((tmp_path / "rc.csv.manifest.json").read_text())["environment"]
+        assert sorted(environment) == ["libc", "numpy", "platform", "python"]
+        assert all(isinstance(value, str) for value in environment.values())
+        assert environment["numpy"] == np.__version__
+
     def test_ring_check_passes(self, tmp_path):
         cfg = write(tmp_path / "rc.cfg", "cases = 3000\nseed = 12\n")
         out = tmp_path / "rc.csv"
@@ -361,6 +369,41 @@ def test_csv_cell_formats(kind, tmp_path):
         assert np.array_equal(columns["dtilde"], field.values.ravel())
         assert np.array_equal(columns["t"], np.repeat(field.times, field.xs.size))
         assert np.array_equal(columns["x"], np.tile(field.xs, field.times.size))
+
+
+def _write_csv_oracle(path, columns):
+    # The row-format writer that _write_csv replaced: one format string per
+    # row, every cell formatted on its own.
+    formats = {"f": "%.17g", "i": "%d", "b": "%d", "U": "%s"}
+    cells = [np.asarray(col) for col in columns.values()]
+    row = ",".join(formats[col.dtype.kind] for col in cells) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row % cell for cell in zip(*cells))
+
+
+def test_csv_writer_matches_row_format_oracle(tmp_path):
+    rows = 2 * cli._CSV_BLOCK + 123
+    specials = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.0, 0.1, -1e308])
+    rng = np.random.default_rng(3)
+    negative_nan = np.array([-math.nan])
+    payload_nan = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)
+    columns = {
+        "special": rng.choice(np.concatenate([specials, negative_nan, payload_nan]), rows),
+        "distinct": rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+        "repeated": np.repeat(rng.random(rows // 100 + 1), 100)[:rows],
+        "count": rng.integers(-(2**62), 2**62, rows),
+        "flag": rng.random(rows) < 0.5,
+        "name": rng.choice(["gamma_additive", "inverse", "x"], rows),
+        "listed": [float(v) for v in rng.choice(specials, rows)],
+    }
+    cli._write_csv(str(tmp_path / "new.csv"), columns)
+    _write_csv_oracle(str(tmp_path / "old.csv"), columns)
+    data = (tmp_path / "new.csv").read_bytes()
+    assert data == (tmp_path / "old.csv").read_bytes()
+    special = {line.split(b",")[0] for line in data.splitlines()[1:]}
+    assert data.count(b"\n") == rows + 1
+    assert {b"-0", b"0", b"nan", b"inf", b"-inf", b"4.9406564584124654e-324"} <= special
 
 
 def test_package_and_project_versions_agree():

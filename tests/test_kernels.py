@@ -258,3 +258,15 @@ class TestTimeEvolution:
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             time_evolution(-1.0, 1.0)
+
+
+def test_grid_densities_take_libm_exp_per_cell():
+    # Whole rows of the clocked density (the two-point operator's build)
+    # equal the scalar formula with math.exp bit for bit; numpy's vector
+    # exp differs from libm in the last bits on some hosts.
+    r2 = np.linspace(0.0, 400.0, 2001) ** 1.5
+    for t, gamma in ((0.025, 1.0), (0.7, 0.3), (2.0, 2.5)):
+        row = kernels._clocked_density(t, r2, gamma, 1)
+        want = [math.exp(-gamma * t) * ((2.0 * math.pi * t) ** -0.5 * math.exp(-v / (2.0 * t))) for v in r2.tolist()]
+        assert row.tobytes() == np.array(want).tobytes()
+        assert [kernels._clocked_density(t, v, gamma, 1) for v in r2[:50].tolist()] == want[:50]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatfield import pring
 from heatfield.pring import (
@@ -12,10 +14,12 @@ from heatfield.pring import (
     PseudoComplex,
     ZeroDivisorError,
     conjugate,
+    exp,
     gamma_minus,
     gamma_plus,
     gamma_project,
     inverse,
+    magnitude,
     zd_compose,
 )
 
@@ -143,3 +147,165 @@ def test_self_check_needs_an_integer_case_count(cases):
 
 def test_self_check_accepts_a_numpy_integer_case_count():
     assert pring.self_check(np.int64(3)) == pring.self_check(3)
+
+
+def self_check_oracle(cases: int = 10_000, seed: int = 0) -> dict:
+    """The one-case-at-a-time self_check that the batched one replaced."""
+    rng = np.random.default_rng(seed)
+    errs = {
+        "gamma_additive": 0.0,
+        "gamma_multiplicative": 0.0,
+        "involution": 0.0,
+        "conj_swaps_gammas": 0.0,
+        "exp_law": 0.0,
+        "inverse": 0.0,
+        "unitary_evolution": 0.0,
+        "evolution_semigroup": 0.0,
+    }
+    for _ in range(cases):
+        a, b, c, d = rng.uniform(-10.0, 10.0, size=4)
+        p = PseudoComplex(a, b)
+        q = PseudoComplex(c, d)
+        pair_scale = magnitude(p) * magnitude(q)
+        for gamma in (gamma_plus, gamma_minus):
+            errs["gamma_additive"] = max(
+                errs["gamma_additive"],
+                abs(gamma(p + q) - (gamma(p) + gamma(q))) / (1.0 + magnitude(p) + magnitude(q)),
+            )
+            errs["gamma_multiplicative"] = max(
+                errs["gamma_multiplicative"],
+                abs(gamma(p * q) - gamma(p) * gamma(q)) / (1.0 + pair_scale),
+            )
+        r = p.conj().conj()
+        errs["involution"] = max(errs["involution"], abs(r.re - p.re), abs(r.im - p.im))
+        errs["conj_swaps_gammas"] = max(
+            errs["conj_swaps_gammas"], abs(gamma_plus(p.conj()) - gamma_minus(p))
+        )
+        ep, eq = exp(p), exp(q)
+        errs["exp_law"] = max(
+            errs["exp_law"],
+            pring._identity_err(ep * eq, exp(p + q), magnitude(ep) * magnitude(eq)),
+        )
+        if min(abs(gamma_plus(p)), abs(gamma_minus(p))) >= 1e-6:
+            inv = inverse(p)
+            errs["inverse"] = max(
+                errs["inverse"], pring._identity_err(inv * p, ONE, magnitude(inv) * magnitude(p))
+            )
+        energy = rng.uniform(0.0, 10.0)
+        t, s = rng.uniform(-1.0, 1.0, size=2)
+        u_t = exp(PseudoComplex(0.0, -energy * t))
+        u_s = exp(PseudoComplex(0.0, -energy * s))
+        errs["evolution_semigroup"] = max(
+            errs["evolution_semigroup"],
+            pring._identity_err(
+                u_t * u_s,
+                exp(PseudoComplex(0.0, -energy * (t + s))),
+                magnitude(u_t) * magnitude(u_s),
+            ),
+        )
+        u = exp(PseudoComplex(0.0, -energy * rng.uniform(-2.0, 2.0)))  # |E t| <= 20
+        errs["unitary_evolution"] = max(
+            errs["unitary_evolution"], pring._identity_err(u * u.conj(), ONE, magnitude(u) ** 2)
+        )
+    return errs
+
+
+@pytest.mark.parametrize("seed", [0, 2, 101, 12345])
+def test_batched_self_check_is_bit_identical_to_the_per_case_loop(seed):
+    # Case counts on both sides of the batch edges.
+    for cases in (1, 2, 3, 1023, 1024, 1025, 10_000):
+        got, want = pring.self_check(cases, seed), self_check_oracle(cases, seed)
+        assert list(got) == list(want)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}, (seed, cases)
+        assert all(type(v) is float for v in got.values())
+
+
+def _batch(re, im):
+    return PseudoComplex(np.array(re, dtype=float), np.array(im, dtype=float))
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def assert_elementwise(op, *batches):
+    """op on batches equals op on each element bit for bit, or raises as some element does."""
+    size = batches[0].re.size
+    singles = [[PseudoComplex(b.re[k], b.im[k]) for b in batches] for k in range(size)]
+    want = [_outcome(op, *args) for args in singles]
+    errors = tuple({w for w in want if isinstance(w, type)})
+    if errors:
+        # An overflow to inf raises ValueError in both; numpy warns on the way.
+        with pytest.raises(errors), np.errstate(all="ignore"):
+            op(*batches)
+        return
+    got = op(*batches)
+    if isinstance(got, PseudoComplex):
+        assert _bits(np.broadcast_to(got.re, (size,))) == _bits([w.re for w in want])
+        assert _bits(np.broadcast_to(got.im, (size,))) == _bits([w.im for w in want])
+    else:
+        assert _bits(got) == _bits(want)
+
+
+COMPONENTS = st.floats(-50.0, 50.0)
+OPERAND_PAIRS = st.integers(0, 8).flatmap(
+    lambda n: st.lists(st.lists(COMPONENTS, min_size=n, max_size=n), min_size=4, max_size=4)
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(OPERAND_PAIRS)
+def test_array_components_act_like_scalars_elementwise(columns):
+    a, b, c, d = columns
+    p, q = _batch(a, b), _batch(c, d)
+    for op in (
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x * y,
+        lambda x, y: x / y,
+        lambda x, y: 2.5 * x - y / 3,
+    ):
+        assert_elementwise(op, p, q)
+    for op in (lambda x: x.conj(), exp, inverse, magnitude, lambda x: -x, lambda x: x.is_zero_divisor):
+        assert_elementwise(op, p)
+
+
+def test_batch_exp_takes_libm_exp_per_element():
+    # numpy's vector exp differs from math.exp in the last bits on some hosts.
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(-20.0, 20.0, (2, 2000))
+    got = exp(_batch(a, b))
+    want = [zd_compose(math.exp(x + y), math.exp(x - y)) for x, y in zip(a.tolist(), b.tolist())]
+    assert _bits(got.re) == _bits([w.re for w in want])
+    assert _bits(got.im) == _bits([w.im for w in want])
+
+
+def test_batch_with_a_zero_divisor_has_no_inverse():
+    with pytest.raises(ZeroDivisorError):
+        inverse(_batch([2.0, 1.0, 3.0], [0.0, -1.0, 1.0]))
+    with pytest.raises(ZeroDivisorError):
+        PseudoComplex(1.0, 0.0) / _batch([2.0, 0.5], [1.0, 0.5])
+
+
+def test_non_finite_array_component_is_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="component must be finite"):
+            _batch([1.0, bad], [0.0, 0.0])
+        with pytest.raises(ValueError, match="component must be finite"):
+            _batch([1.0, 2.0], [bad, 0.0])
+
+
+def test_scalar_components_stay_python_floats():
+    p = PseudoComplex(np.float64(1.5), np.int64(2))
+    for value in (p, p * I, exp(p), inverse(p), p / 3, p.conj()):
+        assert type(value.re) is float and type(value.im) is float
+    assert type(magnitude(p)) is float
+    assert p.is_zero_divisor is False
+    assert repr(p) == "(1.5 + I*2.0)"
