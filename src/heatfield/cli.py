@@ -208,17 +208,24 @@ def parse_config(path: str, kind: str) -> ExperimentConfig:
 
 
 def _run_kernel(p):
-    origin = np.zeros(p["d"])
+    d, gamma = p["d"], p["gamma"]
+    origin = np.zeros(d)
     t_grid = np.linspace(p["t.min"], p["t.max"], p["t.count"])
     r_grid = np.linspace(p["r.min"], p["r.max"], p["r.count"])
-    targets = np.zeros((r_grid.size, p["d"]))
+    targets = np.zeros((r_grid.size, d))
     targets[:, 0] = r_grid
-    pairs = [(t, y) for t in t_grid for y in targets]
+    # Each grid is validated once: the rate, the shortest time and every target, which
+    # also gives the squared distances that heat_kernel and retarded_propagator_heat
+    # compute per cell.  Then each t-row is one call of the expression they evaluate,
+    # so every cell keeps its bits.
+    kernels._check_rate(gamma)
+    r2 = np.array([kernels._validated_r2(t_grid.min(), origin, y)[0] for y in targets])
+    rows = t_grid.tolist()
     columns = {
         "t": np.repeat(t_grid, r_grid.size),
         "r": np.tile(r_grid, t_grid.size),
-        "heat_kernel": [kernels.heat_kernel(t, origin, y) for t, y in pairs],
-        "retarded_propagator": [kernels.retarded_propagator_heat((0.0, origin), (t, y), p["gamma"]) for t, y in pairs],
+        "heat_kernel": np.concatenate([kernels._heat_density(t, r2, d) for t in rows]),
+        "retarded_propagator": np.concatenate([kernels._clocked_density(t, r2, gamma, d) for t in rows]),
     }
     return columns, {}
 
@@ -267,16 +274,19 @@ def _run_extinction(p):
         dyson.FertilityDistribution.binary(p["alpha"]),
         max_particles=p["max.particles"],
     )
-    times = montecarlo.sample_extinction_times(config, p["horizon"], p["replicas"], p["seed"])
+    times = np.sort(montecarlo.sample_extinction_times(config, p["horizon"], p["replicas"], p["seed"]))
     taus = np.linspace(0.0, p["horizon"], p["tau.count"])
-    analytic = [dyson.one_point_closed_form(p["alpha"], p["gamma"], tau) for tau in taus]
-    p_hat = np.array([np.mean(times <= tau) for tau in taus])
+    analytic = dyson.one_point_closed_form(p["alpha"], p["gamma"], taus)
+    p_hat = np.searchsorted(times, taus, side="right") / p["replicas"]  # the mean of times <= tau
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / p["replicas"])
+    stop_level, stop_bias_bound = montecarlo._stop_level(config)
     estimates = {
-        "final_analytic": analytic[-1],
+        "final_analytic": float(analytic[-1]),
         "final_mc_estimate": float(p_hat[-1]),
         "final_mc_stderr": float(stderr[-1]),
         "eventual_extinction": dyson.extinction_probability(p["alpha"]),
+        "stop_level": stop_level,
+        "stop_bias_bound": stop_bias_bound,
     }
     return {"tau": taus, "analytic": analytic, "mc_estimate": p_hat, "mc_stderr": stderr}, estimates
 

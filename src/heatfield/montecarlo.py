@@ -23,6 +23,16 @@ lifetimes, and finally one endpoint displacement per survivor in id
 order; the mass-only simulator draws uniforms and exponentials in blocks
 of 64, 256, 1024, 4096, 16384, then 65536 repeating, and returns the
 whole jump chain, so one walk per replica serves every time read from it.
+
+The extinction sampler stops a walk early, once extinction is out of
+reach.  A population of n dies out with probability q**n, where q is the
+smallest root of pgf(s) = s (Harris 1963; Athreya & Ney 1972, I.5).  So
+a walk ends once its count passes L = min(max_particles, n*), where n* is
+the smallest n with qbar**n <= eps = 2**-100 and qbar >= q is a certified
+upper bound.  Such a replica is classified as surviving, which is wrong
+with probability at most qbar**(L + 1), at most 7.9e-31 whenever L is
+below the cap; replicas that die out before passing L draw exactly the
+numbers of a walk to the cap.
 """
 
 from __future__ import annotations
@@ -326,31 +336,86 @@ def _total_mass_run(gamma, cdf, horizon, cap, rng):
     return np.concatenate(times), np.concatenate(counts)
 
 
+_STOP_EPSILON = 2.0**-100  # eps of the early stop (see _stop_level)
+
+
+def _extinction_upper_bound(cdf) -> float:
+    """qbar >= q, the smallest root in [0, 1] of pgf(s) = s for the law the walk draws.
+
+    The walk draws k = searchsorted(cdf, U, "right") with U uniform on
+    numpy's 2**-53 grid, so P(k = j) = w[j] / 2**53 exactly, with w the
+    differences of ceil(2**53 * cdf) (clipped at 2**53).  f(s) = pgf(s) - s
+    is convex with f(1) = 0 and f > 0 on [0, q), so any s with f(s) <= 0
+    is >= q.  Bisection of [0, 1] keeps such an upper end, testing
+    f(mid) <= 0 exactly in integers (mid = a / b, both sides times
+    2**53 * b**(top + 1), top the largest offspring count); after 64
+    halvings qbar is within 2**-64, or one float spacing, of q.  qbar is
+    1.0 when q = 1 (mean offspring <= 1, unless every particle leaves
+    exactly one child).
+    """
+    weights = [int(w) for w in np.diff(np.minimum(np.ceil(cdf * 2.0**53), 2.0**53), prepend=0.0)]
+    top = len(weights) - 1
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        a, b = mid.as_integer_ratio()
+        pgf = sum(w * a**k * b ** (top - k) for k, w in enumerate(weights))  # 2**53 * b**top * pgf(mid)
+        if b * pgf <= (a << 53) * b**top:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _stop_level(config: BranchingConfig):
+    """(L, qbar**(L + 1)): the count past which the extinction walk stops, and its bias bound.
+
+    L = min(config.max_particles, n*), n* the smallest n with qbar**n <=
+    _STOP_EPSILON; when qbar is 1, L is the cap and the bound is 1.0.
+    """
+    qbar = _extinction_upper_bound(config.offspring_cdf)
+    if qbar >= 1.0:
+        return int(config.max_particles), 1.0
+    level = int(min(config.max_particles, math.ceil(math.log(_STOP_EPSILON) / math.log(qbar))))
+    return level, qbar ** (level + 1)
+
+
 def sample_extinction_times(
     config: BranchingConfig, horizon: float, replicas: int, seed: int
 ) -> np.ndarray:
     """Extinction time of each replica (inf if alive at the horizon).
 
-    Runs the mass-only jump chain per replica; a replica whose live
-    count crosses config.max_particles is classified as never extinct,
-    which biases the extinction estimate downward by at most the
-    probability that a tree of cap size dies out (astronomically small
-    for any generous cap in the subcritical-survival regime).  Raises
-    ValueError unless horizon is finite and >= 0 and replicas is an
-    integer >= 1.
+    Runs the mass-only jump chain per replica until the horizon,
+    extinction, or a live count above L = min(config.max_particles, n*),
+    where n* is the smallest n with qbar**n <= eps = 2**-100 and qbar is
+    a certified upper bound on the eventual extinction probability q of
+    config.fertility (no early stop when qbar = 1, as for mean offspring
+    <= 1 or alpha >= 1/2).  A replica whose count passes L is classified
+    as never extinct; it would die out later with probability at most
+    qbar**(L + 1), which bounds the downward bias of each replica's
+    classification: at most eps = 7.9e-31 whenever L is below the cap
+    (L = 64 at alpha 0.25).  A replica that dies out before passing L
+    draws exactly the numbers of a walk to the cap.  Raises ValueError
+    unless horizon is finite and >= 0 and replicas is an integer >= 1.
     """
     _check_time("horizon", horizon)
     cdf = config.offspring_cdf
+    level, _ = _stop_level(config)
 
     def one(r):
-        times, counts = _total_mass_run(config.gamma, cdf, horizon, config.max_particles, derive_stream(seed, r))
+        times, counts = _total_mass_run(config.gamma, cdf, horizon, level, derive_stream(seed, r))
         return times[-1] if counts[-1] == 0 else math.inf
 
     return _replica_values(replicas, one)
 
 
 def estimate_extinction(config: BranchingConfig, horizon: float, replicas: int, seed: int):
-    """Extinct fraction at the horizon, with binomial stderr; ValueError as sample_extinction_times."""
+    """Extinct fraction at the horizon, with binomial stderr; ValueError as sample_extinction_times.
+
+    Replicas are walked as in sample_extinction_times, so the fraction
+    is biased downward by at most qbar**(L + 1) (see _stop_level), which
+    is at most 2**-100 whenever L is below config.max_particles.
+    """
     times = sample_extinction_times(config, horizon, replicas, seed)
     p_hat = float(np.mean(np.isfinite(times)))
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / replicas)

@@ -24,9 +24,11 @@ def report(num, label, ok, detail):
 
 
 def test_criterion_1_extinction_reproduction():
-    # Supercritical survivors are cut off at a 1e4-particle cap: a tree
-    # of that size has eventual extinction probability (1/3)**10000, so
-    # the classification bias is far below the statistical resolution.
+    # Survivors stop at L = min(cap, n*) = 64 particles, n* the smallest n
+    # with qbar**n <= 2**-100 (qbar >= q = 1/3): a tree of 65 dies out
+    # with probability at most qbar**65 = 9.7e-32, so the classification
+    # bias is far below the statistical resolution.  The 1e4 cap is
+    # never reached.
     config = hf.BranchingConfig(1.0, BINARY(0.25), max_particles=10_000)
     started = time.perf_counter()
     p_hat, stderr = hf.estimate_extinction(config, horizon=60.0, replicas=20_000, seed=7)

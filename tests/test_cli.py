@@ -123,6 +123,21 @@ class TestMain:
         assert manifest["library_version"]
         assert manifest["duration_seconds"] > 0
         assert "final_mc_stderr" in manifest["estimates"]
+        config = montecarlo.BranchingConfig(1.0, dyson.FertilityDistribution.binary(0.25), max_particles=4000)
+        assert (manifest["estimates"]["stop_level"], manifest["estimates"]["stop_bias_bound"]) == (
+            montecarlo._stop_level(config)
+        )
+        assert manifest["estimates"]["stop_level"] == 64
+        assert 0.0 < manifest["estimates"]["stop_bias_bound"] <= 2.0**-100
+
+    def test_extinction_without_early_stop(self, tmp_path):
+        # alpha 1/2 dies out for sure, so the cap is the stop level and nothing is guaranteed.
+        text = "alpha = 0.5\ngamma = 1.0\nhorizon = 5.0\nreplicas = 50\nmax.particles = 300\n"
+        cfg = write(tmp_path / "run.cfg", text)
+        assert cli.main(["extinction", "--config", cfg, "--out", str(tmp_path / "ext.csv")]) == 0
+        estimates = json.loads((tmp_path / "ext.csv.manifest.json").read_text())["estimates"]
+        assert type(estimates["stop_level"]) is int and estimates["stop_level"] == 300
+        assert estimates["stop_bias_bound"] == 1.0
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", EXTINCTION_CFG)
@@ -132,19 +147,24 @@ class TestMain:
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_round_trips_doubles(self, tmp_path):
-        cfg = write(
-            tmp_path / "run.cfg",
-            "gamma = 0.3\nt.min = 0.37\nt.max = 1.1\nt.count = 3\nr.max = 2.0\nr.count = 4\n",
-        )
-        out = tmp_path / "kernel.csv"
-        assert cli.main(["kernel", "--config", cfg, "--out", str(out)]) == 0
         from heatfield.kernels import heat_kernel, retarded_propagator_heat
 
-        _, rows = read_csv(out)
-        for row in rows:
-            t, r, hk, ret = (float(c) for c in row)
-            assert hk == heat_kernel(t, 0.0, r)
-            assert ret == retarded_propagator_heat((0.0, 0.0), (t, r), 0.3)
+        for d in (1, 2, 3):
+            cfg = write(
+                tmp_path / "run.cfg",
+                f"gamma = 0.3\nd = {d}\nt.min = 0.37\nt.max = 1.1\nt.count = 3\nr.max = 2.0\nr.count = 4\n",
+            )
+            out = tmp_path / "kernel.csv"
+            assert cli.main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+            _, rows = read_csv(out)
+            assert len(rows) == 12
+            origin = np.zeros(d)
+            for row in rows:
+                t, r, hk, ret = (float(c) for c in row)
+                target = np.zeros(d)
+                target[0] = r
+                assert hk == heat_kernel(t, origin, target)
+                assert ret == retarded_propagator_heat((0.0, origin), (t, target), 0.3)
 
     def test_onepoint_critical_endpoint(self, tmp_path):
         cfg = write(

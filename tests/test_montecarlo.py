@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -465,6 +466,72 @@ class TestReplicaContract:
                     sum(born[i] <= tau < died.get(i, math.inf) for i in born) for tau in sample_times
                 ]
                 np.testing.assert_array_equal(log.counts, want)
+
+
+FOUR_POINT = dyson.FertilityDistribution((0.2, 0.3, 0.1, 0.4))
+
+
+class TestEarlyStop:
+    """The extinction walk stops once its count passes L = min(cap, n*)."""
+
+    def test_bound_covers_binary_extinction_probability(self):
+        for alpha in (1e-300, 0.01, 0.1, 0.25, 1 / 3, 0.4, 0.49, 0.4999999):
+            q = Fraction(alpha) / (1 - Fraction(alpha))
+            qbar = montecarlo._extinction_upper_bound(binary_config(alpha).offspring_cdf)
+            assert q <= Fraction(qbar) <= q + Fraction(1, 2**50)
+
+    def test_stop_level_and_bias_bound(self):
+        level, bound = montecarlo._stop_level(binary_config(0.25, cap=10_000))
+        assert level == 64 and 0.0 < bound <= 2.0**-100  # (1/3)**64 > 2**-100 > (1/3)**65
+        assert montecarlo._stop_level(binary_config(0.25, cap=40)) == (40, pytest.approx((1 / 3) ** 41))
+        assert montecarlo._stop_level(binary_config(0.1, cap=10_000))[0] == 32
+        assert montecarlo._stop_level(binary_config(0.4, cap=10_000))[0] == 171
+
+    def test_no_extinction_laws(self):
+        # alpha 0 and the law (0, 1) never die out: q = 0.
+        for law in (dyson.FertilityDistribution.binary(0.0), dyson.FertilityDistribution((0.0, 1.0))):
+            config = BranchingConfig(1.0, law, max_particles=10_000)
+            qbar = montecarlo._extinction_upper_bound(config.offspring_cdf)
+            assert 0.0 < qbar <= 2.0**-64
+            level, bound = montecarlo._stop_level(config)
+            assert level == 2 and bound == qbar**3
+            assert np.all(sample_extinction_times(config, 5.0, 200, seed=3) == math.inf)
+
+    def test_certain_extinction_has_no_early_stop(self):
+        # alpha .5 (critical), alpha 1 and a subcritical non-binary law: q = 1.
+        subcritical = dyson.FertilityDistribution((0.5, 0.3, 0.2))
+        for law in (dyson.FertilityDistribution.binary(0.5), dyson.FertilityDistribution.binary(1.0), subcritical):
+            config = BranchingConfig(1.0, law, max_particles=500)
+            assert montecarlo._extinction_upper_bound(config.offspring_cdf) == 1.0
+            assert montecarlo._stop_level(config) == (500, 1.0)
+            for seed in (1, 7):
+                want = [horizon_walk_oracle(1.0, config.offspring_cdf, 30.0, 500, derive_stream(seed, r))[0]
+                        for r in range(200)]
+                np.testing.assert_array_equal(sample_extinction_times(config, 30.0, 200, seed), want)
+
+    def test_stopped_walks_match_walks_to_the_cap(self, monkeypatch):
+        # Bit for bit against walks to the full 10k cap; some replicas really stop at L.
+        walked = []
+
+        def spy(gamma, cdf, horizon, cap, rng):
+            times, counts = total_mass_run(gamma, cdf, horizon, cap, rng)
+            walked.append((cap, int(counts[-1])))
+            return times, counts
+
+        total_mass_run = montecarlo._total_mass_run
+        monkeypatch.setattr(montecarlo, "_total_mass_run", spy)
+        laws = [dyson.FertilityDistribution.binary(alpha) for alpha in (0.1, 0.25, 0.4)] + [FOUR_POINT]
+        for law in laws:
+            config = BranchingConfig(1.0, law, max_particles=10_000)
+            level, _ = montecarlo._stop_level(config)
+            assert level < 10_000
+            for seed in (1, 7, 123456):
+                walked.clear()
+                want = [horizon_walk_oracle(1.0, config.offspring_cdf, 60.0, 10_000, derive_stream(seed, r))[0]
+                        for r in range(60)]
+                np.testing.assert_array_equal(sample_extinction_times(config, 60.0, 60, seed), want)
+                assert {cap for cap, _ in walked} == {level}
+                assert any(last > level for _, last in walked)
 
 
 class TestArgumentChecks:

@@ -8,12 +8,13 @@ The population cap is 64 so that every run stays short.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatfield import dyson, kernels
+from heatfield import dyson, kernels, montecarlo
 from heatfield.montecarlo import (
     BranchingConfig,
     PopulationExplosionError,
@@ -91,6 +92,24 @@ def test_extinction(alpha, horizon, replicas, seed):
         assert times.shape == (replicas,)
         assert np.all((times == math.inf) | ((times >= 0.0) & (times <= horizon)))
     assert_estimate(outcome(estimate_extinction, config(alpha), horizon, replicas, seed))
+
+
+# Offspring laws with probabilities on the 2**-20 grid, so the float law is exact.
+GRID_LAWS = st.lists(st.integers(0, 2**20), max_size=5).map(
+    lambda cuts: dyson.FertilityDistribution(np.diff([0, *sorted(cuts), 2**20]) / 2**20)
+)
+
+
+@PROPERTY
+@given(GRID_LAWS)
+def test_extinction_upper_bound(law):
+    # pgf(qbar) <= qbar exactly, so qbar is at or above the smallest fixed point q;
+    # qbar < 1 exactly when q < 1: mean offspring above 1, or one child for sure.
+    qbar = montecarlo._extinction_upper_bound(BranchingConfig(1.0, law).offspring_cdf)
+    s = Fraction(qbar)
+    assert 0 < s <= 1 and sum(Fraction(p) * s**k for k, p in enumerate(law.p)) <= s
+    mean = sum(k * Fraction(p) for k, p in enumerate(law.p))
+    assert (qbar < 1.0) == (mean > 1 or law.p[1:2] == (1.0,))
 
 
 @PROPERTY
