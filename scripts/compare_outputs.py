@@ -7,8 +7,9 @@ on ``PYTHONPATH``, one subprocess per run) and requires, for every run,
 the same CSV sha256 and the same value for every manifest ``estimates``
 key the parent writes (the change may add keys).  The configs are the
 benchmark's extinction runs (alpha 0.25, horizon 60, 200 replicas,
-cap 10k, eight seeds) plus other laws and caps, ``gf`` runs and
-``kernel`` runs in d = 1, 2 and 3.  ``--change`` defaults to the tree
+cap 10k, eight seeds) plus other laws and caps, ``gf`` runs, the
+benchmark's ``clock`` runs (gamma 2, dtau.max 3, 2000 replicas, seeds 0,
+5, 2**31 - 1 and 40,000) and ``kernel`` runs in d = 1, 2 and 3.  ``--change`` defaults to the tree
 holding this script.  Exits 1 on any difference.
 """
 
@@ -34,6 +35,7 @@ RUNS = (
     ]
     + [("gf", {"alpha": 0.25, "gamma": 1.0, "theta": theta, "t.max": 1.0, "replicas": 150, "seed": seed})
        for theta, seed in ((0.5, 11), (0.0, 12), (0.9, 13))]
+    + [("clock", {"gamma": 2.0, "dtau.max": 3.0, "replicas": 2000, "seed": seed}) for seed in (0, 5, 2**31 - 1, 40_000)]
     + [("kernel", {"gamma": 0.3, "d": d, "t.min": 0.05, "t.max": 3.0, "t.count": 40, "r.max": 6.0, "r.count": 60})
        for d in (1, 2, 3)]
 )

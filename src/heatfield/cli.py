@@ -250,12 +250,15 @@ def _run_clock(p):
     # that the no-event probability exp(-50) is negligible.
     config = montecarlo.BranchingConfig(gamma, dyson.FertilityDistribution((1.0,)))
     horizon = 50.0 / gamma
+    dyson._check_count("replicas", replicas)  # keeps the error order: replicas, then horizon
+    montecarlo._check_time("horizon", horizon)
+    cdf, no_samples = config.offspring_cdf.tolist(), np.zeros(0)
 
-    def first_event(r):
-        events = montecarlo.simulate_branching(config, horizon, (), seed, replica=r).events
+    def first_event(r, rng):
+        events = montecarlo._branching_tree(config, cdf, horizon, no_samples, rng).events
         return events[0].time if events else math.nan
 
-    times = montecarlo._replica_values(replicas, first_event)
+    times = montecarlo._replica_values(replicas, seed, first_event)
     times = times[~np.isnan(times)]
     stat, pvalue = montecarlo.lifetime_ks(times, gamma)
     estimates = {

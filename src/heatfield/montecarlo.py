@@ -6,9 +6,16 @@ are reproducible and replicas are independent work units:
 * replica ``r`` of a run with seed ``s`` uses the generator
   ``PCG64(splitmix64(s + (r + 1) * 0x9E3779B97F4A7C15))`` (all mod
   2**64, splitmix64 being the standard 64-bit finalizer below);
+  ``derive_stream`` is the reference for that stream;
 * one loop, ``_replica_values``, runs the replicas of every estimator
   and collects their results in replica order; numpy's pairwise sum
-  reduces them, so estimates do not depend on replica scheduling.
+  reduces them, so estimates do not depend on replica scheduling;
+* that loop derives the PCG64 states of all its replicas in one
+  vectorised pass (numpy's SeedSequence hashing and PCG64 seeding,
+  mirrored in integer arrays) equal to ``derive_stream`` bit for bit,
+  and sets them in turn on one reused generator.  Each run checks
+  replica 0 against ``derive_stream`` and falls back to calling it per
+  replica if numpy's PCG64 seeding or state layout differs.
 
 The branching simulator is event driven: every particle carries an
 exponential lifetime, diffuses by exact Gaussian increments between
@@ -37,6 +44,7 @@ numbers of a walk to the cap.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -74,7 +82,7 @@ class PopulationExplosionError(RuntimeError):
 
 
 def splitmix64(state: int) -> int:
-    """Standard splitmix64 finalizer; bijective on 64-bit integers."""
+    """Standard splitmix64 finalizer; bijective on 64-bit integers (also elementwise on uint64 arrays)."""
     z = (state + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -93,19 +101,84 @@ def derive_stream(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(mixed))
 
 
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+# numpy SeedSequence's hash constants: the j-th hashmix call xors with
+# the j-th power-step of INIT and multiplies by the next (A: entropy mixing, B: output).
+_HASH_A = np.array([0x43B0D7E5 * 0x931E8875**j & _MASK32 for j in range(17)], dtype=np.uint32)[:, None]
+_HASH_B = np.array([0x8B51F9DD * 0x58F38DED**j & _MASK32 for j in range(9)], dtype=np.uint32)[:, None]
+_STREAM_CHUNK = 256  # replicas whose states one array pass derives (bounds the memory it holds)
+
+
+def _hashmix(values, j, consts):
+    values = (values ^ consts[j : j + len(values)]) * consts[j + 1 : j + 1 + len(values)]
+    return values ^ (values >> 16)
+
+
+def _pcg64_states(seed, first, stop):
+    """PCG64 state dicts of derive_stream(seed, r), yielded for first <= r < stop, from one array pass.
+
+    Mirrors numpy's SeedSequence with pool size 4 in uint32 arrays (the
+    one or two entropy words of the mixed seed hash alike, missing words
+    hashing as 0), its generate_state of 4 uint64 words, and PCG64's
+    set_seed: inc = 2 * seq + 1, state = ((inc + s) * MULT + inc) mod 2**128.
+    """
+    r = np.arange(first + 1, stop + 1, dtype=np.uint64)
+    mixed = splitmix64(np.uint64(int(seed) & _MASK64) + r * np.uint64(_GOLDEN))
+    pool = np.zeros((4, r.size), dtype=np.uint32)
+    pool[0], pool[1] = mixed & _MASK32, mixed >> 32
+    pool = _hashmix(pool, 0, _HASH_A)
+    for src in range(4):  # each source word mixes into the other three, in order
+        dst = [i for i in range(4) if i != src]
+        hashed = _hashmix(pool[[src] * 3], 4 + 3 * src, _HASH_A)
+        mix = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashed
+        pool[dst] = mix ^ (mix >> 16)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], 0, _HASH_B).astype(np.uint64)
+    s_hi, s_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << 32).tolist()
+    for a, b, c, d in zip(s_hi, s_lo, seq_hi, seq_lo):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def _replica_streams(seed, replicas):
+    """The streams derive_stream(seed, r), r = 0 .. replicas-1, each valid until the next is drawn.
+
+    One generator, set to each array-derived state in turn, unless replica
+    0's state differs from derive_stream's: then derive_stream per replica.
+    """
+    states = itertools.chain.from_iterable(
+        _pcg64_states(seed, first, min(first + _STREAM_CHUNK, replicas))
+        for first in range(0, replicas, _STREAM_CHUNK)
+    )
+    rng = derive_stream(seed, 0)
+    if rng.bit_generator.state != next(states):
+        yield from (derive_stream(seed, r) for r in range(replicas))
+        return
+    yield rng
+    for state in states:
+        rng.bit_generator.state = state
+        yield rng
+
+
 def _check_time(name, t, positive=False):
     if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {t}")
 
 
-def _replica_values(replicas, one):
-    """one(r) for r = 0 .. replicas-1 (a float or a row of floats), stacked in replica order."""
-    return np.array([one(r) for r in range(_check_count("replicas", replicas))], dtype=float)
+def _replica_values(replicas, seed, one):
+    """one(r, rng) for r = 0 .. replicas-1 (a float or a row of floats), stacked in replica order.
+
+    rng is the stream derive_stream(seed, r), valid only within its call.
+    """
+    replicas = _check_count("replicas", replicas)
+    return np.array([one(r, rng) for r, rng in enumerate(_replica_streams(seed, replicas))], dtype=float)
 
 
-def _replica_mean(replicas, one):
+def _replica_mean(replicas, seed, one):
     # (mean, stderr): floats, or per row entry each reduced as one contiguous array (pairwise sum).
-    columns = np.ascontiguousarray(_replica_values(_check_count("replicas", replicas, least=2), one).T)
+    columns = np.ascontiguousarray(_replica_values(_check_count("replicas", replicas, least=2), seed, one).T)
     mean = np.mean(columns, axis=-1)
     stderr = np.std(columns, axis=-1, ddof=1) / math.sqrt(replicas)
     return (mean, stderr) if columns.ndim > 1 else (float(mean), float(stderr))
@@ -119,12 +192,20 @@ def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0
     coordinate.  Raises ValueError unless x0 is finite, t is finite
     and > 0 and n_steps is an integer >= 1.
     """
+    return _brownian_path(_path_start(x0, t, n_steps), t, n_steps, derive_stream(seed, replica))
+
+
+def _path_start(x0, t, n_steps):
+    # x0 as a 1-d array, once t, n_steps and x0 are checked (in that order).
     _check_time("t", t, positive=True)
     _check_count("n_steps", n_steps)
     start = np.atleast_1d(np.asarray(x0, dtype=float))
     if not all(map(math.isfinite, start)):
         raise ValueError("x0 must be finite")
-    rng = derive_stream(seed, replica)
+    return start
+
+
+def _brownian_path(start, t, n_steps, rng):
     steps = rng.standard_normal((n_steps, start.size)) * math.sqrt(t / n_steps)
     path = np.empty((n_steps + 1, start.size))
     path[0] = start
@@ -146,13 +227,15 @@ def feynman_kac_estimate(
     > 0 and n_steps is an integer >= 1.
     """
     x0 = float(np.asarray(x, dtype=float).reshape(()))
+    _check_count("replicas", replicas, least=2)  # checked before the path arguments
+    start = _path_start(x0, t, n_steps)
 
-    def one(r):
-        path = sample_brownian_path(x0, t, n_steps, seed, r)[:, 0]
+    def one(r, rng):
+        path = _brownian_path(start, t, n_steps, rng)[:, 0]
         exponent = t / n_steps * float(np.sum(np.asarray(v(path[:-1]), dtype=float)))
         return float(u(path[-1])) * math.exp(-exponent)
 
-    return _replica_mean(replicas, one)
+    return _replica_mean(replicas, seed, one)
 
 
 @dataclass(frozen=True)
@@ -242,9 +325,12 @@ def simulate_branching(
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size and not np.all((sample_times >= 0) & (sample_times <= horizon)):
         raise ValueError("sample_times must lie within [0, horizon]")
-    rng = derive_stream(seed, replica)
+    return _branching_tree(config, config.offspring_cdf.tolist(), horizon, sample_times, derive_stream(seed, replica))
+
+
+def _branching_tree(config, cdf, horizon, sample_times, rng):
+    # simulate_branching once its arguments are checked; cdf is config.offspring_cdf as a list.
     gamma = config.gamma
-    cdf = config.offspring_cdf
     x0 = np.asarray(config.x0, dtype=float)
 
     births = {0: (0.0, x0)}
@@ -259,7 +345,7 @@ def simulate_branching(
         birth_time, birth_pos = births.pop(pid)
         displacement = rng.standard_normal(config.d) * math.sqrt(death_time - birth_time)
         pos = birth_pos + displacement
-        k = int(np.searchsorted(cdf, rng.random(), side="right"))
+        k = bisect.bisect_right(cdf, rng.random())  # = np.searchsorted(cdf, u, side="right")
         children = tuple(range(next_id, next_id + k))
         for cid in children:
             births[cid] = (death_time, pos)
@@ -402,11 +488,11 @@ def sample_extinction_times(
     cdf = config.offspring_cdf
     level, _ = _stop_level(config)
 
-    def one(r):
-        times, counts = _total_mass_run(config.gamma, cdf, horizon, level, derive_stream(seed, r))
+    def one(r, rng):
+        times, counts = _total_mass_run(config.gamma, cdf, horizon, level, rng)
         return times[-1] if counts[-1] == 0 else math.inf
 
-    return _replica_values(replicas, one)
+    return _replica_values(replicas, seed, one)
 
 
 def estimate_extinction(config: BranchingConfig, horizon: float, replicas: int, seed: int):
@@ -445,8 +531,8 @@ def estimate_generating_function(
     _check_time("t", horizon)
     cdf = config.offspring_cdf
 
-    def one(r):
-        times, counts = _total_mass_run(config.gamma, cdf, horizon, config.max_particles, derive_stream(seed, r))
+    def one(r, rng):
+        times, counts = _total_mass_run(config.gamma, cdf, horizon, config.max_particles, rng)
         if counts[-1] > config.max_particles:
             raise PopulationExplosionError(
                 f"replica {r} exceeded max_particles={config.max_particles} before t={horizon:g}"
@@ -454,7 +540,7 @@ def estimate_generating_function(
         powers = [float(theta) ** int(n) for n in counts[np.searchsorted(times, grid, side="right")]]
         return powers if np.ndim(t) else powers[0]  # 0.0**0 == 1.0
 
-    return _replica_mean(replicas, one)
+    return _replica_mean(replicas, seed, one)
 
 
 def estimate_mckean_product(
@@ -474,9 +560,11 @@ def estimate_mckean_product(
     if np.any(phi.values < 0.0) or np.any(phi.values > 1.0):
         raise ValueError("phi must take values in [0, 1]")
     _check_time("t", t)
+    cdf, no_samples = config.offspring_cdf.tolist(), np.zeros(0)
     return _replica_mean(
         replicas,
-        lambda r: float(np.prod(phi(simulate_branching(config, t, (), seed, replica=r).final.positions[:, 0]))),
+        seed,
+        lambda r, rng: float(np.prod(phi(_branching_tree(config, cdf, t, no_samples, rng).final.positions[:, 0]))),
     )
 
 
@@ -497,7 +585,23 @@ def lifetime_ks(times, rate: float):
     d_plus = float(np.max(np.arange(1, n + 1) / n - cdf))
     d_minus = float(np.max(cdf - np.arange(0, n) / n))
     stat = max(d_plus, d_minus)
-    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * stat
-    ks = np.arange(1, 101)
-    p = 2.0 * float(np.sum((-1.0) ** (ks - 1) * np.exp(-2.0 * ks**2 * lam**2)))
-    return stat, min(max(p, 0.0), 1.0)
+    return stat, _kolmogorov_sf((math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * stat)
+
+
+def _kolmogorov_sf(lam):
+    """P(K > lam) for the Kolmogorov distribution, clipped to [0, 1].
+
+    The alternating series 2 sum (-1)**(k-1) exp(-2 k**2 lam**2) is summed
+    to k = 100 while its term 101 is below 2**-53 (lam above about 0.0424);
+    below that it has not converged and the dual form
+    1 - sqrt(2 pi) / lam * sum exp(-(2k - 1)**2 pi**2 / (8 lam**2)) is used.
+    """
+    if math.exp(-2.0 * 101**2 * lam**2) < 2.0**-53:
+        ks = np.arange(1, 101)
+        p = 2.0 * float(np.sum((-1.0) ** (ks - 1) * np.exp(-2.0 * ks**2 * lam**2)))
+    elif lam > 0.0:
+        odd = np.arange(1, 40, 2)
+        p = 1.0 - math.sqrt(2.0 * math.pi) / lam * float(np.sum(np.exp(-(odd**2) * math.pi**2 / (8.0 * lam**2))))
+    else:
+        p = 1.0
+    return min(max(p, 0.0), 1.0)

@@ -336,6 +336,16 @@ class TestMain:
         assert estimates["lifetime_mean_stderr"] == float(np.std(times, ddof=1) / math.sqrt(times.size))
         assert estimates["ks_statistic"] == montecarlo.lifetime_ks(times, 2.0)[0]
 
+    def test_clock_runner_check_order(self):
+        # replicas before the horizon 50 / gamma, which overflows for a subnormal gamma.
+        params = {"gamma": 1e-310, "dtau.max": 1.0, "dtau.count": 2, "replicas": 0, "seed": 0}
+        with pytest.raises(ValueError, match="^replicas must"):
+            cli._run_clock(params)
+        with pytest.raises(ValueError, match="^horizon must"):
+            cli._run_clock(dict(params, replicas=2))
+        with pytest.raises(ValueError, match="gamma"):
+            cli._run_clock(dict(params, gamma=0.0))
+
     VALID = {
         "kernel": "t.min = 0.5\nt.max = 1.0\nt.count = 2\nr.max = 1.0\nr.count = 2\n",
         "semigroup": "t = 0.25\ngrid.origin = -8.0\ngrid.step = 0.02\ngrid.count = 801\n",

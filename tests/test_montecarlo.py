@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from heatfield import dyson, kernels, montecarlo
+from heatfield import cli, dyson, kernels, montecarlo
 from heatfield.montecarlo import (
     BranchingConfig,
     PopulationExplosionError,
@@ -84,6 +84,52 @@ class TestStreams:
         c = derive_stream(91, 1).standard_normal(4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+MASK64 = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def unsplitmix64(z):
+    """The x with splitmix64(x) == z: each xorshift and odd multiply undone in reverse."""
+
+    def unxorshift(y, shift):
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unxorshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) & MASK64
+    z = unxorshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK64
+    return (unxorshift(z, 30) - GOLDEN) & MASK64
+
+
+class TestFastStreams:
+    """The replica loops' array-derived streams equal PCG64(splitmix64(...)) bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**63, 2**64 - 1])
+    def test_states_and_draws_match_pcg64(self, seed):
+        # 5000 replicas span several chunks; at seed 2**64 - 1 the sum wraps.
+        streams = montecarlo._replica_streams(seed, 5000)
+        for r, rng in enumerate(streams):
+            bits = np.random.PCG64(splitmix64((seed + (r + 1) * GOLDEN) & MASK64))
+            assert rng.bit_generator.state == bits.state
+            assert rng.random(2).tolist() == np.random.Generator(bits).random(2).tolist()
+        assert r == 4999
+
+    @pytest.mark.parametrize("mixed", [0, 1, 12345, 2**31, 2**32 - 1])
+    def test_one_word_entropy(self, mixed):
+        # A mixed seed below 2**32 seeds SeedSequence with one entropy word.
+        for r in (0, 3, 1500):
+            seed = (unsplitmix64(mixed) - (r + 1) * GOLDEN) & MASK64
+            assert splitmix64((seed + (r + 1) * GOLDEN) & MASK64) == mixed
+            states = list(montecarlo._pcg64_states(seed, r, r + 2))
+            assert states[0] == np.random.PCG64(mixed).state
+            assert states[1] == derive_stream(seed, r + 1).bit_generator.state
+
+    def test_one_generator_is_reused(self):
+        streams = list(montecarlo._replica_streams(5, 3))
+        assert streams[0] is streams[1] is streams[2]
 
 
 class TestBrownianPath:
@@ -205,6 +251,20 @@ class TestSimulateBranching:
             assert len(event.children) == 2
             # the parent diffused away from where it was born (a.s.)
             assert not np.array_equal(event.position, birth_positions[event.parent])
+
+    def test_offspring_count_on_a_cdf_value(self):
+        # The first uniform is made a CDF value: bisect_right and searchsorted(side="right") agree on the tie.
+        rng = derive_stream(17, 2)
+        death, _, u = rng.standard_exponential(), rng.standard_normal(1), rng.random()
+        config = BranchingConfig(1.0, dyson.FertilityDistribution((u, 0.0, 1.0 - u)))
+        cdf = config.offspring_cdf
+        assert cdf[0] == cdf[1] == u
+        k = int(np.searchsorted(cdf, u, side="right"))
+        assert k == 2
+        log = simulate_branching(config, death, (), seed=17, replica=2)
+        assert log.events[0].time == death and len(log.events[0].children) == k
+        first = montecarlo._branching_tree(config, cdf.tolist(), death, np.zeros(0), derive_stream(17, 2)).events[0]
+        assert first.children == log.events[0].children
 
     def test_sample_times_validated(self):
         with pytest.raises(ValueError):
@@ -446,6 +506,25 @@ class TestReplicaContract:
             want = (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size)))
             assert estimate_mckean_product(config, phi, 1.5, 200, seed) == want
 
+    def test_gf_matches_oracle_walks(self):
+        config = binary_config(0.25)
+        for seed in self.SEEDS:
+            values = []
+            for r in range(300):
+                t_ext, n, _ = horizon_walk_oracle(1.0, config.offspring_cdf, 1.5, 10**6, derive_stream(seed, r))
+                values.append(0.3 ** (0 if math.isfinite(t_ext) else n))
+            want = (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values))))
+            assert estimate_generating_function(config, 0.3, 1.5, 300, seed) == want
+
+    def test_clock_matches_tree_loop(self):
+        config = BranchingConfig(2.0, PURE_DEATH)
+        for seed in self.SEEDS:
+            times = [simulate_branching(config, 25.0, (), seed, replica=r).events[0].time for r in range(300)]
+            params = {"gamma": 2.0, "dtau.max": 1.0, "dtau.count": 3, "replicas": 300, "seed": seed}
+            _, estimates = cli._run_clock(params)
+            assert estimates["lifetime_mean"] == float(np.mean(times))
+            assert (estimates["ks_statistic"], estimates["ks_pvalue"]) == lifetime_ks(times, 2.0)
+
     def test_counts_match_lifespans_rebuilt_from_events(self):
         for alpha, horizon in ((0.25, 3.0), (0.7, 6.0)):
             config = binary_config(alpha)
@@ -466,6 +545,27 @@ class TestReplicaContract:
                     sum(born[i] <= tau < died.get(i, math.inf) for i in born) for tau in sample_times
                 ]
                 np.testing.assert_array_equal(log.counts, want)
+
+
+class TestReplicaContractWithoutFastStreams:
+    """The replica-loop oracles above when the array-derived replica 0 state disagrees with derive_stream."""
+
+    SEEDS = TestReplicaContract.SEEDS
+    test_extinction_times_follow_replica_streams = TestReplicaContract.test_extinction_times_follow_replica_streams
+    test_feynman_kac_matches_inline_sampler = TestReplicaContract.test_feynman_kac_matches_inline_sampler
+    test_mckean_matches_tree_loop = TestReplicaContract.test_mckean_matches_tree_loop
+    test_gf_matches_oracle_walks = TestReplicaContract.test_gf_matches_oracle_walks
+    test_clock_matches_tree_loop = TestReplicaContract.test_clock_matches_tree_loop
+
+    @pytest.fixture(autouse=True)
+    def broken_fast_path(self, monkeypatch):
+        pcg64_states = montecarlo._pcg64_states
+        monkeypatch.setattr(montecarlo, "_pcg64_states", lambda seed, *span: pcg64_states(seed + 1, *span))
+
+    def test_fallback_is_taken(self):
+        streams = list(montecarlo._replica_streams(5, 3))
+        assert streams[0] is not streams[1]
+        assert [g.bit_generator.state for g in streams] == [derive_stream(5, r).bit_generator.state for r in range(3)]
 
 
 FOUR_POINT = dyson.FertilityDistribution((0.2, 0.3, 0.1, 0.4))
@@ -604,6 +704,25 @@ class TestArgumentChecks:
             with pytest.raises(ValueError, match="^replicas must"):
                 estimate_extinction(config, 1.0, replicas, seed=1)
 
+    def test_feynman_kac_check_order(self):
+        # The checks run in this order: replicas, then t, n_steps and x0.
+        with pytest.raises(ValueError, match="^replicas must"):
+            feynman_kac_estimate(self.U, self.zero, math.nan, math.nan, 1, 0, seed=1)
+        with pytest.raises(ValueError, match="^t must"):
+            feynman_kac_estimate(self.U, self.zero, math.nan, math.nan, 10, 0, seed=1)
+        with pytest.raises(ValueError, match="^n_steps must"):
+            feynman_kac_estimate(self.U, self.zero, 1.0, math.nan, 10, 0, seed=1)
+
+    def test_mckean_check_order(self):
+        with pytest.raises(ValueError, match="one spatial dimension"):
+            estimate_mckean_product(BranchingConfig(1.0, BINARY_QUARTER, d=2, x0=(0.0, 0.0)), "phi", math.nan, 1, 1)
+        with pytest.raises(ValueError, match="^phi must"):
+            estimate_mckean_product(binary_config(0.25), kernels.SampledFunction(0.0, 1.0, [2.0, 2.0]), math.nan, 1, 1)
+        with pytest.raises(ValueError, match="^t must"):
+            estimate_mckean_product(binary_config(0.25), self.PHI, math.nan, 1, seed=1)
+        with pytest.raises(ValueError, match="^replicas must"):
+            estimate_mckean_product(binary_config(0.25), self.PHI, 1.0, 1, seed=1)
+
     def test_lifetime_ks(self):
         with pytest.raises(ValueError, match="^rate must"):
             lifetime_ks([0.5, 1.0], math.nan)
@@ -611,3 +730,24 @@ class TestArgumentChecks:
             lifetime_ks([0.5, math.nan], 1.0)
         with pytest.raises(ValueError, match="^times must"):
             lifetime_ks([], 1.0)
+
+
+class TestKolmogorovTail:
+    def test_against_scipy_on_a_grid_with_zero(self):
+        for lam in [0.0, 1e-3, 0.011, 0.02, 0.04, 0.0424, 0.0425, 0.05, 0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 5.0]:
+            assert abs(montecarlo._kolmogorov_sf(lam) - stats.kstwobign.sf(lam)) <= 4e-15
+
+    def test_alternating_series_keeps_its_bits(self):
+        # Above the switch the p-value is the 100-term alternating sum, clipped to [0, 1].
+        ks = np.arange(1, 101)
+        for lam in [0.04244, 0.05, 0.1, 0.37, 0.9, 1.3, 2.2, 4.0, 7.5]:
+            p = 2.0 * float(np.sum((-1.0) ** (ks - 1) * np.exp(-2.0 * ks**2 * lam**2)))
+            assert montecarlo._kolmogorov_sf(lam) == min(max(p, 0.0), 1.0)
+
+    def test_near_perfect_sample(self):
+        # Quantile-matched lifetimes: statistic 1/(2n), lam about 0.011 at n = 2000.
+        n = 2000
+        times = -np.log1p(-(np.arange(n) + 0.5) / n) / 2.0
+        stat, pvalue = lifetime_ks(times, 2.0)
+        assert stat == pytest.approx(0.5 / n)
+        assert pvalue == 1.0

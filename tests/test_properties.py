@@ -154,3 +154,13 @@ def test_lifetime_ks(times, rate):
     if result is not None:
         stat, pvalue = result
         assert 0.0 <= stat <= 1.0 and 0.0 <= pvalue <= 1.0
+
+
+@PROPERTY
+@given(st.integers(-(2**70), 2**70), st.integers(0, 2**32))
+def test_array_derived_stream_equals_derive_stream(seed, replica):
+    (state,) = montecarlo._pcg64_states(seed, replica, replica + 1)
+    assert state == montecarlo.derive_stream(seed, replica).bit_generator.state
+    other = montecarlo.derive_stream(seed + 1, replica)
+    other.bit_generator.state = state
+    assert other.random(3).tolist() == montecarlo.derive_stream(seed, replica).random(3).tolist()
