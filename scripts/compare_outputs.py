@@ -1,4 +1,4 @@
-"""Check that two source trees give the same CLI outputs.
+"""Check that two source trees give the same CLI and library outputs.
 
     python3 scripts/compare_outputs.py --parent PATH [--change PATH]
 
@@ -9,17 +9,27 @@ key the parent writes (the change may add keys).  The configs are the
 benchmark's extinction runs (alpha 0.25, horizon 60, 200 replicas,
 cap 10k, eight seeds) plus other laws and caps, ``gf`` runs, the
 benchmark's ``clock`` runs (gamma 2, dtau.max 3, 2000 replicas, seeds 0,
-5, 2**31 - 1 and 40,000) and ``kernel`` runs in d = 1, 2 and 3.  ``--change`` defaults to the tree
+5, 2**31 - 1 and 40,000) and ``kernel`` runs in d = 1, 2 and 3.
+
+It then runs library calls that no CLI subcommand makes, in one
+subprocess per tree (this script with ``--library``), and requires
+identical results: ``estimate_mckean_product`` as the benchmark calls it
+(binary 0.25, t 6, 150 replicas, phi = 0.5 + 0.1 sin(freq x + phase)),
+its exact float pair, and a sha256 of 40 ``simulate_branching`` trees
+(events, survivors, counts at six times, extinction time) for three
+offspring laws in d = 1, 2 and 3.  ``--change`` defaults to the tree
 holding this script.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import struct
 import tempfile
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -40,6 +50,45 @@ RUNS = (
        for d in (1, 2, 3)]
 )
 
+LIBRARY_RUNS = (
+    [("mckean", {"seed": seed, "freq": freq, "phase": phase})
+     for seed, freq, phase in ((0, 0.2, 0.0), (5, 1.1, 2.0), (2**31 - 1, 2.0, 4.5), (40_000, 0.7, 6.0))]
+    + [("tree", {"law": law, "d": d}) for law in ((0.25, 0.0, 0.75), (0.3, 0.2, 0.1, 0.4), (1.0,)) for d in (1, 2, 3)]
+)
+
+
+def library_value(kind: str, params: dict):
+    """The result of one library run, exactly (floats as hex), from the heatfield on sys.path."""
+    import numpy as np
+
+    from heatfield import dyson, kernels, montecarlo
+
+    if kind == "mckean":
+        xs = np.arange(-40.0, 40.0 + 1e-9, 0.1)
+        phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(params["freq"] * xs + params["phase"]))
+        config = montecarlo.BranchingConfig(1.0, dyson.FertilityDistribution.binary(0.25))
+        return [value.hex() for value in montecarlo.estimate_mckean_product(config, phi, 6.0, 150, params["seed"])]
+    d = params["d"]
+    config = montecarlo.BranchingConfig(1.0, dyson.FertilityDistribution(params["law"]), d=d, x0=(0.5, -1.25, 2.0)[:d])
+    digest = hashlib.sha256()
+    for r in range(40):
+        log = montecarlo.simulate_branching(config, 2.5, np.linspace(0.0, 2.5, 6), seed=31, replica=r)
+        for e in log.events:
+            digest.update(struct.pack("<d2q", e.time, e.parent, len(e.children)))
+            digest.update(repr((e.kind, e.children)).encode())
+            digest.update(np.asarray(e.position, dtype=float).tobytes())
+        digest.update(repr(log.final.ids).encode())
+        digest.update(np.ascontiguousarray(log.final.positions, dtype=float).tobytes())
+        digest.update(np.asarray(log.counts, dtype=np.int64).tobytes())
+        digest.update(struct.pack("<d", log.extinction_time))
+    return digest.hexdigest()
+
+
+def run_library(tree: str):
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    command = [sys.executable, os.path.abspath(__file__), "--library"]
+    return json.loads(subprocess.run(command, env=env, check=True, capture_output=True, text=True).stdout)
+
 
 def run(tree: str, kind: str, params: dict, workdir: str):
     cfg, csv = os.path.join(workdir, "run.cfg"), os.path.join(workdir, "run.csv")
@@ -54,9 +103,15 @@ def run(tree: str, kind: str, params: dict, workdir: str):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True, help="source tree of the parent commit")
+    parser.add_argument("--parent", help="source tree of the parent commit")
     parser.add_argument("--change", default=HERE, help="source tree of the change (default: this one)")
+    parser.add_argument("--library", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.library:
+        print(json.dumps([library_value(kind, params) for kind, params in LIBRARY_RUNS]))
+        return 0
+    if args.parent is None:
+        parser.error("--parent is required")
     failures = 0
     with tempfile.TemporaryDirectory() as workdir:
         for kind, params in RUNS:
@@ -66,7 +121,11 @@ def main(argv=None) -> int:
             added = {key: new_est[key] for key in new_est.keys() - old_est.keys()}
             failures += not same
             print(f"{'same' if same else 'DIFFERENT'}  {kind} {params}  sha256 {new_sha[:12]}  added {added}")
-    print(f"{len(RUNS) - failures} of {len(RUNS)} runs identical")
+    for (kind, params), old, new in zip(LIBRARY_RUNS, run_library(args.parent), run_library(args.change)):
+        failures += old != new
+        print(f"{'same' if old == new else 'DIFFERENT'}  library {kind} {params}  {new}")
+    total = len(RUNS) + len(LIBRARY_RUNS)
+    print(f"{total - failures} of {total} runs identical")
     return 1 if failures else 0
 
 

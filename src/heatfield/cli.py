@@ -252,11 +252,11 @@ def _run_clock(p):
     horizon = 50.0 / gamma
     dyson._check_count("replicas", replicas)  # keeps the error order: replicas, then horizon
     montecarlo._check_time("horizon", horizon)
-    cdf, no_samples = config.offspring_cdf.tolist(), np.zeros(0)
+    cdf = config.offspring_cdf.tolist()
 
     def first_event(r, rng):
-        events = montecarlo._branching_tree(config, cdf, horizon, no_samples, rng).events
-        return events[0].time if events else math.nan
+        events = montecarlo._branching_tree(config, cdf, horizon, rng)[0]
+        return events[0][0] if events else math.nan
 
     times = montecarlo._replica_values(replicas, seed, first_event)
     times = times[~np.isnan(times)]

@@ -21,13 +21,16 @@ The branching simulator is event driven: every particle carries an
 exponential lifetime, diffuses by exact Gaussian increments between
 events, and is replaced at death by k children (drawn from the
 offspring law) at its death position.  There is no time discretization
-anywhere, so branching statistics carry Monte Carlo error only.
+anywhere, so branching statistics carry Monte Carlo error only.  The
+walk runs on Python floats and returns plain tuples; only
+simulate_branching builds the Event/EventLog dataclasses from them.
 
 Within one replica the draw order is fixed and documented by the
 implementations: the tree simulator draws, per event in time order,
-the parent displacement, then the offspring count, then the children's
-lifetimes, and finally one endpoint displacement per survivor in id
-order; the mass-only simulator draws uniforms and exponentials in blocks
+the parent displacement (d scalar standard normals, the numbers of
+standard_normal(d)), then the offspring count, then the children's
+lifetimes in id order, and finally one endpoint displacement per
+survivor in id order; the mass-only simulator draws uniforms and exponentials in blocks
 of 64, 256, 1024, 4096, 16384, then 65536 repeating, and returns the
 whole jump chain, so one walk per replica serves every time read from it.
 
@@ -48,6 +51,7 @@ import bisect
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +78,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -224,7 +229,11 @@ def feynman_kac_estimate(
     ``u`` is evaluated by linear interpolation on its grid.  Returns
     (estimate, stderr).  One spatial dimension.  Raises ValueError
     unless replicas is an integer >= 2, x is finite, t is finite and
-    > 0 and n_steps is an integer >= 1.
+    > 0 and n_steps is an integer >= 1; and, on the first replica
+    where it happens, if v returns other than one value per point
+    (shape (n_steps,)), if the Riemann sum is NaN (v returned NaN, or
+    both +inf and -inf), or if exp(-sum) overflows (v not bounded below
+    on that path, as for a potential of -1e6).
     """
     x0 = float(np.asarray(x, dtype=float).reshape(()))
     _check_count("replicas", replicas, least=2)  # checked before the path arguments
@@ -232,7 +241,14 @@ def feynman_kac_estimate(
 
     def one(r, rng):
         path = _brownian_path(start, t, n_steps, rng)[:, 0]
-        exponent = t / n_steps * float(np.sum(np.asarray(v(path[:-1]), dtype=float)))
+        potential = np.asarray(v(path[:-1]), dtype=float)
+        if potential.shape != (n_steps,):
+            raise ValueError(f"v must return shape ({n_steps},), one value per path point; got {potential.shape}")
+        exponent = t / n_steps * float(np.sum(potential))
+        if math.isnan(exponent):
+            raise ValueError(f"v returned NaN (or both +inf and -inf) on the path of replica {r}")
+        if -exponent > _LOG_FLOAT_MAX:
+            raise ValueError(f"v is not bounded below on the path of replica {r}: exp({-exponent:g}) overflows")
         return float(u(path[-1])) * math.exp(-exponent)
 
     return _replica_mean(replicas, seed, one)
@@ -316,70 +332,70 @@ def simulate_branching(
     as a Brownian motion; at death it is replaced, at its death
     position, by k children drawn from the offspring law.  Positions
     are advanced by single Gaussian increments between birth and death
-    (or horizon), which is exact in law.  Raises
-    PopulationExplosionError when the live count passes
-    config.max_particles, and ValueError unless horizon is finite and
-    >= 0 and every sample time lies in [0, horizon].
+    (or horizon), which is exact in law.  The root has id 0; an event's
+    children get the next k consecutive ids in order, their lifetimes
+    are drawn in id order, and "the first child" of an event is its
+    lowest id, children[0].  Raises PopulationExplosionError when the
+    live count passes config.max_particles, and ValueError unless
+    horizon is finite and >= 0 and every sample time lies in
+    [0, horizon].
     """
     _check_time("horizon", horizon)
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size and not np.all((sample_times >= 0) & (sample_times <= horizon)):
         raise ValueError("sample_times must lie within [0, horizon]")
-    return _branching_tree(config, config.offspring_cdf.tolist(), horizon, sample_times, derive_stream(seed, replica))
+    records, ids, positions = _branching_tree(config, config.offspring_cdf.tolist(), horizon, derive_stream(seed, replica))
+    events = [
+        Event(time, "branch" if k else "death", parent, tuple(range(first, first + k)), np.array(pos))
+        for time, parent, first, k, pos in records
+    ]
+    counts = np.zeros(0, dtype=int)
+    if sample_times.size:  # live count after each event, read at the sample times
+        live = np.cumsum([1] + [k - 1 for _, _, _, k, _ in records])
+        counts = live[np.searchsorted([e.time for e in events], sample_times, side="right")]
+    return EventLog(
+        events=events,
+        final=PopulationSnapshot(float(horizon), ids, positions),
+        sample_times=sample_times,
+        counts=counts,
+        extinction_time=float("inf") if ids else events[-1].time,
+    )
 
 
-def _branching_tree(config, cdf, horizon, sample_times, rng):
-    # simulate_branching once its arguments are checked; cdf is config.offspring_cdf as a list.
-    gamma = config.gamma
-    x0 = np.asarray(config.x0, dtype=float)
-
-    births = {0: (0.0, x0)}
-    heap = [(rng.standard_exponential() / gamma, 0)]
+def _branching_tree(config, cdf, horizon, rng):
+    # simulate_branching's walk once its arguments are checked; cdf is config.offspring_cdf as a list.
+    # Returns events (time, parent, first_child_id, k, position tuple), the survivor ids and their
+    # (len(ids), d) positions.  d scalar normals are the numbers (and stream use) of standard_normal(d).
+    gamma, normal, exponential = config.gamma, rng.standard_normal, rng.standard_exponential
+    births = {0: (0.0, config.x0)}
+    heap = [(exponential() / gamma, 0)]
     next_id = 1
     live = 1
     events = []
-    extinction_time = float("inf")
 
     while heap and heap[0][0] <= horizon:
         death_time, pid = heapq.heappop(heap)
         birth_time, birth_pos = births.pop(pid)
-        displacement = rng.standard_normal(config.d) * math.sqrt(death_time - birth_time)
-        pos = birth_pos + displacement
+        scale = math.sqrt(death_time - birth_time)
+        pos = tuple([c + normal() * scale for c in birth_pos])
         k = bisect.bisect_right(cdf, rng.random())  # = np.searchsorted(cdf, u, side="right")
-        children = tuple(range(next_id, next_id + k))
-        for cid in children:
+        for cid in range(next_id, next_id + k):
             births[cid] = (death_time, pos)
-            heapq.heappush(heap, (death_time + rng.standard_exponential() / gamma, cid))
+            heapq.heappush(heap, (death_time + exponential() / gamma, cid))
+        events.append((death_time, pid, next_id, k, pos))
         next_id += k
         live += k - 1
-        events.append(Event(death_time, "branch" if k else "death", pid, children, pos))
         if live > config.max_particles:
             raise PopulationExplosionError(
                 f"live population exceeded max_particles={config.max_particles} "
                 f"at t={death_time:g}"
             )
         if live == 0:
-            extinction_time = death_time
             break
 
-    survivor_ids = tuple(sorted(births))
-    positions = np.empty((len(survivor_ids), config.d))
-    for row, sid in enumerate(survivor_ids):
-        birth_time, birth_pos = births[sid]
-        positions[row] = birth_pos + rng.standard_normal(config.d) * math.sqrt(horizon - birth_time)
-
-    counts = np.zeros(0, dtype=int)
-    if sample_times.size:  # live count after each event, read at the sample times
-        live = np.cumsum([1] + [len(e.children) - 1 for e in events])
-        counts = live[np.searchsorted([e.time for e in events], sample_times, side="right")]
-
-    return EventLog(
-        events=events,
-        final=PopulationSnapshot(float(horizon), survivor_ids, positions),
-        sample_times=sample_times,
-        counts=counts,
-        extinction_time=extinction_time,
-    )
+    ids = tuple(sorted(births))
+    positions = [c + normal() * math.sqrt(horizon - births[sid][0]) for sid in ids for c in births[sid][1]]
+    return events, ids, np.reshape(positions, (len(ids), config.d))
 
 
 # Fixed block schedule for the mass-only simulator; part of the
@@ -560,12 +576,8 @@ def estimate_mckean_product(
     if np.any(phi.values < 0.0) or np.any(phi.values > 1.0):
         raise ValueError("phi must take values in [0, 1]")
     _check_time("t", t)
-    cdf, no_samples = config.offspring_cdf.tolist(), np.zeros(0)
-    return _replica_mean(
-        replicas,
-        seed,
-        lambda r, rng: float(np.prod(phi(_branching_tree(config, cdf, t, no_samples, rng).final.positions[:, 0]))),
-    )
+    cdf = config.offspring_cdf.tolist()
+    return _replica_mean(replicas, seed, lambda r, rng: float(np.prod(phi(_branching_tree(config, cdf, t, rng)[2][:, 0]))))
 
 
 def lifetime_ks(times, rate: float):

@@ -1,5 +1,8 @@
+import bisect
+import hashlib
 import itertools
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +71,23 @@ def horizon_walk_oracle(gamma, cdf, horizon, cap, rng):
             return float("inf"), int(n_after[j_x]), True
         n = int(n_after[-1])
         t = float(event_times[-1])
+
+
+def tree_digest(law, d, replicas=12):
+    """sha256 over simulate_branching replicas 0 .. replicas-1 (seed 31, horizon 2.5, six sample times)."""
+    config = BranchingConfig(1.0, dyson.FertilityDistribution(law), d=d, x0=(0.5, -1.25, 2.0)[:d])
+    digest = hashlib.sha256()
+    for r in range(replicas):
+        log = simulate_branching(config, 2.5, np.linspace(0.0, 2.5, 6), seed=31, replica=r)
+        for e in log.events:
+            digest.update(struct.pack("<d2q", e.time, e.parent, len(e.children)))
+            digest.update(repr((e.kind, e.children)).encode())
+            digest.update(np.asarray(e.position, dtype=float).tobytes())
+        digest.update(repr(log.final.ids).encode())
+        digest.update(np.ascontiguousarray(log.final.positions, dtype=float).tobytes())
+        digest.update(np.asarray(log.counts, dtype=np.int64).tobytes())
+        digest.update(struct.pack("<d", log.extinction_time))
+    return digest.hexdigest()
 
 
 class TestStreams:
@@ -242,10 +262,24 @@ class TestSimulateBranching:
         config = binary_config(0.0, gamma=3.0)  # every event branches
         log = simulate_branching(config, 1.0, (), seed=15)
         assert log.events[0].parent == 0 and log.events[0].children == (1, 2)
+        # Child order: the first event's draws replayed from its stream.  The children
+        # draw their lifetimes in id order, although child 2 dies first here.
+        rng = derive_stream(15, 0)
+        death = rng.standard_exponential() / 3.0
+        position = 0.0 + rng.standard_normal() * math.sqrt(death)
+        assert bisect.bisect_right(config.offspring_cdf.tolist(), rng.random()) == 2
+        lifetimes = [death + rng.standard_exponential() / 3.0 for _ in range(2)]
+        assert log.events[0].time == death and log.events[0].position.tolist() == [position]
+        deaths = {event.parent: event.time for event in log.events}
+        assert [deaths[1], deaths[2]] == lifetimes and deaths[2] < deaths[1]
+        next_id = 1  # every event's children take the next consecutive ids, the first child the lowest
         birth_positions = {}
         for event in log.events:
+            assert event.children == tuple(range(next_id, next_id + len(event.children)))
+            next_id += len(event.children)
             for cid in event.children:
                 birth_positions[cid] = event.position
+        assert log.final.ids == tuple(sorted(set(range(next_id)) - deaths.keys()))
         for event in log.events[1:]:
             assert event.kind == "branch"
             assert len(event.children) == 2
@@ -263,8 +297,26 @@ class TestSimulateBranching:
         assert k == 2
         log = simulate_branching(config, death, (), seed=17, replica=2)
         assert log.events[0].time == death and len(log.events[0].children) == k
-        first = montecarlo._branching_tree(config, cdf.tolist(), death, np.zeros(0), derive_stream(17, 2)).events[0]
-        assert first.children == log.events[0].children
+        _, _, first_child, count, _ = montecarlo._branching_tree(config, cdf.tolist(), death, derive_stream(17, 2))[0][0]
+        assert tuple(range(first_child, first_child + count)) == log.events[0].children
+
+    @pytest.mark.parametrize(
+        "law, d, digest",
+        [
+            ((0.25, 0.0, 0.75), 1, "6b6c37fd765ae42a0c49a59c09b28d5c7960a64d10f1b13c127a579c54f6149b"),
+            ((0.25, 0.0, 0.75), 2, "ea45f0429490d01059a146de1d7b47bdd54174fc4940d249a205c479126cdb59"),
+            ((0.25, 0.0, 0.75), 3, "359637df4352bfaf06722a126d0a468dc7d4484824f91809bb63592b95f1f295"),
+            ((0.3, 0.2, 0.1, 0.4), 1, "c3dc4d2ed96e63f2255017cd6ce50aa6450826db81f5d101132779c88433e8d0"),
+            ((0.3, 0.2, 0.1, 0.4), 2, "e5fa93037dc1f876179cafae18bcfa0956b51be92d6c505bdf30cf0de60ba080"),
+            ((0.3, 0.2, 0.1, 0.4), 3, "36f7596a58c7a3fa4a5f6b9191cbb96aa5ecbc812ec6bda8685a48438c997795"),
+            ((1.0,), 1, "08666ab2a276c3488dafc30e2c6b33c6804b6c1f6faecc616812c0513cade1b7"),
+            ((1.0,), 2, "d6661596d9924ed15373f2fd960fba97360e239a5d59e9dfa9dc8bf0dd6dcb99"),
+            ((1.0,), 3, "94a4463a7f3dae36e80a2ee06ceb0fb150bf680ee3d8a3759cd6761dcc87ff78"),
+        ],
+    )
+    def test_drawn_numbers_pinned(self, law, d, digest):
+        # sha256 of 12 trees' events, survivors, counts and extinction times, as v0.3.0 drew them.
+        assert tree_digest(law, d) == digest
 
     def test_sample_times_validated(self):
         with pytest.raises(ValueError):
@@ -388,6 +440,20 @@ class TestMcKeanProduct:
         phi = kernels.SampledFunction(-5.0, 0.1, np.ones(101))
         est, err = estimate_mckean_product(binary_config(0.25), phi, 1.0, 300, seed=33)
         assert est == 1.0 and err == 0.0
+
+    @pytest.mark.parametrize(
+        "seed, estimate, stderr",
+        [
+            (1, "0x1.5a3a8d88a93a7p-1", "0x1.9d2fd129ee389p-5"),
+            (7, "0x1.3ada940bee953p-1", "0x1.ca19a522ca628p-5"),
+            (123456, "0x1.2efa1f50f364dp-1", "0x1.a69d208430c73p-5"),
+        ],
+    )
+    def test_estimates_pinned(self, seed, estimate, stderr):
+        # The exact floats of v0.3.0 (40 replicas, binary .25, t 1.5).
+        phi = kernels.SampledFunction.sample(lambda x: 1.0 - 0.5 * np.exp(-(x**2)), -6.0, 0.05, 241)
+        result = estimate_mckean_product(binary_config(0.25), phi, 1.5, 40, seed)
+        assert result == (float.fromhex(estimate), float.fromhex(stderr))
 
     def test_validation(self):
         phi = kernels.SampledFunction(-5.0, 0.1, np.full(101, 1.5))
@@ -712,6 +778,22 @@ class TestArgumentChecks:
             feynman_kac_estimate(self.U, self.zero, math.nan, math.nan, 10, 0, seed=1)
         with pytest.raises(ValueError, match="^n_steps must"):
             feynman_kac_estimate(self.U, self.zero, 1.0, math.nan, 10, 0, seed=1)
+
+    def test_feynman_kac_potential(self):
+        bad = [
+            (lambda xs: np.full(xs.shape, math.nan), "^v returned NaN"),
+            (lambda xs: np.ones(3), r"^v must return shape \(20,\)"),
+            (lambda xs: 1.0, r"^v must return shape \(20,\)"),
+            (lambda xs: np.full(xs.shape, -1e6), "^v is not bounded below"),
+            (lambda xs: np.full(xs.shape, -math.inf), "^v is not bounded below"),
+        ]
+        for v, message in bad:
+            with pytest.raises(ValueError, match=message):
+                feynman_kac_estimate(self.U, v, 1.0, 0.0, 10, 20, seed=1)
+        # A potential of -700 is still bounded below, and one of +inf kills every path.
+        est, _ = feynman_kac_estimate(self.U, lambda xs: np.full(xs.shape, -700.0), 1.0, 0.0, 10, 20, seed=1)
+        assert est == pytest.approx(math.exp(700.0))
+        assert feynman_kac_estimate(self.U, lambda xs: np.full(xs.shape, math.inf), 1.0, 0.0, 10, 20, seed=1) == (0.0, 0.0)
 
     def test_mckean_check_order(self):
         with pytest.raises(ValueError, match="one spatial dimension"):
