@@ -7,18 +7,22 @@ on ``PYTHONPATH``, one subprocess per run) and requires, for every run,
 the same CSV sha256 and the same value for every manifest ``estimates``
 key the parent writes (the change may add keys).  The configs are the
 benchmark's extinction runs (alpha 0.25, horizon 60, 200 replicas,
-cap 10k, eight seeds) plus other laws and caps, ``gf`` runs, the
-benchmark's ``clock`` runs (gamma 2, dtau.max 3, 2000 replicas, seeds 0,
-5, 2**31 - 1 and 40,000) and ``kernel`` runs in d = 1, 2 and 3.
+cap 10k, eight seeds) plus other laws and caps, ``gf`` runs, both kinds
+again at 257 and 600 replicas (more than one 256-replica chunk of the
+mass-only walker), the benchmark's ``clock`` runs (gamma 2, dtau.max 3,
+2000 replicas, seeds 0, 5, 2**31 - 1 and 40,000) and ``kernel`` runs in
+d = 1, 2 and 3.
 
 It then runs library calls that no CLI subcommand makes, in one
 subprocess per tree (this script with ``--library``), and requires
 identical results: ``estimate_mckean_product`` as the benchmark calls it
 (binary 0.25, t 6, 150 replicas, phi = 0.5 + 0.1 sin(freq x + phase)),
-its exact float pair, and a sha256 of 40 ``simulate_branching`` trees
+its exact float pair, a sha256 of 40 ``simulate_branching`` trees
 (events, survivors, counts at six times, extinction time) for three
-offspring laws in d = 1, 2 and 3.  ``--change`` defaults to the tree
-holding this script.  Exits 1 on any difference.
+offspring laws in d = 1, 2 and 3, and the exact floats of
+``estimate_extinction`` and ``estimate_generating_function`` (cap 10k,
+one time or several) at 257 to 600 replicas.  ``--change`` defaults to
+the tree holding this script.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -45,6 +49,10 @@ RUNS = (
     ]
     + [("gf", {"alpha": 0.25, "gamma": 1.0, "theta": theta, "t.max": 1.0, "replicas": 150, "seed": seed})
        for theta, seed in ((0.5, 11), (0.0, 12), (0.9, 13))]
+    + [(kind, dict(params, replicas=replicas, seed=seed))  # across the 256-replica chunk of the walker
+       for kind, params in (("extinction", EXTINCTION),
+                            ("gf", {"alpha": 0.25, "gamma": 1.0, "theta": 0.5, "t.max": 1.0}))
+       for replicas, seed in ((257, 21), (600, 22))]
     + [("clock", {"gamma": 2.0, "dtau.max": 3.0, "replicas": 2000, "seed": seed}) for seed in (0, 5, 2**31 - 1, 40_000)]
     + [("kernel", {"gamma": 0.3, "d": d, "t.min": 0.05, "t.max": 3.0, "t.count": 40, "r.max": 6.0, "r.count": 60})
        for d in (1, 2, 3)]
@@ -54,6 +62,11 @@ LIBRARY_RUNS = (
     [("mckean", {"seed": seed, "freq": freq, "phase": phase})
      for seed, freq, phase in ((0, 0.2, 0.0), (5, 1.1, 2.0), (2**31 - 1, 2.0, 4.5), (40_000, 0.7, 6.0))]
     + [("tree", {"law": law, "d": d}) for law in ((0.25, 0.0, 0.75), (0.3, 0.2, 0.1, 0.4), (1.0,)) for d in (1, 2, 3)]
+    + [("extinction", {"alpha": alpha, "horizon": horizon, "replicas": replicas, "seed": seed})
+       for alpha, horizon, replicas, seed in ((0.25, 60.0, 600, 3), (0.4, 60.0, 257, 4), (0.5, 5.0, 300, 5))]
+    + [("gf", {"alpha": alpha, "theta": theta, "t": t, "replicas": replicas, "seed": seed})
+       for alpha, theta, t, replicas, seed in ((0.25, 0.5, 1.0, 600, 6), (0.25, 0.0, [0.5, 1.0, 2.0], 257, 7),
+                                               (0.4, 0.9, [0.25, 3.0], 300, 8))]
 )
 
 
@@ -63,6 +76,15 @@ def library_value(kind: str, params: dict):
 
     from heatfield import dyson, kernels, montecarlo
 
+    if kind in ("extinction", "gf"):
+        config = montecarlo.BranchingConfig(1.0, dyson.FertilityDistribution.binary(params["alpha"]), max_particles=10_000)
+        if kind == "extinction":
+            result = montecarlo.estimate_extinction(config, params["horizon"], params["replicas"], params["seed"])
+        else:
+            result = montecarlo.estimate_generating_function(
+                config, params["theta"], np.array(params["t"]), params["replicas"], params["seed"]
+            )
+        return [[v.hex() for v in np.atleast_1d(value).tolist()] for value in result]
     if kind == "mckean":
         xs = np.arange(-40.0, 40.0 + 1e-9, 0.1)
         phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(params["freq"] * xs + params["phase"]))

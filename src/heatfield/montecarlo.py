@@ -7,15 +7,18 @@ are reproducible and replicas are independent work units:
   ``PCG64(splitmix64(s + (r + 1) * 0x9E3779B97F4A7C15))`` (all mod
   2**64, splitmix64 being the standard 64-bit finalizer below);
   ``derive_stream`` is the reference for that stream;
-* one loop, ``_replica_values``, runs the replicas of every estimator
-  and collects their results in replica order; numpy's pairwise sum
-  reduces them, so estimates do not depend on replica scheduling;
-* that loop derives the PCG64 states of all its replicas in one
-  vectorised pass (numpy's SeedSequence hashing and PCG64 seeding,
-  mirrored in integer arrays) equal to ``derive_stream`` bit for bit,
-  and sets them in turn on one reused generator.  Each run checks
-  replica 0 against ``derive_stream`` and falls back to calling it per
-  replica if numpy's PCG64 seeding or state layout differs.
+* the path and tree estimators run their replicas through one loop,
+  ``_replica_values``, and the population estimators through one
+  lockstep walker of the mass-only jump chain, ``_mass_walks``; both
+  collect results in replica order, and numpy's pairwise sum reduces
+  them, so estimates do not depend on replica scheduling;
+* both take their streams from ``_replica_streams``, which derives the
+  PCG64 states of up to 256 replicas in one vectorised pass (numpy's
+  SeedSequence hashing and PCG64 seeding, mirrored in integer arrays)
+  equal to ``derive_stream`` bit for bit, and sets them in turn on one
+  reused generator.  Each run checks replica 0 against
+  ``derive_stream`` and falls back to calling it per replica if numpy's
+  PCG64 seeding or state layout differs.
 
 The branching simulator is event driven: every particle carries an
 exponential lifetime, diffuses by exact Gaussian increments between
@@ -30,9 +33,13 @@ implementations: the tree simulator draws, per event in time order,
 the parent displacement (d scalar standard normals, the numbers of
 standard_normal(d)), then the offspring count, then the children's
 lifetimes in id order, and finally one endpoint displacement per
-survivor in id order; the mass-only simulator draws uniforms and exponentials in blocks
-of 64, 256, 1024, 4096, 16384, then 65536 repeating, and returns the
-whole jump chain, so one walk per replica serves every time read from it.
+survivor in id order; the mass-only walker draws uniforms, then
+exponentials, in blocks of 64, 256, 1024, 4096, 16384, then 65536
+repeating.  It walks each replica's chain once and keeps only its end
+and its counts at the requested times, so one walk serves every time
+read from it.  Replicas walk in lockstep, block by block, each from its
+own saved generator state, so every replica draws the numbers of a
+walk on its own.
 
 The extinction sampler stops a walk early, once extinction is out of
 reach.  A population of n dies out with probability q**n, where q is the
@@ -182,10 +189,15 @@ def _replica_values(replicas, seed, one):
 
 
 def _replica_mean(replicas, seed, one):
-    # (mean, stderr): floats, or per row entry each reduced as one contiguous array (pairwise sum).
-    columns = np.ascontiguousarray(_replica_values(_check_count("replicas", replicas, least=2), seed, one).T)
+    return _mean_stderr(_replica_values(_check_count("replicas", replicas, least=2), seed, one))
+
+
+def _mean_stderr(values):
+    # (mean, stderr) of per-replica values: floats, or per row entry each reduced as one contiguous
+    # array (pairwise sum), so an entry's estimate does not depend on the others.
+    columns = np.ascontiguousarray(values.T)
     mean = np.mean(columns, axis=-1)
-    stderr = np.std(columns, axis=-1, ddof=1) / math.sqrt(replicas)
+    stderr = np.std(columns, axis=-1, ddof=1) / math.sqrt(columns.shape[-1])
     return (mean, stderr) if columns.ndim > 1 else (float(mean), float(stderr))
 
 
@@ -403,39 +415,79 @@ def _branching_tree(config, cdf, horizon, rng):
 _BLOCK_SCHEDULE = (64, 256, 1024, 4096, 16384, 65536)
 
 
-def _total_mass_run(gamma, cdf, horizon, cap, rng):
-    """Jump chain of the live count only (no positions).
+_WALK_CELLS = 1 << 12  # rows * block of one lockstep pass, at most (one row for longer blocks)
+
+
+def _mass_walks(gamma, cdf, horizon, cap, replicas, seed, grid=(), halt=False):
+    """Mass-only jump chains (live count only, no positions) of replicas 0 .. replicas-1.
 
     The total population is a continuous-time branching walk: with n
-    particles alive the next clock fires after Exp(n*gamma) and changes
-    n by k - 1.  Returns (times, counts): the event times up to the
-    horizon and the live count after each, led by the initial 1, so N_s
-    is counts[searchsorted(times, s, "right")].  The chain ends at the
-    horizon, at 0 or past the cap.  Draws per block: uniforms for the
-    offspring counts first, then exponential spacings.
-    """
-    n = 1
-    t = 0.0
-    times, counts = [], [[1]]
-    for block in itertools.chain(_BLOCK_SCHEDULE, itertools.repeat(_BLOCK_SCHEDULE[-1])):
-        ks = np.searchsorted(cdf, rng.random(block), side="right")  # < len(cdf): cdf[-1] is 1
-        spacings = rng.standard_exponential(block)
-        n_after = n + np.cumsum(ks - 1)
-        n_before = np.concatenate(([n], n_after[:-1])).astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            event_times = t + np.cumsum(spacings / (gamma * n_before))
+    particles alive the next clock fires after Exp(n*gamma) and changes n
+    by k - 1.  A chain ends at the horizon (its next event would fire past
+    it), at 0 or past the cap.  Replica r draws from derive_stream(seed,
+    r), per block of _BLOCK_SCHEDULE: uniforms for the offspring counts
+    first, then exponential spacings.  Returns (ends, finals, at_grid):
+    the time a chain hit 0 (inf if it did not), its last count (at the
+    horizon, 0 or past the cap) and, per replica, N_s at each time s of
+    the ascending grid in [0, horizon].  With halt, a replica past the cap
+    ends the run: replicas after the first such one are not walked.
 
-        crossed = event_times > horizon
-        stop = crossed | (n_after == 0) | (n_after > cap)
-        j = int(np.argmax(stop))
-        end = j + int(not crossed[j]) if stop[j] else block  # event j fires unless past the horizon
-        times.append(event_times[:end])
-        counts.append(n_after[:end])
-        if stop[j]:
-            break
-        n = int(n_after[-1])
-        t = float(event_times[-1])
-    return np.concatenate(times), np.concatenate(counts)
+    Each chunk of _STREAM_CHUNK replicas walks in lockstep: for block b,
+    every replica still walking sets its generator state, draws block b
+    and saves the state; the counts, times and stops of a pass are array
+    operations on (rows, block) arrays of at most _WALK_CELLS cells.  Each
+    replica's numbers and floating-point operations are those of a walk
+    on its own, so no drawn number depends on the others.
+    """
+    grid = np.asarray(grid, dtype=float)
+    ends, finals, t = np.full(replicas, math.inf), np.ones(replicas, dtype=np.int64), np.zeros(replicas)
+    at_grid = np.ones((replicas, grid.size), dtype=np.int64)
+    streams = _replica_streams(seed, replicas)
+    limit = replicas  # with halt: one past the first replica found past the cap
+    for first in range(0, replicas, _STREAM_CHUNK):
+        walking, states = np.arange(first, min(first + _STREAM_CHUNK, limit)), {}
+        for b, block in enumerate(itertools.chain(_BLOCK_SCHEDULE, itertools.repeat(_BLOCK_SCHEDULE[-1]))):
+            if not walking.size:
+                break
+            per_pass = max(1, _WALK_CELLS // block)
+            passes, walking = [walking[lo : lo + per_pass] for lo in range(0, walking.size, per_pass)], []
+            for rows in passes:
+                rows = rows[rows < limit]  # limit may have fallen in this block
+                uniforms, spacings = np.empty((rows.size, block)), np.empty((rows.size, block))
+                for i, r in enumerate(rows.tolist()):
+                    if b == 0:
+                        rng = next(streams)
+                    else:
+                        rng.bit_generator.state = states[r]
+                    rng.random(out=uniforms[i])
+                    rng.standard_exponential(out=spacings[i])
+                    states[r] = rng.bit_generator.state
+                ks = np.searchsorted(cdf, uniforms, side="right")  # < len(cdf): cdf[-1] is 1
+                # counts[:, i] is the live count before event i of the block; the last column, after its last event.
+                counts = np.cumsum(np.concatenate((finals[rows, None], ks - 1), axis=1), axis=1)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    event_times = t[rows, None] + np.cumsum(spacings / (gamma * counts[:, :-1].astype(float)), axis=1)
+
+                crossed = event_times > horizon
+                stop = crossed | (counts[:, 1:] == 0) | (counts[:, 1:] > cap)
+                at = np.arange(rows.size), np.argmax(stop, axis=1)
+                stopped = stop[at]
+                fired = np.where(stopped, at[1] + ~crossed[at], block)  # the stop event fires unless past the horizon
+                if grid.size:  # N_s is the count after the fired events at or before s
+                    width = grid.size + 1  # slot g of a row counts its events in (grid[g-1], grid[g]]
+                    slots = np.where(np.arange(block) < fired[:, None], np.searchsorted(grid, event_times), grid.size)
+                    seen = np.bincount((slots + width * at[0][:, None]).ravel(), minlength=width * rows.size)
+                    seen = np.cumsum(seen.reshape(-1, width)[:, :-1], axis=1)
+                    at_grid[rows] = np.where(seen > 0, np.take_along_axis(counts, seen, axis=1), at_grid[rows])
+                finals[rows], t[rows] = counts[at[0], fired], event_times[:, -1]
+                died = finals[rows] == 0
+                ends[rows[died]] = event_times[at][died]
+                burst = rows[finals[rows] > cap]
+                if halt and burst.size:
+                    limit = int(burst[0]) + 1  # replicas from limit on are dropped
+                walking.append(rows[~stopped])
+            walking = np.concatenate(walking)
+    return ends, finals, at_grid
 
 
 _STOP_EPSILON = 2.0**-100  # eps of the early stop (see _stop_level)
@@ -500,15 +552,15 @@ def sample_extinction_times(
     draws exactly the numbers of a walk to the cap.  Raises ValueError
     unless horizon is finite and >= 0 and replicas is an integer >= 1.
     """
+    return _extinction_run(config, horizon, replicas, seed)[0]
+
+
+def _extinction_run(config, horizon, replicas, seed):
+    # (times, L, bias bound): sample_extinction_times, with the stop level it walked to (see _stop_level).
     _check_time("horizon", horizon)
-    cdf = config.offspring_cdf
-    level, _ = _stop_level(config)
-
-    def one(r, rng):
-        times, counts = _total_mass_run(config.gamma, cdf, horizon, level, rng)
-        return times[-1] if counts[-1] == 0 else math.inf
-
-    return _replica_values(replicas, seed, one)
+    level, bound = _stop_level(config)
+    replicas = _check_count("replicas", replicas)
+    return _mass_walks(config.gamma, config.offspring_cdf, horizon, level, replicas, seed)[0], level, bound
 
 
 def estimate_extinction(config: BranchingConfig, horizon: float, replicas: int, seed: int):
@@ -545,18 +597,16 @@ def estimate_generating_function(
     _check_time("t", float(grid.min()))  # nan, negative and -inf times
     horizon = float(grid.max())
     _check_time("t", horizon)
-    cdf = config.offspring_cdf
-
-    def one(r, rng):
-        times, counts = _total_mass_run(config.gamma, cdf, horizon, config.max_particles, rng)
-        if counts[-1] > config.max_particles:
-            raise PopulationExplosionError(
-                f"replica {r} exceeded max_particles={config.max_particles} before t={horizon:g}"
-            )
-        powers = [float(theta) ** int(n) for n in counts[np.searchsorted(times, grid, side="right")]]
-        return powers if np.ndim(t) else powers[0]  # 0.0**0 == 1.0
-
-    return _replica_mean(replicas, seed, one)
+    replicas = _check_count("replicas", replicas, least=2)
+    cap = config.max_particles
+    _, finals, at_grid = _mass_walks(config.gamma, config.offspring_cdf, horizon, cap, replicas, seed, grid, halt=True)
+    if np.any(finals > cap):
+        raise PopulationExplosionError(
+            f"replica {int(np.argmax(finals > cap))} exceeded max_particles={cap} before t={horizon:g}"
+        )
+    distinct, where = np.unique(at_grid, return_inverse=True)
+    powers = np.array([float(theta) ** n for n in distinct.tolist()])[where.reshape(at_grid.shape)]  # 0.0**0 == 1.0
+    return _mean_stderr(powers if np.ndim(t) else powers[:, 0])
 
 
 def estimate_mckean_product(

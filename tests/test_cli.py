@@ -262,6 +262,29 @@ class TestMain:
         assert "heatfield twopoint: ValueError: x_step 0.5 must be <= sqrt(t_step) = 0.1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_twopoint_mass_curve_reaches_the_last_row(self):
+        # t.max 2 is not a whole number of t.step .3 steps, so the field runs to t = 2.1.
+        p = {"alpha": 0.5, "gamma": 1.0, "t.max": 2.0, "t.step": 0.3, "x.halfwidth": 10.0, "x.step": 0.1}
+        columns, estimates = cli._run_twopoint(p)
+        assert columns["t"][-1] == 0.3 * 7
+        assert columns["mass_curve"][-1] == dyson.mass_curve(0.5, 1.0, 0.3 * 7)(0.3 * 7)
+        assert abs(columns["mass_curve"][-1] - columns["slice_mass"][-1]) < 2e-4
+        assert estimates["max_mass_mismatch"] < 1e-3
+        # Where whole steps reach t.max, the curve is the one solved to t.max, bit for bit.
+        columns, _ = cli._run_twopoint(dict(p, **{"t.step": 0.05}))
+        np.testing.assert_array_equal(columns["mass_curve"], dyson.mass_curve(0.5, 1.0, 2.0)(columns["t"]))
+
+    def test_gf_ode_column_reaches_t_max(self):
+        law = dyson.FertilityDistribution.binary(0.25)
+        p = {"alpha": 0.25, "gamma": 1.2345, "theta": 0.5, "t.max": 1.0, "t.count": 11, "replicas": 2,
+             "seed": 0, "max.particles": 10**6}
+        columns, _ = cli._run_gf(p)
+        # 1000 * gamma * t.max is not whole: the default grid's last node, 1234 steps, is 0.99959.
+        assert abs(columns["ode"][-1] - dyson.one_point_ode(law, 1.2345, 0.5, 1.0, 1e-6)(1.0)) < 1e-8
+        # Where it is whole, the column is the default solve read at each t, bit for bit.
+        columns, _ = cli._run_gf(dict(p, gamma=1.0))
+        np.testing.assert_array_equal(columns["ode"], dyson.one_point_ode(law, 1.0, 0.5, 1.0)(columns["t"]))
+
     def test_manifest_hash_matches_csv_file(self, tmp_path):
         # A twopoint CSV of several 64 KiB blocks.
         cfg = write(

@@ -508,20 +508,18 @@ class TestReplicaContract:
         # One chain walked to t = 10 and read at t equals the oracle walked to t:
         # 0 once extinct, N_t while alive, the count past the cap once exploded.
         seen = set()
-        for alpha, cap in ((0.25, 10**6), (0.0, 64)):
+        grid = np.array([0.0, 0.1, 0.5, 1.0, 2.5, 10.0])
+        for alpha, cap in ((0.25, 10**6), (0.0, 64), (0.0, 40)):
             cdf = binary_config(alpha).offspring_cdf
             for seed in self.SEEDS:
+                ends, finals, at_grid = montecarlo._mass_walks(1.0, cdf, 10.0, cap, 300, seed, grid)
                 for r in range(300):
-                    times, counts = montecarlo._total_mass_run(1.0, cdf, 10.0, cap, derive_stream(seed, r))
-                    for t in (0.0, 0.1, 0.5, 1.0, 2.5, 10.0):
+                    for t, n_t in zip(grid, at_grid[r]):
                         t_ext, n_final, exploded = horizon_walk_oracle(1.0, cdf, t, cap, derive_stream(seed, r))
-                        assert counts[np.searchsorted(times, t, side="right")] == n_final
+                        assert n_t == n_final
                         seen.add("extinct" if math.isfinite(t_ext) else "exploded" if exploded else "alive")
-                    assert times.size == counts.size - 1
-                    assert np.all(np.diff(times) >= 0) and np.all(times <= 10.0)
-                    assert np.all((counts[:-1] > 0) & (counts[:-1] <= cap))  # only the last event stops the chain
-                    assert (times[-1] if counts[-1] == 0 else math.inf) == t_ext
-                    assert (counts[-1] > cap) == exploded
+                    # The last read above is at the horizon, t = 10.
+                    assert (ends[r], finals[r], finals[r] > cap) == (t_ext, n_final, exploded)
         assert seen == {"extinct", "alive", "exploded"}
 
     def test_gf_time_array_equals_scalar_calls(self):
@@ -613,6 +611,78 @@ class TestReplicaContract:
                 np.testing.assert_array_equal(log.counts, want)
 
 
+WALK_LAWS = [dyson.FertilityDistribution.binary(alpha) for alpha in (0.1, 0.25, 0.4)] + [
+    dyson.FertilityDistribution((0.3, 0.2, 0.1, 0.4)),
+    PURE_DEATH,
+    dyson.FertilityDistribution((0.0, 1.0)),
+]
+
+
+def oracle_walks(cdf, horizon, cap, replicas, seed):
+    """horizon_walk_oracle over derive_stream(seed, r), r < replicas, as arrays (ends, finals, exploded)."""
+    walks = [horizon_walk_oracle(1.0, cdf, horizon, cap, derive_stream(seed, r)) for r in range(replicas)]
+    return tuple(np.array(column) for column in zip(*walks))
+
+
+class TestMassWalks:
+    """The lockstep walker equals one oracle walk per replica, bit for bit."""
+
+    def test_replica_counts_across_chunks(self):
+        # 256 replicas form one chunk; a pass holds 64 rows of the first block.
+        cdf = binary_config(0.25).offspring_cdf
+        for cap in (40, 10_000):
+            want = oracle_walks(cdf, 3.0, cap, 600, seed=19)
+            for replicas in (1, 255, 256, 257, 600):
+                ends, finals, _ = montecarlo._mass_walks(1.0, cdf, 3.0, cap, replicas, 19)
+                np.testing.assert_array_equal(ends, want[0][:replicas])
+                np.testing.assert_array_equal(finals, want[1][:replicas])
+                np.testing.assert_array_equal(finals > cap, want[2][:replicas])
+
+    def test_laws_horizons_and_caps(self):
+        kinds = set()
+        for law, horizon, cap in itertools.product(WALK_LAWS, (0.0, 3.0, 60.0), (1, 40, 10_000)):
+            cdf = BranchingConfig(1.0, law).offspring_cdf
+            ends, finals, exploded = oracle_walks(cdf, horizon, cap, 260, seed=5)
+            got = montecarlo._mass_walks(1.0, cdf, horizon, cap, 260, 5)
+            np.testing.assert_array_equal(got[0], ends)
+            np.testing.assert_array_equal(got[1], finals)
+            np.testing.assert_array_equal(got[1] > cap, exploded)
+            kinds.update(np.where(np.isfinite(ends), "extinct", np.where(exploded, "exploded", "alive")).tolist())
+        assert kinds == {"extinct", "alive", "exploded"}
+
+    def test_small_passes_walk_the_same(self, monkeypatch):
+        # One row per pass of every block walks the numbers of the default passes.
+        cdf = binary_config(0.4).offspring_cdf
+        grid = np.linspace(0.0, 20.0, 7)
+        want = montecarlo._mass_walks(1.0, cdf, 20.0, 500, 300, 8, grid)
+        monkeypatch.setattr(montecarlo, "_WALK_CELLS", 1)
+        for got, expected in zip(montecarlo._mass_walks(1.0, cdf, 20.0, 500, 300, 8, grid), want):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_gf_equals_per_replica_oracle(self):
+        ts = np.array([0.25, 0.5, 1.0, 1.5])
+        config = binary_config(0.25)
+        for theta in (0.0, 0.5, 1.0):
+            values = np.empty((300, ts.size))
+            for r in range(300):
+                for i, t in enumerate(ts):
+                    t_ext, n, _ = horizon_walk_oracle(1.0, config.offspring_cdf, t, 10**6, derive_stream(7, r))
+                    values[r, i] = theta ** (0 if math.isfinite(t_ext) else n)
+            columns = [np.ascontiguousarray(values[:, i]) for i in range(ts.size)]
+            est, err = estimate_generating_function(config, theta, ts, 300, seed=7)
+            assert est.tolist() == [float(np.mean(c)) for c in columns]
+            assert err.tolist() == [float(np.std(c, ddof=1) / math.sqrt(300)) for c in columns]
+
+    def test_gf_explosion_names_the_first_replica(self):
+        # Of replicas 0-7 only 3 and 7 pass the cap, 7 in its second block and 3 in its third.
+        config = binary_config(0.4, cap=100)
+        exploded = oracle_walks(config.offspring_cdf, 20.0, 100, 8, seed=152)[2]
+        assert np.flatnonzero(exploded).tolist() == [3, 7]
+        for replicas in (8, 300):
+            with pytest.raises(PopulationExplosionError, match="^replica 3 exceeded max_particles=100 before t=20$"):
+                estimate_generating_function(config, 0.5, 20.0, replicas, seed=152)
+
+
 class TestReplicaContractWithoutFastStreams:
     """The replica-loop oracles above when the array-derived replica 0 state disagrees with derive_stream."""
 
@@ -622,6 +692,9 @@ class TestReplicaContractWithoutFastStreams:
     test_mckean_matches_tree_loop = TestReplicaContract.test_mckean_matches_tree_loop
     test_gf_matches_oracle_walks = TestReplicaContract.test_gf_matches_oracle_walks
     test_clock_matches_tree_loop = TestReplicaContract.test_clock_matches_tree_loop
+    test_replica_counts_across_chunks = TestMassWalks.test_replica_counts_across_chunks
+    test_gf_equals_per_replica_oracle = TestMassWalks.test_gf_equals_per_replica_oracle
+    test_gf_explosion_names_the_first_replica = TestMassWalks.test_gf_explosion_names_the_first_replica
 
     @pytest.fixture(autouse=True)
     def broken_fast_path(self, monkeypatch):
@@ -679,13 +752,13 @@ class TestEarlyStop:
         # Bit for bit against walks to the full 10k cap; some replicas really stop at L.
         walked = []
 
-        def spy(gamma, cdf, horizon, cap, rng):
-            times, counts = total_mass_run(gamma, cdf, horizon, cap, rng)
-            walked.append((cap, int(counts[-1])))
-            return times, counts
+        def spy(gamma, cdf, horizon, cap, replicas, seed, *rest, **options):
+            ends, finals, at_grid = mass_walks(gamma, cdf, horizon, cap, replicas, seed, *rest, **options)
+            walked.extend((cap, int(last)) for last in finals)
+            return ends, finals, at_grid
 
-        total_mass_run = montecarlo._total_mass_run
-        monkeypatch.setattr(montecarlo, "_total_mass_run", spy)
+        mass_walks = montecarlo._mass_walks
+        monkeypatch.setattr(montecarlo, "_mass_walks", spy)
         laws = [dyson.FertilityDistribution.binary(alpha) for alpha in (0.1, 0.25, 0.4)] + [FOUR_POINT]
         for law in laws:
             config = BranchingConfig(1.0, law, max_particles=10_000)
