@@ -10,8 +10,15 @@ benchmark's extinction runs (alpha 0.25, horizon 60, 200 replicas,
 cap 10k, eight seeds) plus other laws and caps, ``gf`` runs, both kinds
 again at 257 and 600 replicas (more than one 256-replica chunk of the
 mass-only walker), the benchmark's ``clock`` runs (gamma 2, dtau.max 3,
-2000 replicas, seeds 0, 5, 2**31 - 1 and 40,000) and ``kernel`` runs in
-d = 1, 2 and 3.
+2000 replicas, seeds 0, 5, 2**31 - 1 and 40,000), ``kernel`` runs in
+d = 1, 2 and 3, the benchmark's ``onepoint`` runs (alpha 0.25, 0.5 and
+0.75, tau.max 5) and ``twopoint`` runs (four alphas on its coarse and
+fine grids), and ``gf`` at gamma 1.2345, whose t.max is not a whole
+number of solver steps.
+
+The configs in ``EXPECTED_DIFFERENT`` are grids whose span is not a whole
+number of steps; their output moved on purpose (each entry says how), so
+for them the script requires a difference instead of equality.
 
 It then runs library calls that no CLI subcommand makes, in one
 subprocess per tree (this script with ``--library``), and requires
@@ -19,10 +26,12 @@ identical results: ``estimate_mckean_product`` as the benchmark calls it
 (binary 0.25, t 6, 150 replicas, phi = 0.5 + 0.1 sin(freq x + phase)),
 its exact float pair, a sha256 of 40 ``simulate_branching`` trees
 (events, survivors, counts at six times, extinction time) for three
-offspring laws in d = 1, 2 and 3, and the exact floats of
+offspring laws in d = 1, 2 and 3, the exact floats of
 ``estimate_extinction`` and ``estimate_generating_function`` (cap 10k,
-one time or several) at 257 to 600 replicas.  ``--change`` defaults to
-the tree holding this script.  Exits 1 on any difference.
+one time or several) at 257 to 600 replicas, and a sha256 of the exact
+float64 bytes of the benchmark's ``mass_curve(0.1, 1, 40)``.
+``--change`` defaults to the tree holding this script.  Exits 1 on any
+unexpected result.
 """
 
 from __future__ import annotations
@@ -56,7 +65,23 @@ RUNS = (
     + [("clock", {"gamma": 2.0, "dtau.max": 3.0, "replicas": 2000, "seed": seed}) for seed in (0, 5, 2**31 - 1, 40_000)]
     + [("kernel", {"gamma": 0.3, "d": d, "t.min": 0.05, "t.max": 3.0, "t.count": 40, "r.max": 6.0, "r.count": 60})
        for d in (1, 2, 3)]
+    + [("onepoint", {"alpha": alpha, "gamma": 1.0, "tau.max": 5.0, "picard.order": 20}) for alpha in (0.25, 0.5, 0.75)]
+    + [("twopoint", {"alpha": alpha, "gamma": 1.0, "t.max": 2.0, "t.step": t_step, "x.halfwidth": 10.0,
+                     "x.step": x_step})
+       for alpha in (0.1, 0.25, 0.5, 0.75) for t_step, x_step in ((0.05, 0.1), (0.025, 0.05))]
+    + [("gf", {"alpha": 0.25, "gamma": 1.2345, "theta": 0.5, "t.max": 1.0, "replicas": 150, "seed": 14})]
 )
+
+# Grids whose span is not a whole number of steps, where round(span / step) steps
+# stopped short of the span before the solvers took the fewest steps that reach it.
+TWOPOINT_045 = {"alpha": 0.5, "gamma": 1.0, "t.max": 2.0, "t.step": 0.45, "x.step": 0.1}
+EXPECTED_DIFFERENT = [
+    ("onepoint", {"alpha": 0.25, "gamma": 1.0, "tau.max": 1.0, "tau.step": 0.3}, "tau runs on to 1.2, not 0.9"),
+    ("twopoint", dict(TWOPOINT_045, **{"x.halfwidth": 10.0}), "t runs on to 2.25, not 1.8"),
+    ("twopoint", dict(TWOPOINT_045, **{"x.halfwidth": 8.5}), "t runs on to 2.25, and 8.5 < 6*sqrt(2.25): exit 2"),
+]
+RUNS += [(kind, params) for kind, params, _ in EXPECTED_DIFFERENT]
+REASONS = {(kind, repr(params)): reason for kind, params, reason in EXPECTED_DIFFERENT}
 
 LIBRARY_RUNS = (
     [("mckean", {"seed": seed, "freq": freq, "phase": phase})
@@ -67,6 +92,7 @@ LIBRARY_RUNS = (
     + [("gf", {"alpha": alpha, "theta": theta, "t": t, "replicas": replicas, "seed": seed})
        for alpha, theta, t, replicas, seed in ((0.25, 0.5, 1.0, 600, 6), (0.25, 0.0, [0.5, 1.0, 2.0], 257, 7),
                                                (0.4, 0.9, [0.25, 3.0], 300, 8))]
+    + [("mass_curve", {"alpha": 0.1, "gamma": 1.0, "t_max": 40.0})]
 )
 
 
@@ -85,6 +111,9 @@ def library_value(kind: str, params: dict):
                 config, params["theta"], np.array(params["t"]), params["replicas"], params["seed"]
             )
         return [[v.hex() for v in np.atleast_1d(value).tolist()] for value in result]
+    if kind == "mass_curve":
+        values = dyson.mass_curve(params["alpha"], params["gamma"], params["t_max"]).values
+        return [values.size, hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()]
     if kind == "mckean":
         xs = np.arange(-40.0, 40.0 + 1e-9, 0.1)
         phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(params["freq"] * xs + params["phase"]))
@@ -117,10 +146,12 @@ def run(tree: str, kind: str, params: dict, workdir: str):
     with open(cfg, "w", encoding="utf-8") as fh:
         fh.writelines(f"{key} = {value}\n" for key, value in params.items())
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    subprocess.run([sys.executable, "-m", "heatfield.cli", kind, "--config", cfg, "--out", csv], env=env, check=True)
+    command = [sys.executable, "-m", "heatfield.cli", kind, "--config", cfg, "--out", csv]
+    if subprocess.run(command, env=env, capture_output=True).returncode not in (0, 2):
+        raise RuntimeError(f"{kind} {params} did not run in {tree}")
     with open(csv + ".manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    return manifest["csv_sha256"], manifest["estimates"]
+    return manifest.get("csv_sha256", manifest["error"]), manifest["estimates"]
 
 
 def main(argv=None) -> int:
@@ -141,13 +172,15 @@ def main(argv=None) -> int:
             new_sha, new_est = run(args.change, kind, params, workdir)
             same = old_sha == new_sha and all(new_est.get(key) == value for key, value in old_est.items())
             added = {key: new_est[key] for key in new_est.keys() - old_est.keys()}
-            failures += not same
-            print(f"{'same' if same else 'DIFFERENT'}  {kind} {params}  sha256 {new_sha[:12]}  added {added}")
+            expected = REASONS.get((kind, repr(params)))
+            failures += same == bool(expected)
+            verdict = "same" if same else "DIFFERENT" if expected is None else f"differs as expected ({expected})"
+            print(f"{verdict}  {kind} {params}  sha256 {new_sha[:12]}  added {added}")
     for (kind, params), old, new in zip(LIBRARY_RUNS, run_library(args.parent), run_library(args.change)):
         failures += old != new
         print(f"{'same' if old == new else 'DIFFERENT'}  library {kind} {params}  {new}")
     total = len(RUNS) + len(LIBRARY_RUNS)
-    print(f"{total - failures} of {total} runs identical")
+    print(f"{total - failures} of {total} runs as expected")
     return 1 if failures else 0
 
 

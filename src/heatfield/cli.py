@@ -311,19 +311,12 @@ def _run_gf(p):
     fertility = dyson.FertilityDistribution.binary(p["alpha"])
     config = montecarlo.BranchingConfig(p["gamma"], fertility, max_particles=p["max.particles"])
     ts = np.linspace(0.0, p["t.max"], p["t.count"])
-    step = 1e-3 / p["gamma"]  # one_point_ode's default
-    analytic = dyson.one_point_ode(fertility, p["gamma"], theta, _covered(p["t.max"], step), step)(ts)
+    analytic = dyson.one_point_ode(fertility, p["gamma"], theta, p["t.max"])(ts)
     est, err = montecarlo.estimate_generating_function(config, theta, ts[1:], replicas, seed)
     est, err = np.append(theta, est), np.append(0.0, err)  # N_0 = 1 exactly: no replica mean at t = 0
     seen = err > 0  # theta = 1 (and t = 0) gives stderr 0, which measures no deviation
     estimates = {"max_abs_deviation_in_stderr": float(np.max(np.abs(est - analytic)[seen] / err[seen], initial=0.0))}
     return {"t": ts, "ode": analytic, "mc_estimate": est, "mc_stderr": err}, estimates
-
-
-def _covered(span, step):
-    # span rounded up to whole steps, so that a grid of that step reaches it; a span within
-    # 1e-12 (relative) of whole steps keeps their count, and so the grid's bits.
-    return math.ceil(span / step * (1.0 - 1e-12)) * step
 
 
 def _run_twopoint(p):
@@ -335,8 +328,7 @@ def _run_twopoint(p):
         p["x.halfwidth"],
         p["x.step"],
     )
-    step = 1e-3 / p["gamma"]  # mass_curve's default; the field may end past t.max
-    mass = dyson.mass_curve(p["alpha"], p["gamma"], _covered(field.times[-1], step), step)(field.times)
+    mass = dyson.mass_curve(p["alpha"], p["gamma"], field.times[-1])(field.times)
     slice_mass = field.spatial_mass()
     nx = field.xs.size
     columns = {

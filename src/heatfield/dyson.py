@@ -156,15 +156,21 @@ def extinction_probability(alpha: float) -> float:
 
 
 def _grid_count(span: float, step: float) -> int:
-    """Number of steps of size ``step`` in ``span``; both finite and > 0."""
+    """Fewest whole steps of size ``step`` that reach ``span`` to 1e-12 (relative), at least 1.
+
+    Every solver's grid rule; the slack keeps rounding in span/step from adding a step.
+    """
     if not 0.0 < step < math.inf:
         raise ValueError(f"grid step must be finite and > 0, got {step}")
     if not 0.0 < span < math.inf:
         raise ValueError(f"grid span must be finite and > 0, got {span}")
-    n = int(round(span / step))
-    if n < 1:
-        raise ValueError(f"grid needs at least one step ({span=}, {step=})")
-    return n
+    return max(1, math.ceil(span / step * (1.0 - 1e-12)))
+
+
+def _curve_grid(gamma, span, step):
+    """Step (default 1e-3/gamma) and step count of a curve solved from 0 to ``span``."""
+    step = 1e-3 / gamma if step is None else step
+    return float(step), _grid_count(span, step)
 
 
 def _march_divisors(alpha, gamma, h, a):
@@ -196,15 +202,14 @@ def one_point_ode(
     The default step 1e-3/gamma keeps the local error orders below the
     1e-8 agreement target with the closed form.  Trajectories must stay
     inside [-1e-9, 1 + 1e-9]; anything else raises
-    StabilityViolationError.
+    StabilityViolationError.  The grid takes the fewest whole steps that
+    reach tau_max (``_grid_count``): its last node is at least tau_max (to
+    1e-12, relative) and less than tau_max + step.
     """
     _validate_gamma(gamma)
     if not 0.0 <= theta0 <= 1.0:
         raise ValueError(f"theta0 must lie in [0, 1], got {theta0}")
-    if step is None:
-        step = 1e-3 / gamma
-    n = _grid_count(tau_max, step)
-    h = float(step)
+    h, n = _curve_grid(gamma, tau_max, step)
     y = float(theta0)
     values = np.empty(n + 1)
     values[0] = y
@@ -241,14 +246,12 @@ def one_point_picard(
     the closed form.  ``order`` counts applications of the map (order 1
     is the bare death integral alpha*(1 - exp(-gamma*tau))) and must be
     an integer >= 1.  Integrals use the composite trapezoid rule; step
-    <= 1e-3/gamma keeps the quadrature error around 1e-6.
+    <= 1e-3/gamma keeps the quadrature error around 1e-6.  The grid takes
+    the fewest whole steps that reach tau_max, as in ``one_point_ode``.
     """
     _validate_alpha_gamma(alpha, gamma)
     _check_count("order", order)
-    if step is None:
-        step = 1e-3 / gamma
-    n = _grid_count(tau_max, step)
-    h = float(step)
+    h, n = _curve_grid(gamma, tau_max, step)
     survival = np.exp(-gamma * (h * np.arange(n + 1)))
     # cumulative trapezoid of gamma*alpha*exp(-gamma*w)
     base = np.concatenate(([0.0], np.cumsum(0.5 * h * (survival[1:] + survival[:-1]))))
@@ -279,13 +282,11 @@ def mass_curve(
     at a time: only the diagonal term 0.5*step*gamma*beta*A(t)*M(t) of
     node t involves M(t), so dividing by one minus that weight gives the
     discrete solution exactly, up to rounding.  Raises ValueError when
-    ``step`` is so coarse that the weight reaches 1.
+    ``step`` is so coarse that the weight reaches 1.  The grid takes the
+    fewest whole steps that reach t_max, as in ``one_point_ode``.
     """
     _validate_alpha_gamma(alpha, gamma)
-    if step is None:
-        step = 1e-3 / gamma
-    n = _grid_count(t_max, step)
-    h = float(step)
+    h, n = _curve_grid(gamma, t_max, step)
     times = h * np.arange(n + 1)
     base = np.exp(-gamma * times)
     a_curve = one_point_closed_form(alpha, gamma, times)
@@ -307,7 +308,7 @@ class SpaceTimeField:
 
     Time slices sit at t_step, 2*t_step, ... (the zero-time slice is a
     point mass and is not representable on a grid); the spatial grid is
-    symmetric about 0 with an odd number of nodes.
+    symmetric about 0 with an odd number of nodes; both steps are finite and > 0.
     """
 
     t_step: float
@@ -316,12 +317,14 @@ class SpaceTimeField:
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise ValueError("values must be 2-d (time, space)")
+        if vals.ndim != 2 or vals.shape[0] < 1:
+            raise ValueError("values must be 2-d (time, space) with at least one time row")
         if vals.shape[1] % 2 != 1:
             raise ValueError("spatial grid must be symmetric about 0 (odd node count)")
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
+        if not (0.0 < self.t_step < math.inf and 0.0 < self.x_step < math.inf):
+            raise ValueError(f"grid steps must be finite and > 0, got {self.t_step}, {self.x_step}")
         vals.flags.writeable = False
         object.__setattr__(self, "t_step", float(self.t_step))
         object.__setattr__(self, "x_step", float(self.x_step))
@@ -343,13 +346,12 @@ class SpaceTimeField:
 
 
 class _TwoPointOperator:
-    """Trapezoid ladder map whose fixed point is the dressed two-point field."""
+    """Trapezoid ladder map, on nt rows and 2*half + 1 nodes, whose fixed point is the dressed two-point field."""
 
-    def __init__(self, alpha, gamma, t_max, t_step, x_half_width, x_step):
+    def __init__(self, alpha, gamma, nt, t_step, half, x_step):
         _validate_alpha_gamma(alpha, gamma)
-        self.nt = _grid_count(t_max, t_step)
+        self.nt = nt
         self.k = float(t_step)
-        half = _grid_count(x_half_width, x_step)
         self.h = float(x_step)
         if not self.h <= math.sqrt(self.k):
             raise ValueError(f"x_step {self.h:g} must be <= sqrt(t_step) = {math.sqrt(self.k):g}")
@@ -357,8 +359,8 @@ class _TwoPointOperator:
         t_top = self.nt * self.k
         if half * self.h < 6.0 * math.sqrt(t_top):
             raise GridTooNarrowError(
-                f"spatial half-width {half * self.h:g} must be >= 6*sqrt(t_max) = "
-                f"{6.0 * math.sqrt(t_top):g}"
+                f"spatial half-width {half * self.h:g} must be >= 6*sqrt({t_top:g}) = "
+                f"{6.0 * math.sqrt(t_top):g}, {t_top:g} being the grid's last time"
             )
         self.gamma = float(gamma)
         self.coeff = self.gamma * (1.0 - float(alpha)) * self.k
@@ -411,8 +413,11 @@ def two_point_picard(
     per np.fft.rfft mode, with its history carried as in the module
     docstring) by one forward march: row t depends on earlier rows and,
     through the diagonal weight 0.5*t_step*gamma*beta*A(t), on itself,
-    so each row is exact up to rounding.  The spatial half-width must be
-    at least 6*sqrt(t_max), else GridTooNarrowError; that keeps the
+    so each row is exact up to rounding.  The time grid takes the fewest
+    whole t_step steps that reach t_max, and the spatial grid the fewest
+    whole x_step steps that reach x_half_width on each side (see
+    ``_grid_count``).  The grid's half-width must be at least 6*sqrt of
+    its last time, else GridTooNarrowError; that keeps the
     truncated Gaussian mass, and the periodic wrap of the spectral x
     grid, below 1e-8.  x_step must be at most sqrt(t_step), else
     ValueError: at that limit the first row's mass is off by
@@ -421,11 +426,13 @@ def two_point_picard(
     the limit, which then bounds ``two_point_residual``.  A time step so
     coarse that the diagonal weight reaches 1 raises ValueError.
     """
-    op = _TwoPointOperator(alpha, gamma, t_max, t_step, x_half_width, x_step)
+    nt, half = _grid_count(t_max, t_step), _grid_count(x_half_width, x_step)
+    op = _TwoPointOperator(alpha, gamma, nt, t_step, half, x_step)
     return SpaceTimeField(op.k, op.h, op.march())
 
 
 def two_point_residual(field: SpaceTimeField, alpha: float, gamma: float) -> float:
-    """Sup-norm defect |T(D) - D| of a candidate two-point field."""
-    op = _TwoPointOperator(alpha, gamma, field.times[-1], field.t_step, field.xs[-1], field.x_step)
+    """Sup-norm defect |T(D) - D| of a candidate two-point field, on the field's own grid."""
+    nt, nx = field.values.shape
+    op = _TwoPointOperator(alpha, gamma, nt, field.t_step, nx // 2, field.x_step)
     return float(np.max(np.abs(op.apply(field.values) - field.values)))

@@ -178,6 +178,15 @@ class TestMain:
         assert float(rows[-1][1]) == 0.5
         assert abs(float(rows[-1][2]) - 0.5) < 1e-8
 
+    def test_onepoint_rows_reach_tau_max(self, tmp_path):
+        # tau.max 1 is not a whole number of tau.step .3 steps: the grid runs on to 1.2.
+        cfg = write(tmp_path / "run.cfg", "alpha = 0.25\ngamma = 1.0\ntau.max = 1.0\ntau.step = 0.3\n")
+        out = tmp_path / "onepoint.csv"
+        assert cli.main(["onepoint", "--config", cfg, "--out", str(out)]) == 0
+        tau, closed, _, _ = np.array(read_csv(out)[1], dtype=float).T
+        np.testing.assert_array_equal(tau, 0.3 * np.arange(5))
+        np.testing.assert_array_equal(closed, dyson.one_point_closed_form(0.25, 1.0, 0.3 * np.arange(5)))
+
     def test_semigroup_and_clock_and_gf_run(self, tmp_path):
         cfg = write(
             tmp_path / "sg.cfg",
@@ -279,7 +288,7 @@ class TestMain:
         p = {"alpha": 0.25, "gamma": 1.2345, "theta": 0.5, "t.max": 1.0, "t.count": 11, "replicas": 2,
              "seed": 0, "max.particles": 10**6}
         columns, _ = cli._run_gf(p)
-        # 1000 * gamma * t.max is not whole: the default grid's last node, 1234 steps, is 0.99959.
+        # 1000 * gamma * t.max is not whole: the default grid takes 1235 steps, to 1.00040.
         assert abs(columns["ode"][-1] - dyson.one_point_ode(law, 1.2345, 0.5, 1.0, 1e-6)(1.0)) < 1e-8
         # Where it is whole, the column is the default solve read at each t, bit for bit.
         columns, _ = cli._run_gf(dict(p, gamma=1.0))

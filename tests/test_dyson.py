@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -355,3 +356,66 @@ def test_curve_solvers_return_sampled_functions():
         assert isinstance(curve, kernels.SampledFunction)
         np.testing.assert_allclose(curve.nodes, 0.1 * np.arange(11), rtol=0, atol=1e-15)
         assert curve(0.15) == pytest.approx(0.5 * (curve.values[1] + curve.values[2]), abs=1e-15)
+
+
+class TestGridRule:
+    # Every solver takes the fewest whole steps that reach its span.  The first
+    # spans here are not whole numbers of steps: round(span / step) steps would
+    # stop short of them, and reads past a grid's end are clamped.
+    def test_one_point_ode_reaches_its_span(self):
+        curve = one_point_ode(BINARY_QUARTER, 1.2345, 0.5, 1.0)
+        np.testing.assert_array_equal(curve.nodes, (1e-3 / 1.2345) * np.arange(1236))
+        fine = one_point_ode(BINARY_QUARTER, 1.2345, 0.5, 1.0, 1e-6)
+        assert abs(curve(1.0) - fine(1.0)) < 1e-8
+        assert abs(curve(1.0) - 0.4349366) < 1e-8
+
+    def test_one_point_picard_and_mass_curve_reach_their_span(self):
+        np.testing.assert_array_equal(one_point_picard(0.25, 1.0, 1.0, 20, step=0.3).nodes, 0.3 * np.arange(5))
+        np.testing.assert_array_equal(mass_curve(0.25, 1.0, 1.0, step=0.4).nodes, 0.4 * np.arange(4))
+
+    def test_two_point_field_reaches_its_span(self):
+        field = two_point_picard(0.5, 1.0, 2.0, 0.45, 10.0, 0.1)
+        np.testing.assert_array_equal(field.times, 0.45 * np.arange(1, 6))
+        assert field.times[-1] == 2.25
+
+    def test_span_below_half_a_step_takes_one_step(self):
+        np.testing.assert_array_equal(one_point_picard(0.25, 1.0, 0.1, 2, step=0.3).nodes, [0.0, 0.3])
+        assert dyson._grid_count(1e-9, 1.0) == 1
+
+    def test_benchmark_spans_keep_their_nodes(self):
+        # Whole spans keep their round(span / step) steps, and so every byte: the
+        # benchmark's one-point runs to tau 5 (and 6), its mass curve to 40 and its
+        # two-point fields to t 2 and x 10 on the coarse and the fine grid.
+        for tau in (5.0, 6.0):
+            want = 1e-3 * np.arange(round(tau * 1e3) + 1)
+            np.testing.assert_array_equal(one_point_picard(0.25, 1.0, tau, 1).nodes, want)
+            np.testing.assert_array_equal(one_point_ode(BINARY_QUARTER, 1.0, 0.0, tau).nodes, want)
+        np.testing.assert_array_equal(mass_curve(0.1, 1.0, 40.0).nodes, 1e-3 * np.arange(40001))
+        for t_step, x_step in ((0.05, 0.1), (0.025, 0.05)):
+            field = two_point_picard(0.5, 1.0, 2.0, t_step, 10.0, x_step)
+            np.testing.assert_array_equal(field.times, t_step * np.arange(1, round(2.0 / t_step) + 1))
+            half = round(10.0 / x_step)
+            np.testing.assert_array_equal(field.xs, x_step * np.arange(-half, half + 1))
+
+    def test_narrow_grid_message_names_the_last_time(self):
+        # The field's last row is at t = 2.25, past t_max = 2, so 8.5 is too narrow.
+        with pytest.raises(
+            kernels.GridTooNarrowError,
+            match=re.escape("spatial half-width 8.5 must be >= 6*sqrt(2.25) = 9, 2.25 being the grid's last time"),
+        ):
+            two_point_picard(0.5, 1.0, 2.0, 0.45, 8.5, 0.1)
+
+    def test_residual_reads_the_grid_from_the_field(self):
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 0.4, size=(7, 181))
+        field = dyson.SpaceTimeField(0.3, 0.1, values)
+        op = dyson._TwoPointOperator(0.5, 1.0, 7, 0.3, 90, 0.1)
+        want = float(np.max(np.abs(op.apply(field.values) - field.values)))
+        assert two_point_residual(field, 0.5, 1.0) == want
+
+    def test_field_steps_must_be_positive_and_finite(self):
+        for t_step, x_step in ((0.0, 0.1), (0.1, -0.1), (math.nan, 0.1), (0.1, math.inf)):
+            with pytest.raises(ValueError, match="steps"):
+                dyson.SpaceTimeField(t_step, x_step, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="time row"):
+            dyson.SpaceTimeField(0.1, 0.1, np.ones((0, 3)))

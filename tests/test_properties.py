@@ -1,10 +1,11 @@
-"""Property tests over the Monte Carlo entry points.
+"""Property tests over the Monte Carlo entry points and the ladder solvers' grids.
 
 Every call either raises a documented exception (ValueError, or
 PopulationExplosionError where the docstring names it) or returns finite
 values inside the documented range.  Times include nan, +-inf and
 negatives; counts include zero, negatives, a bool and a non-integer.
-The population cap is 64 so that every run stays short.
+The population cap is 64 so that every run stays short.  Every ladder
+solver's grid takes the fewest whole steps that reach its span.
 """
 
 import math
@@ -164,3 +165,42 @@ def test_array_derived_stream_equals_derive_stream(seed, replica):
     other = montecarlo.derive_stream(seed + 1, replica)
     other.bit_generator.state = state
     assert other.random(3).tolist() == montecarlo.derive_stream(seed, replica).random(3).tolist()
+
+
+GRID_STEPS = st.floats(0.01, 1.0)
+
+
+def ladder_grids(span, step):
+    """Every ladder solver's time nodes (from 0) and the two-point x nodes, over ``span`` at ``step``."""
+    x_half_width = 1.01 * 6.0 * math.sqrt(span + step)  # wide enough for any last time < span + step
+    field = dyson.two_point_picard(0.25, 1.0, span, step, x_half_width, math.sqrt(step))
+    times = [
+        dyson.one_point_ode(dyson.FertilityDistribution.binary(0.25), 1.0, 0.0, span, step).nodes,
+        dyson.one_point_picard(0.25, 1.0, span, 2, step).nodes,
+        dyson.mass_curve(0.25, 1.0, span, step).nodes,
+        np.append(0.0, field.times),
+    ]
+    return times, field.xs, x_half_width
+
+
+@PROPERTY
+@given(st.floats(1e-3, 5.0), GRID_STEPS)
+def test_ladder_grids_reach_their_span(span, step):
+    # The fewest whole steps that reach the span: the last node is at or past it
+    # (to 1e-12, relative, and the last node's own rounding) and less than a step beyond.
+    times, xs, x_half_width = ladder_grids(span, step)
+    for nodes, reach, h in [(t, span, step) for t in times] + [(xs, x_half_width, math.sqrt(step))]:
+        assert reach * (1.0 - 1e-12) * (1.0 - 2.0**-50) <= nodes[-1] < reach + h
+
+
+@PROPERTY
+@given(st.integers(1, 300), GRID_STEPS)
+def test_whole_span_takes_exactly_its_steps(k, step):
+    times, _, _ = ladder_grids(k * step, step)
+    assert [nodes.size for nodes in times] == [k + 1] * 4
+
+
+@PROPERTY
+@given(st.integers(1, 10**9), st.floats(1e-6, 1e3))
+def test_grid_count_of_whole_span(k, step):
+    assert dyson._grid_count(k * step, step) == k
