@@ -13,25 +13,27 @@ mass-only walker), the benchmark's ``clock`` runs (gamma 2, dtau.max 3,
 2000 replicas, seeds 0, 5, 2**31 - 1 and 40,000), ``kernel`` runs in
 d = 1, 2 and 3, the benchmark's ``onepoint`` runs (alpha 0.25, 0.5 and
 0.75, tau.max 5) and ``twopoint`` runs (four alphas on its coarse and
-fine grids), and ``gf`` at gamma 1.2345, whose t.max is not a whole
-number of solver steps.
-
-The configs in ``EXPECTED_DIFFERENT`` are grids whose span is not a whole
-number of steps; their output moved on purpose (each entry says how), so
-for them the script requires a difference instead of equality.
+fine grids), ``gf`` at gamma 1.2345, whose t.max is not a whole
+number of solver steps, and ``onepoint`` and ``twopoint`` runs whose
+grids' spans are not whole numbers of steps (one of them exits 2).
 
 It then runs library calls that no CLI subcommand makes, in one
 subprocess per tree (this script with ``--library``), and requires
 identical results: ``estimate_mckean_product`` as the benchmark calls it
 (binary 0.25, t 6, 150 replicas, phi = 0.5 + 0.1 sin(freq x + phase)),
-its exact float pair, a sha256 of 40 ``simulate_branching`` trees
-(events, survivors, counts at six times, extinction time) for three
-offspring laws in d = 1, 2 and 3, the exact floats of
+its exact float pair, the exact float pair of ``feynman_kac_estimate``
+as the benchmark calls it (u a Gaussian on 2101 nodes, constant potential
+0.4, t 1, x 0, 1000 replicas of 200 steps) and at 257 replicas of 7000
+steps and 2 replicas of 3 steps (potential x**2 / 2), which span many
+lockstep passes, one row per pass and the smallest run, a sha256 of
+40 ``simulate_branching`` trees (events, survivors, counts at six
+times, extinction time) for three offspring laws in d = 1, 2 and 3,
+the exact floats of
 ``estimate_extinction`` and ``estimate_generating_function`` (cap 10k,
 one time or several) at 257 to 600 replicas, and a sha256 of the exact
 float64 bytes of the benchmark's ``mass_curve(0.1, 1, 40)``.
-``--change`` defaults to the tree holding this script.  Exits 1 on any
-unexpected result.
+``--change`` defaults to the tree holding this script.  Exits 1 unless
+every run is identical.
 """
 
 from __future__ import annotations
@@ -72,20 +74,21 @@ RUNS = (
     + [("gf", {"alpha": 0.25, "gamma": 1.2345, "theta": 0.5, "t.max": 1.0, "replicas": 150, "seed": 14})]
 )
 
-# Grids whose span is not a whole number of steps, where round(span / step) steps
-# stopped short of the span before the solvers took the fewest steps that reach it.
+# Grids whose span is not a whole number of steps: the solvers take the fewest steps that reach it.
 TWOPOINT_045 = {"alpha": 0.5, "gamma": 1.0, "t.max": 2.0, "t.step": 0.45, "x.step": 0.1}
-EXPECTED_DIFFERENT = [
-    ("onepoint", {"alpha": 0.25, "gamma": 1.0, "tau.max": 1.0, "tau.step": 0.3}, "tau runs on to 1.2, not 0.9"),
-    ("twopoint", dict(TWOPOINT_045, **{"x.halfwidth": 10.0}), "t runs on to 2.25, not 1.8"),
-    ("twopoint", dict(TWOPOINT_045, **{"x.halfwidth": 8.5}), "t runs on to 2.25, and 8.5 < 6*sqrt(2.25): exit 2"),
+RUNS += [
+    ("onepoint", {"alpha": 0.25, "gamma": 1.0, "tau.max": 1.0, "tau.step": 0.3}),
+    ("twopoint", dict(TWOPOINT_045, **{"x.halfwidth": 10.0})),
+    ("twopoint", dict(TWOPOINT_045, **{"x.halfwidth": 8.5})),  # t runs on to 2.25 and 8.5 < 6*sqrt(2.25): exit 2
 ]
-RUNS += [(kind, params) for kind, params, _ in EXPECTED_DIFFERENT]
-REASONS = {(kind, repr(params)): reason for kind, params, reason in EXPECTED_DIFFERENT}
 
 LIBRARY_RUNS = (
     [("mckean", {"seed": seed, "freq": freq, "phase": phase})
      for seed, freq, phase in ((0, 0.2, 0.0), (5, 1.1, 2.0), (2**31 - 1, 2.0, 4.5), (40_000, 0.7, 6.0))]
+    + [("fk", {"potential": potential, "replicas": replicas, "n_steps": n_steps, "seed": seed})
+       for potential, replicas, n_steps, seeds in (("constant", 1000, 200, (0, 5, 2**31 - 1)),
+                                                   ("harmonic", 257, 7000, (3,)), ("harmonic", 2, 3, (4, 40_000)))
+       for seed in seeds]
     + [("tree", {"law": law, "d": d}) for law in ((0.25, 0.0, 0.75), (0.3, 0.2, 0.1, 0.4), (1.0,)) for d in (1, 2, 3)]
     + [("extinction", {"alpha": alpha, "horizon": horizon, "replicas": replicas, "seed": seed})
        for alpha, horizon, replicas, seed in ((0.25, 60.0, 600, 3), (0.4, 60.0, 257, 4), (0.5, 5.0, 300, 5))]
@@ -119,6 +122,13 @@ def library_value(kind: str, params: dict):
         phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(params["freq"] * xs + params["phase"]))
         config = montecarlo.BranchingConfig(1.0, dyson.FertilityDistribution.binary(0.25))
         return [value.hex() for value in montecarlo.estimate_mckean_product(config, phi, 6.0, 150, params["seed"])]
+    if kind == "fk":
+        u = kernels.SampledFunction.sample(lambda x: np.exp(-(x**2) / 0.5), -10.5, 0.01, 2101)
+        potentials = {"constant": lambda xs: np.full(xs.shape, 0.4), "harmonic": lambda xs: 0.5 * xs**2}
+        result = montecarlo.feynman_kac_estimate(
+            u, potentials[params["potential"]], 1.0, 0.0, params["replicas"], params["n_steps"], params["seed"]
+        )
+        return [value.hex() for value in result]
     d = params["d"]
     config = montecarlo.BranchingConfig(1.0, dyson.FertilityDistribution(params["law"]), d=d, x0=(0.5, -1.25, 2.0)[:d])
     digest = hashlib.sha256()
@@ -172,15 +182,13 @@ def main(argv=None) -> int:
             new_sha, new_est = run(args.change, kind, params, workdir)
             same = old_sha == new_sha and all(new_est.get(key) == value for key, value in old_est.items())
             added = {key: new_est[key] for key in new_est.keys() - old_est.keys()}
-            expected = REASONS.get((kind, repr(params)))
-            failures += same == bool(expected)
-            verdict = "same" if same else "DIFFERENT" if expected is None else f"differs as expected ({expected})"
-            print(f"{verdict}  {kind} {params}  sha256 {new_sha[:12]}  added {added}")
+            failures += not same
+            print(f"{'same' if same else 'DIFFERENT'}  {kind} {params}  sha256 {new_sha[:12]}  added {added}")
     for (kind, params), old, new in zip(LIBRARY_RUNS, run_library(args.parent), run_library(args.change)):
         failures += old != new
         print(f"{'same' if old == new else 'DIFFERENT'}  library {kind} {params}  {new}")
     total = len(RUNS) + len(LIBRARY_RUNS)
-    print(f"{total - failures} of {total} runs as expected")
+    print(f"{total - failures} of {total} runs identical")
     return 1 if failures else 0
 
 

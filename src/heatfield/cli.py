@@ -21,6 +21,7 @@ itself fails (the manifest then records the error).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -449,7 +450,9 @@ def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:
     return code
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import, and reused by every later main() call.
     parser = argparse.ArgumentParser(
         prog="heatfield",
         description="Branching Brownian motion experiments: analytic solvers vs Monte Carlo.",
@@ -459,7 +462,11 @@ def main(argv=None) -> int:
         s = sub.add_parser(kind, help=f"run the '{kind}' experiment")
         s.add_argument("--config", required=True, help="key = value config file")
         s.add_argument("--out", default=None, help="CSV output path (default <kind>.csv)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         config = parse_config(args.config, args.command)
     except (ParseError, ValidationError) as err:

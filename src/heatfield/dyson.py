@@ -377,10 +377,11 @@ class _TwoPointOperator:
         # Each lag's multiplier is evaluated directly, O(nt**2 * nx), so
         # that the residual does not share the march's recursion.
         spectra = self.a[:, None] * np.fft.rfft(field, axis=1)
+        decay = np.exp(-np.outer(self.k * np.arange(self.nt), self.rate))  # row l: lag l*k
         out = np.empty_like(self.base)
         for j in range(1, self.nt + 1):
-            lags = self.k * np.arange(j - 1, 0, -1)  # (j - m)*k for rows m = 1 .. j-1
-            history = (np.exp(-np.outer(lags, self.rate)) * spectra[: j - 1]).sum(axis=0)
+            # decay rows j-1 .. 1 are the lags (j - m)*k of rows m = 1 .. j-1
+            history = (decay[j - 1 : 0 : -1] * spectra[: j - 1]).sum(axis=0)
             ladder = 0.5 * self.a[j - 1] * field[j - 1] + np.fft.irfft(history, self.xs.size)
             out[j - 1] = self.base[j - 1] + self.coeff * ladder
         return out

@@ -7,12 +7,14 @@ are reproducible and replicas are independent work units:
   ``PCG64(splitmix64(s + (r + 1) * 0x9E3779B97F4A7C15))`` (all mod
   2**64, splitmix64 being the standard 64-bit finalizer below);
   ``derive_stream`` is the reference for that stream;
-* the path and tree estimators run their replicas through one loop,
-  ``_replica_values``, and the population estimators through one
-  lockstep walker of the mass-only jump chain, ``_mass_walks``; both
-  collect results in replica order, and numpy's pairwise sum reduces
-  them, so estimates do not depend on replica scheduling;
-* both take their streams from ``_replica_streams``, which derives the
+* the tree estimator (and the CLI ``clock`` runner) runs its replicas
+  through one loop, ``_replica_values``; ``feynman_kac_estimate`` draws
+  its paths in lockstep passes of at most _WALK_CELLS cells; and the
+  population estimators run through one lockstep walker of the
+  mass-only jump chain, ``_mass_walks``.  All collect results in
+  replica order, and numpy's pairwise sum reduces them, so estimates do
+  not depend on replica scheduling;
+* all take their streams from ``_replica_streams``, which derives the
   PCG64 states of up to 256 replicas in one vectorised pass (numpy's
   SeedSequence hashing and PCG64 seeding, mirrored in integer arrays)
   equal to ``derive_stream`` bit for bit, and sets them in turn on one
@@ -29,8 +31,10 @@ walk runs on Python floats and returns plain tuples; only
 simulate_branching builds the Event/EventLog dataclasses from them.
 
 Within one replica the draw order is fixed and documented by the
-implementations: the tree simulator draws, per event in time order,
-the parent displacement (d scalar standard normals, the numbers of
+implementations: a Feynman-Kac path draws its n_steps standard normals,
+the numbers of standard_normal((n_steps, 1)), into its row of a
+lockstep pass; the tree simulator draws, per event in time order, the
+parent displacement (d scalar standard normals, the numbers of
 standard_normal(d)), then the offspring count, then the children's
 lifetimes in id order, and finally one endpoint displacement per
 survivor in id order; the mass-only walker draws uniforms, then
@@ -121,6 +125,7 @@ _MASK128 = (1 << 128) - 1
 _HASH_A = np.array([0x43B0D7E5 * 0x931E8875**j & _MASK32 for j in range(17)], dtype=np.uint32)[:, None]
 _HASH_B = np.array([0x8B51F9DD * 0x58F38DED**j & _MASK32 for j in range(9)], dtype=np.uint32)[:, None]
 _STREAM_CHUNK = 256  # replicas whose states one array pass derives (bounds the memory it holds)
+_WALK_CELLS = 1 << 12  # cells of one lockstep pass of paths or jump chains, at most (one row for longer rows)
 
 
 def _hashmix(values, j, consts):
@@ -236,34 +241,55 @@ def feynman_kac_estimate(
     """Monte Carlo value of E[ u(B_t) * exp(-int_0^t v(B_s) ds) ].
 
     ``v`` must accept a 1-d position array and return the potential at
-    each point (bounded below); the exponent integral is a
-    left-endpoint Riemann sum over the n_steps path increments, and
-    ``u`` is evaluated by linear interpolation on its grid.  Returns
-    (estimate, stderr).  One spatial dimension.  Raises ValueError
-    unless replicas is an integer >= 2, x is finite, t is finite and
-    > 0 and n_steps is an integer >= 1; and, on the first replica
-    where it happens, if v returns other than one value per point
-    (shape (n_steps,)), if the Riemann sum is NaN (v returned NaN, or
-    both +inf and -inf), or if exp(-sum) overflows (v not bounded below
-    on that path, as for a potential of -1e6).
+    each point (bounded below); it is called once per replica, in
+    replica order, on the n_steps points of that replica's path before t
+    (the first being x).  The exponent integral is a left-endpoint
+    Riemann sum over the n_steps path increments, and ``u`` is evaluated
+    by linear interpolation on its grid.  Returns (estimate, stderr).
+    One spatial dimension.  Raises ValueError unless replicas is an
+    integer >= 2, t is finite and > 0, n_steps is an integer >= 1 and x
+    is one finite position (checked in that order); and, on the first
+    replica where it happens, if v returns other than one value per
+    point (shape (n_steps,)), if the Riemann sum is NaN (v returned NaN,
+    or both +inf and -inf), or if exp(-sum) overflows (v not bounded
+    below on that path, as for a potential of -1e6).
     """
-    x0 = float(np.asarray(x, dtype=float).reshape(()))
-    _check_count("replicas", replicas, least=2)  # checked before the path arguments
-    start = _path_start(x0, t, n_steps)
-
-    def one(r, rng):
-        path = _brownian_path(start, t, n_steps, rng)[:, 0]
-        potential = np.asarray(v(path[:-1]), dtype=float)
-        if potential.shape != (n_steps,):
-            raise ValueError(f"v must return shape ({n_steps},), one value per path point; got {potential.shape}")
-        exponent = t / n_steps * float(np.sum(potential))
-        if math.isnan(exponent):
-            raise ValueError(f"v returned NaN (or both +inf and -inf) on the path of replica {r}")
-        if -exponent > _LOG_FLOAT_MAX:
-            raise ValueError(f"v is not bounded below on the path of replica {r}: exp({-exponent:g}) overflows")
-        return float(u(path[-1])) * math.exp(-exponent)
-
-    return _replica_mean(replicas, seed, one)
+    replicas = _check_count("replicas", replicas, least=2)  # checked before the path arguments
+    start = _path_start(x, t, n_steps)
+    if start.size != 1:
+        raise ValueError(f"x must be one position, got {start.size} values")
+    x0, dt = float(start[0]), t / n_steps
+    values = np.empty(replicas)
+    streams = _replica_streams(seed, replicas)
+    per_pass = max(1, _WALK_CELLS // n_steps)
+    # Each pass draws its replicas' paths row by row (the numbers of standard_normal((n_steps, 1))
+    # per replica), then sums the rows' potentials in one call (each row a pairwise sum, as np.sum).
+    for first in range(0, replicas, per_pass):
+        paths = np.empty((min(per_pass, replicas - first), n_steps + 1))
+        paths[:, 0], steps = x0, paths[:, 1:]
+        for row in steps:
+            next(streams).standard_normal(out=row)
+        steps *= math.sqrt(dt)
+        np.cumsum(steps, axis=1, out=steps)
+        steps += x0
+        potential, shape = np.empty((len(paths), n_steps)), None
+        for i, visited in enumerate(paths[:, :-1]):
+            got = np.asarray(v(visited), dtype=float)
+            if got.shape != (n_steps,):
+                potential, shape = potential[:i], got.shape  # the replicas before it are checked first
+                break
+            potential[i] = got
+        weights = []
+        for r, exponent in enumerate((dt * potential.sum(axis=1)).tolist(), first):
+            if math.isnan(exponent):
+                raise ValueError(f"v returned NaN (or both +inf and -inf) on the path of replica {r}")
+            if -exponent > _LOG_FLOAT_MAX:
+                raise ValueError(f"v is not bounded below on the path of replica {r}: exp({-exponent:g}) overflows")
+            weights.append(math.exp(-exponent))  # libm's exp; np.exp differs by an ulp on some arguments
+        if shape is not None:
+            raise ValueError(f"v must return shape ({n_steps},), one value per path point; got {shape}")
+        values[first : first + len(paths)] = u(paths[:, -1]) * np.array(weights)
+    return _mean_stderr(values)
 
 
 @dataclass(frozen=True)
@@ -407,15 +433,12 @@ def _branching_tree(config, cdf, horizon, rng):
 
     ids = tuple(sorted(births))
     positions = [c + normal() * math.sqrt(horizon - births[sid][0]) for sid in ids for c in births[sid][1]]
-    return events, ids, np.reshape(positions, (len(ids), config.d))
+    return events, ids, np.array(positions, dtype=float).reshape(len(ids), config.d)
 
 
 # Fixed block schedule for the mass-only simulator; part of the
 # reproducibility contract (changing it changes the draw sequence).
 _BLOCK_SCHEDULE = (64, 256, 1024, 4096, 16384, 65536)
-
-
-_WALK_CELLS = 1 << 12  # rows * block of one lockstep pass, at most (one row for longer blocks)
 
 
 def _mass_walks(gamma, cdf, horizon, cap, replicas, seed, grid=(), halt=False):

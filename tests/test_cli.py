@@ -389,6 +389,19 @@ class TestMain:
         "ring-check": "cases = 10\n",
     }
 
+    def test_parser_is_reused_after_a_bad_argv(self, tmp_path, capsys):
+        # The parser is built once per process; a rejected argv leaves it fit for the next calls.
+        for argv in (["no-such-kind"], ["gf"], ["extinction", "--config"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            assert exit_info.value.code == 2
+        assert "usage: heatfield" in capsys.readouterr().err
+        assert cli._parser() is cli._parser()
+        for kind in ("extinction", "gf"):
+            out = tmp_path / f"{kind}.csv"
+            assert cli.main([kind, "--config", write(tmp_path / f"{kind}.cfg", self.VALID[kind]), "--out", str(out)]) == 0
+            assert json.loads((tmp_path / f"{kind}.csv.manifest.json").read_text())["command"] == kind
+
     def test_infinite_float_keys_exit_1(self, tmp_path, capsys):
         assert set(self.VALID) == set(cli._SCHEMAS)
         for kind, schema in cli._SCHEMAS.items():

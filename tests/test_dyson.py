@@ -55,6 +55,19 @@ def direct_two_point_march(alpha, gamma, t_max, t_step, x_half_width, x_step):
     return field
 
 
+def direct_apply(op, field):
+    # _TwoPointOperator.apply with each row's lag multipliers exp(-(j - m)*k*rate)
+    # built afresh, as the operator did before it tabulated them once.
+    spectra = op.a[:, None] * np.fft.rfft(field, axis=1)
+    out = np.empty_like(op.base)
+    for j in range(1, op.nt + 1):
+        lags = op.k * np.arange(j - 1, 0, -1)
+        history = (np.exp(-np.outer(lags, op.rate)) * spectra[: j - 1]).sum(axis=0)
+        ladder = 0.5 * op.a[j - 1] * field[j - 1] + np.fft.irfft(history, op.xs.size)
+        out[j - 1] = op.base[j - 1] + op.coeff * ladder
+    return out
+
+
 def rk4_oracle(alpha, gamma, tau, h=1e-4):
     beta = 1.0 - alpha
     y = 0.0
@@ -412,6 +425,15 @@ class TestGridRule:
         op = dyson._TwoPointOperator(0.5, 1.0, 7, 0.3, 90, 0.1)
         want = float(np.max(np.abs(op.apply(field.values) - field.values)))
         assert two_point_residual(field, 0.5, 1.0) == want
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.75])
+    def test_apply_equals_direct_lags(self, alpha):
+        # The benchmark's coarse and fine grids, and a random field on a small one.
+        rng = np.random.default_rng(11)
+        for nt, t_step, half, x_step in ((40, 0.05, 100, 0.1), (80, 0.025, 200, 0.05), (7, 0.3, 90, 0.1)):
+            op = dyson._TwoPointOperator(alpha, 1.0, nt, t_step, half, x_step)
+            for values in (op.march(), rng.uniform(0.0, 0.4, size=op.base.shape)):
+                np.testing.assert_array_equal(op.apply(values), direct_apply(op, values))
 
     def test_field_steps_must_be_positive_and_finite(self):
         for t_step, x_step in ((0.0, 0.1), (0.1, -0.1), (math.nan, 0.1), (0.1, math.inf)):

@@ -73,6 +73,30 @@ def horizon_walk_oracle(gamma, cdf, horizon, cap, rng):
         t = float(event_times[-1])
 
 
+FK_U = kernels.SampledFunction.sample(lambda x: np.exp(-(x**2) / 0.5), -8.0, 0.02, 801)
+
+
+def fk_potential(xs):
+    return 0.5 * xs**2
+
+
+def inline_visited(x0, t, n_steps, seed, r):
+    """The n_steps points replica r's path visits before t, drawn one replica at a time; and its end."""
+    steps = derive_stream(seed, r).standard_normal(n_steps) * math.sqrt(t / n_steps)
+    positions = x0 + np.cumsum(steps)
+    return np.concatenate(([x0], positions[:-1])), positions[-1]
+
+
+def inline_feynman_kac(u, v, t, x0, replicas, n_steps, seed):
+    """feynman_kac_estimate as a loop over replicas, each path drawn and weighted on its own."""
+    dt = t / n_steps
+    values = np.empty(replicas)
+    for r in range(replicas):
+        visited, end = inline_visited(x0, t, n_steps, seed, r)
+        values[r] = float(u(end)) * math.exp(-dt * float(np.sum(v(visited))))
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(replicas))
+
+
 def tree_digest(law, d, replicas=12):
     """sha256 over simulate_branching replicas 0 .. replicas-1 (seed 31, horizon 2.5, six sample times)."""
     config = BranchingConfig(1.0, dyson.FertilityDistribution(law), d=d, x0=(0.5, -1.25, 2.0)[:d])
@@ -540,22 +564,26 @@ class TestReplicaContract:
             estimate_generating_function(binary_config(0.0, cap=32), 0.5, [1.0, 40.0], 200, seed=28)
 
     def test_feynman_kac_matches_inline_sampler(self):
-        u = kernels.SampledFunction.sample(lambda x: np.exp(-(x**2) / 0.5), -8.0, 0.02, 801)
+        # Several replicas per pass (20 at 200 steps, so 1000 replicas take 50 passes), one
+        # replica per pass (5000 steps > _WALK_CELLS), and the smallest run.
+        assert montecarlo._WALK_CELLS < 5000
+        for replicas, n_steps in ((300, 32), (1000, 200), (3, 5000), (2, 1)):
+            for seed in self.SEEDS:
+                want = inline_feynman_kac(FK_U, fk_potential, 0.8, 0.3, replicas, n_steps, seed)
+                assert feynman_kac_estimate(FK_U, fk_potential, 0.8, 0.3, replicas, n_steps, seed) == want
 
-        def v(xs):
-            return 0.5 * xs**2
+    def test_feynman_kac_calls_v_once_per_replica_in_order(self):
+        calls = []
 
-        t, x0, n_steps, replicas = 0.8, 0.3, 32, 300
-        dt = t / n_steps
-        for seed in self.SEEDS:
-            values = np.empty(replicas)
-            for r in range(replicas):
-                steps = derive_stream(seed, r).standard_normal(n_steps) * math.sqrt(dt)
-                positions = x0 + np.cumsum(steps)
-                visited = np.concatenate(([x0], positions[:-1]))
-                values[r] = float(u(positions[-1])) * math.exp(-dt * float(np.sum(v(visited))))
-            want = (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(replicas)))
-            assert feynman_kac_estimate(u, v, t, x0, replicas, n_steps, seed) == want
+        def spy(xs):
+            calls.append(xs.copy())
+            return fk_potential(xs)
+
+        feynman_kac_estimate(FK_U, spy, 0.8, 0.3, 45, 200, seed=7)  # passes of 20, 20 and 5 replicas
+        assert len(calls) == 45
+        for r, seen in enumerate(calls):
+            assert seen.shape == (200,) and seen[0] == 0.3
+            np.testing.assert_array_equal(seen, inline_visited(0.3, 0.8, 200, 7, r)[0])
 
     def test_mckean_matches_tree_loop(self):
         config = binary_config(0.25)
@@ -689,6 +717,9 @@ class TestReplicaContractWithoutFastStreams:
     SEEDS = TestReplicaContract.SEEDS
     test_extinction_times_follow_replica_streams = TestReplicaContract.test_extinction_times_follow_replica_streams
     test_feynman_kac_matches_inline_sampler = TestReplicaContract.test_feynman_kac_matches_inline_sampler
+    test_feynman_kac_calls_v_once_per_replica_in_order = (
+        TestReplicaContract.test_feynman_kac_calls_v_once_per_replica_in_order
+    )
     test_mckean_matches_tree_loop = TestReplicaContract.test_mckean_matches_tree_loop
     test_gf_matches_oracle_walks = TestReplicaContract.test_gf_matches_oracle_walks
     test_clock_matches_tree_loop = TestReplicaContract.test_clock_matches_tree_loop
@@ -851,6 +882,19 @@ class TestArgumentChecks:
             feynman_kac_estimate(self.U, self.zero, math.nan, math.nan, 10, 0, seed=1)
         with pytest.raises(ValueError, match="^n_steps must"):
             feynman_kac_estimate(self.U, self.zero, 1.0, math.nan, 10, 0, seed=1)
+        # x is one position, checked last.
+        two = [0.1, 0.2]
+        with pytest.raises(ValueError, match="^replicas must"):
+            feynman_kac_estimate(self.U, self.zero, 1.0, two, 1, 4, seed=1)
+        with pytest.raises(ValueError, match="^t must"):
+            feynman_kac_estimate(self.U, self.zero, math.nan, two, 10, 4, seed=1)
+        with pytest.raises(ValueError, match="^n_steps must"):
+            feynman_kac_estimate(self.U, self.zero, 1.0, two, 10, 0, seed=1)
+        with pytest.raises(ValueError, match="^x must be one position, got 2 values$"):
+            feynman_kac_estimate(self.U, self.zero, 1.0, two, 10, 4, seed=1)
+        assert feynman_kac_estimate(self.U, self.zero, 1.0, [0.1], 10, 4, seed=1) == feynman_kac_estimate(
+            self.U, self.zero, 1.0, 0.1, 10, 4, seed=1
+        )
 
     def test_feynman_kac_potential(self):
         bad = [
@@ -863,6 +907,22 @@ class TestArgumentChecks:
         for v, message in bad:
             with pytest.raises(ValueError, match=message):
                 feynman_kac_estimate(self.U, v, 1.0, 0.0, 10, 20, seed=1)
+        # Planted in replica 57 of 100 at 200 steps, in the third pass of 20: the replica is named,
+        # and its NaN or overflow is reported before a later replica's wrong shape or other fault.
+        nan, low, short = (lambda xs: np.full(xs.shape, math.nan)), (lambda xs: np.full(xs.shape, -1e6)), np.ones(3)
+        for planted, message in (
+            ({57: nan}, r"^v returned NaN \(or both \+inf and -inf\) on the path of replica 57$"),
+            ({57: low, 58: nan}, r"^v is not bounded below on the path of replica 57: exp\(1e\+06\) overflows$"),
+            ({57: nan, 59: lambda xs: short}, "replica 57$"),
+            ({56: lambda xs: short, 57: nan}, r"^v must return shape \(200,\), one value per path point; got \(3,\)$"),
+        ):
+            calls = itertools.count()
+
+            def v(xs):
+                return planted.get(next(calls), self.zero)(xs)
+
+            with pytest.raises(ValueError, match=message):
+                feynman_kac_estimate(self.U, v, 1.0, 0.0, 100, 200, seed=1)
         # A potential of -700 is still bounded below, and one of +inf kills every path.
         est, _ = feynman_kac_estimate(self.U, lambda xs: np.full(xs.shape, -700.0), 1.0, 0.0, 10, 20, seed=1)
         assert est == pytest.approx(math.exp(700.0))
