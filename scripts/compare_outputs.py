@@ -32,15 +32,23 @@ the exact floats of
 ``estimate_extinction`` and ``estimate_generating_function`` (cap 10k,
 one time or several) at 257 to 600 replicas, and a sha256 of the exact
 float64 bytes of the benchmark's ``mass_curve(0.1, 1, 40)``.
-``--change`` defaults to the tree holding this script.  Exits 1 unless
-every run is identical.
+
+Where a CSV's sha256 differs, each column's largest relative deviation
+|change - parent| / |parent| is printed under the run (0 where both
+cells are equal, including two NaNs; inf where the parent's cell is 0
+or not finite; a text column reads ``same`` or ``differs``); so is the
+``mass_curve`` deviation beside its hash, and so is every manifest
+estimate that differs, with its two values.  ``--change`` defaults to
+the tree holding this script.  Exits 1 unless every run is identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,9 +122,9 @@ def library_value(kind: str, params: dict):
                 config, params["theta"], np.array(params["t"]), params["replicas"], params["seed"]
             )
         return [[v.hex() for v in np.atleast_1d(value).tolist()] for value in result]
-    if kind == "mass_curve":
+    if kind == "mass_curve":  # size, hash, then the values themselves for the deviation
         values = dyson.mass_curve(params["alpha"], params["gamma"], params["t_max"]).values
-        return [values.size, hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()]
+        return [values.size, hashlib.sha256(values.astype("<f8").tobytes()).hexdigest(), values.tolist()]
     if kind == "mckean":
         xs = np.arange(-40.0, 40.0 + 1e-9, 0.1)
         phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(params["freq"] * xs + params["phase"]))
@@ -151,17 +159,45 @@ def run_library(tree: str):
     return json.loads(subprocess.run(command, env=env, check=True, capture_output=True, text=True).stdout)
 
 
-def run(tree: str, kind: str, params: dict, workdir: str):
-    cfg, csv = os.path.join(workdir, "run.cfg"), os.path.join(workdir, "run.csv")
+def run(tree: str, kind: str, params: dict, out: str):
+    cfg = os.path.join(os.path.dirname(out), "run.cfg")
     with open(cfg, "w", encoding="utf-8") as fh:
         fh.writelines(f"{key} = {value}\n" for key, value in params.items())
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    command = [sys.executable, "-m", "heatfield.cli", kind, "--config", cfg, "--out", csv]
+    command = [sys.executable, "-m", "heatfield.cli", kind, "--config", cfg, "--out", out]
     if subprocess.run(command, env=env, capture_output=True).returncode not in (0, 2):
         raise RuntimeError(f"{kind} {params} did not run in {tree}")
-    with open(csv + ".manifest.json", encoding="utf-8") as fh:
+    with open(out + ".manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
     return manifest.get("csv_sha256", manifest["error"]), manifest["estimates"]
+
+
+def relative_deviation(old: list, new: list) -> float:
+    """Largest |new - old| / |old| over paired floats (equal cells, NaN pairs too, count 0)."""
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            finite = a and math.isfinite(a) and math.isfinite(b)
+            worst = max(worst, abs(b - a) / abs(a) if finite else math.inf)
+    return worst
+
+
+def column_deviations(old_csv: str, new_csv: str) -> str:
+    """Each column's largest relative deviation between two CSVs with the same header."""
+    tables = []
+    for path in (old_csv, new_csv):
+        with open(path, encoding="utf-8", newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    (old_head, *old_rows), (new_head, *new_rows) = tables
+    if old_head != new_head or len(old_rows) != len(new_rows):
+        return f"header or row count differs ({len(old_rows)} vs {len(new_rows)} rows)"
+    parts = []
+    for name, old, new in zip(old_head, zip(*old_rows), zip(*new_rows)):
+        try:
+            parts.append(f"{name} {relative_deviation(list(map(float, old)), list(map(float, new))):.2g}")
+        except ValueError:
+            parts.append(f"{name} {'same' if old == new else 'differs'}")
+    return ", ".join(parts)
 
 
 def main(argv=None) -> int:
@@ -177,16 +213,29 @@ def main(argv=None) -> int:
         parser.error("--parent is required")
     failures = 0
     with tempfile.TemporaryDirectory() as workdir:
+        old_csv, new_csv = os.path.join(workdir, "parent.csv"), os.path.join(workdir, "change.csv")
         for kind, params in RUNS:
-            old_sha, old_est = run(args.parent, kind, params, workdir)
-            new_sha, new_est = run(args.change, kind, params, workdir)
+            old_sha, old_est = run(args.parent, kind, params, old_csv)
+            new_sha, new_est = run(args.change, kind, params, new_csv)
             same = old_sha == new_sha and all(new_est.get(key) == value for key, value in old_est.items())
             added = {key: new_est[key] for key in new_est.keys() - old_est.keys()}
             failures += not same
             print(f"{'same' if same else 'DIFFERENT'}  {kind} {params}  sha256 {new_sha[:12]}  added {added}")
+            if old_sha != new_sha and os.path.exists(old_csv) and os.path.exists(new_csv):
+                print(f"    largest relative deviation by column: {column_deviations(old_csv, new_csv)}")
+            moved = {key: (value, new_est.get(key)) for key, value in old_est.items() if new_est.get(key) != value}
+            if moved:
+                print(f"    estimates that differ (parent, change): {moved}")
+            for path in (old_csv, new_csv):
+                if os.path.exists(path):
+                    os.remove(path)
     for (kind, params), old, new in zip(LIBRARY_RUNS, run_library(args.parent), run_library(args.change)):
         failures += old != new
-        print(f"{'same' if old == new else 'DIFFERENT'}  library {kind} {params}  {new}")
+        shown = new
+        if kind == "mass_curve":
+            deviation = relative_deviation(old[2], new[2]) if old[0] == new[0] else math.inf
+            shown = new[:2] + [f"largest relative deviation {deviation:.2g}"]
+        print(f"{'same' if old == new else 'DIFFERENT'}  library {kind} {params}  {shown}")
     total = len(RUNS) + len(LIBRARY_RUNS)
     print(f"{total - failures} of {total} runs identical")
     return 1 if failures else 0

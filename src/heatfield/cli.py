@@ -321,13 +321,8 @@ def _run_gf(p):
 
 
 def _run_twopoint(p):
-    field = dyson.two_point_picard(
-        p["alpha"],
-        p["gamma"],
-        p["t.max"],
-        p["t.step"],
-        p["x.halfwidth"],
-        p["x.step"],
+    field, residual = dyson._two_point_solve(
+        p["alpha"], p["gamma"], p["t.max"], p["t.step"], p["x.halfwidth"], p["x.step"], residual=True
     )
     mass = dyson.mass_curve(p["alpha"], p["gamma"], field.times[-1])(field.times)
     slice_mass = field.spatial_mass()
@@ -340,7 +335,7 @@ def _run_twopoint(p):
         "mass_curve": np.repeat(mass, nx),
     }
     estimates = {
-        "residual": dyson.two_point_residual(field, p["alpha"], p["gamma"]),
+        "residual": residual,
         "max_mass_mismatch": float(np.max(np.abs(slice_mass - mass))),
     }
     return columns, estimates
@@ -373,28 +368,49 @@ _RUNNERS = {
 }
 
 
+_CSV_BLOCK = 2048
+_CELL_WIDTH = 25  # the longest %.17g text, -2.2250738585072014e-308, and its separator
 _CELL_FORMATS = {"i": "%d", "b": "%d", "U": "%s"}  # floats: "%.17g"
-_CSV_BLOCK = 1024
 
 
-def _cells(col: np.ndarray):
-    if col.dtype.kind != "f":
-        return [_CELL_FORMATS[col.dtype.kind] % v for v in col.tolist()]
-    distinct, where = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
-    return np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()], dtype=object)[where]
+def _csv_block(cols: list) -> bytes:
+    # The bytes of one block of rows.  Each distinct cell is formatted once (two-point t, x
+    # and mass columns repeat most): the float columns share one np.unique on their int64
+    # view, which compares bit patterns, so -0.0 and 0.0 and NaN payloads stay apart, and one
+    # % call that left-justifies every value in a field of one width.  No number's text has a
+    # space, so the padding spaces become NUL; other columns' cells are NUL-padded UTF-8.
+    # That makes one table of fixed-width rows, each ending in ','.  Each cell takes its row
+    # by its inverse index, the last byte of every CSV row becomes '\n', and dropping the
+    # NULs leaves the text.
+    kinds = [col.dtype.kind for col in cols]
+    floats = [j for j, kind in enumerate(kinds) if kind == "f"]
+    index = np.empty((len(cols[0]), len(cols)), dtype=np.intp)
+    keys = np.empty((len(index), len(floats)))
+    for i, j in enumerate(floats):
+        keys[:, i] = cols[j]
+    distinct, inverse = np.unique(keys.view(np.int64), return_inverse=True)
+    index[:, floats] = inverse.reshape(keys.shape)
+    words = []
+    for j in (j for j, kind in enumerate(kinds) if kind != "f"):
+        values, inverse = np.unique(cols[j], return_inverse=True)
+        index[:, j] = inverse + (distinct.size + len(words))
+        words += [(_CELL_FORMATS[kinds[j]] % v).encode("utf-8") for v in values.tolist()]
+    width = max([_CELL_WIDTH] + [len(word) + 1 for word in words])
+    numbers = (f"%-{width - 1}.17g," * distinct.size) % tuple(distinct.view(np.float64).tolist())
+    table = numbers.replace(" ", "\0").encode("ascii") + b"".join(w.ljust(width - 1, b"\0") + b"," for w in words)
+    cells = np.take(np.frombuffer(table, f"V{width}"), index).view(np.uint8).reshape(len(index), -1)
+    cells[:, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: str, columns: dict):
-    # Rows are written _CSV_BLOCK at a time.  In a block each float column formats
-    # every distinct value once (two-point t, x and mass columns repeat most):
-    # np.unique on the int64 view compares bit patterns, so -0.0 and 0.0 and NaN
-    # payloads stay apart, and its inverse index puts the strings in row order.
+    # Rows are written _CSV_BLOCK at a time, each block in one write (_csv_block).
     cols = [np.asarray(col) for col in columns.values()]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for lo in range(0, min(map(len, cols), default=0), _CSV_BLOCK):
-            cells = [_cells(col[lo : lo + _CSV_BLOCK]) for col in cols]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    rows = min(map(len, cols), default=0)
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode("utf-8"))
+        for lo in range(0, rows, _CSV_BLOCK):
+            fh.write(_csv_block([col[lo : min(lo + _CSV_BLOCK, rows)] for col in cols]))
 
 
 def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:

@@ -28,7 +28,13 @@ exp(-gamma*w), and exp(-(gamma + xi**2/2)*w) per spatial Fourier mode xi
 of the two-point field.  So every trapezoid history sum obeys
 S_i = r*(S_{i-1} + q_{i-1}) with r = exp(-lambda*h) and costs O(1) per
 node (fast convolution quadrature, Lubich and Schaedle, SIAM J. Sci.
-Comput. 24, 2002, in its exact single-exponential case).
+Comput. 24, 2002, in its exact single-exponential case).  The two-point
+field carries its sums row by row.  On the curves (the Picard sweeps and,
+with the march's division folded in, the mass curve) the sums form a
+first-order linear recurrence with non-negative coefficients, solved for
+all nodes at once by a prefix scan (``_linear_scan``; Blelloch, Prefix
+sums and their applications, CMU-CS-90-190, 1990): the same discrete
+equations, evaluated in another order, so only rounding differs.
 
 Closed form: with s = |1 - 2*alpha| and beta = 1 - alpha,
 
@@ -44,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -248,6 +253,9 @@ def one_point_picard(
     an integer >= 1.  Integrals use the composite trapezoid rule; step
     <= 1e-3/gamma keeps the quadrature error around 1e-6.  The grid takes
     the fewest whole steps that reach tau_max, as in ``one_point_ode``.
+    Each application evaluates its history sums S_i = r*S_{i-1} + r*q_{i-1}
+    (q = A**2 of the previous iterate, r = exp(-gamma*step)) with one
+    ``_linear_scan`` over all nodes.
     """
     _validate_alpha_gamma(alpha, gamma)
     _check_count("order", order)
@@ -259,10 +267,13 @@ def one_point_picard(
     c = 0.5 * h * gamma * (1.0 - alpha)
     r = math.exp(-gamma * h)
     a = np.zeros(n + 1)
+    sums = np.empty(n + 1)
     for _ in range(order):
         q = a * a
-        s = accumulate(q[:-1].tolist(), lambda acc, qk: r * (acc + qk), initial=0.0)
-        a = base + c * (2.0 * np.fromiter(s, float, n + 1) + q)
+        sums[0] = 0.0
+        np.multiply(q[:-1], r, out=sums[1:])
+        s = _linear_scan(r, sums)
+        a = base + c * (2.0 * s + q)
     return SampledFunction(0.0, h, a)
 
 
@@ -278,12 +289,17 @@ def mass_curve(
 
         M(t) = exp(-gamma*t) + gamma*beta * int_0^t exp(-gamma*w) A(t-w) M(t-w) dw
 
-    with the closed-form one-point function A, marching forward one node
-    at a time: only the diagonal term 0.5*step*gamma*beta*A(t)*M(t) of
-    node t involves M(t), so dividing by one minus that weight gives the
-    discrete solution exactly, up to rounding.  Raises ValueError when
-    ``step`` is so coarse that the weight reaches 1.  The grid takes the
-    fewest whole steps that reach t_max, as in ``one_point_ode``.
+    with the closed-form one-point function A.  Only the diagonal term
+    0.5*step*gamma*beta*A(t)*M(t) of node t involves M(t), so with the
+    history sum S_i = r*(S_{i-1} + A_{i-1}*M_{i-1}) (r = exp(-gamma*step),
+    S_0 = 0) the discrete solution is M_i = (exp(-gamma*t_i) + coeff*S_i)/div_i,
+    exactly up to rounding, where coeff = step*gamma*beta and div is one
+    minus that weight.  Substituting M_{i-1} makes the sums a recurrence
+    in S alone, S_i = r*(1 + coeff*A_{i-1}/div_{i-1})*S_{i-1}
+    + r*A_{i-1}*exp(-gamma*t_{i-1})/div_{i-1}, which one ``_linear_scan``
+    solves for every node.  Raises ValueError when ``step`` is so coarse
+    that the weight reaches 1.  The grid takes the fewest whole steps
+    that reach t_max, as in ``one_point_ode``.
     """
     _validate_alpha_gamma(alpha, gamma)
     h, n = _curve_grid(gamma, t_max, step)
@@ -293,13 +309,49 @@ def mass_curve(
     div = _march_divisors(alpha, gamma, h, a_curve)
     r = math.exp(-gamma * h)
     coeff = h * gamma * (1.0 - alpha)
-    m = base.copy()
-    s = q = 0.0  # history sum over 0 < k < i of A*M; the k = 0 end has A(0) = 0
-    for i in range(1, n + 1):
-        s = r * (s + q)
-        m[i] = (base[i] + coeff * s) / div[i]
-        q = a_curve[i] * m[i]
+    weight = np.divide(a_curve, div, out=a_curve)  # A/div
+    excess, sums = times, np.empty(n + 1)  # times is not needed again; s_0 = 0
+    excess[0] = sums[0] = 0.0
+    np.multiply(weight[:-1], coeff, out=excess[1:])
+    np.multiply(weight[:-1], base[:-1], out=sums[1:])
+    sums[1:] *= r
+    m = _linear_scan(r, sums, excess)
+    m *= coeff
+    m += base
+    m /= div
     return SampledFunction(0.0, h, m)
+
+
+def _linear_scan(r: float, d: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+    """Solve s_i = r*(1 + u_i)*s_{i-1} + d_i, s_{-1} = 0, for every i; returns d, which then holds s.
+
+    Hillis-Steele scan of the affine maps s -> r*(1 + u_i)*s + d_i: before
+    the pass at offset k, entry i >= k composes the k maps ending at i, as
+    its value d at s = 0 and its factor r**k * (1 + u), so ceil(log2 n)
+    array passes replace the loop over nodes.  The factor is kept as its
+    excess u over r**k because a factor near 1, rounded once to a double
+    and raised to the n-th power, would bias s by up to n ulps.  With u,
+    d >= 0 nothing cancels.  d and u (None: all zero) are overwritten.
+    """
+    n = d.size
+    work = np.empty(n)
+    k = 1
+    while k < n:
+        m = n - k
+        # entries i >= k hold k maps: compose each with entry i - k
+        if u is None:
+            np.multiply(d[:m], r**k, out=work[:m])
+            d[k:] += work[:m]
+        else:
+            np.multiply(u[k:], d[:m], out=work[:m])
+            work[:m] += d[:m]
+            work[:m] *= r**k
+            d[k:] += work[:m]
+            np.multiply(u[k:], u[:m], out=work[:m])  # (1 + u)(1 + u') - 1
+            work[:m] += u[:m]
+            u[k:] += work[:m]
+        k *= 2
+    return d
 
 
 @dataclass(frozen=True)
@@ -386,6 +438,10 @@ class _TwoPointOperator:
             out[j - 1] = self.base[j - 1] + self.coeff * ladder
         return out
 
+    def defect(self, field: np.ndarray) -> float:
+        """Sup norm of apply(field) - field."""
+        return float(np.max(np.abs(self.apply(field) - field)))
+
     def march(self) -> np.ndarray:
         """The fixed point, one time row at a time, negative rounding clamped to 0."""
         field = np.empty_like(self.base)
@@ -427,13 +483,18 @@ def two_point_picard(
     the limit, which then bounds ``two_point_residual``.  A time step so
     coarse that the diagonal weight reaches 1 raises ValueError.
     """
+    return _two_point_solve(alpha, gamma, t_max, t_step, x_half_width, x_step)[0]
+
+
+def _two_point_solve(alpha, gamma, t_max, t_step, x_half_width, x_step, residual=False):
+    """``two_point_picard``'s field and, when asked, its ``two_point_residual``, from one operator build."""
     nt, half = _grid_count(t_max, t_step), _grid_count(x_half_width, x_step)
     op = _TwoPointOperator(alpha, gamma, nt, t_step, half, x_step)
-    return SpaceTimeField(op.k, op.h, op.march())
+    field = SpaceTimeField(op.k, op.h, op.march())
+    return field, (op.defect(field.values) if residual else None)
 
 
 def two_point_residual(field: SpaceTimeField, alpha: float, gamma: float) -> float:
     """Sup-norm defect |T(D) - D| of a candidate two-point field, on the field's own grid."""
     nt, nx = field.values.shape
-    op = _TwoPointOperator(alpha, gamma, nt, field.t_step, nx // 2, field.x_step)
-    return float(np.max(np.abs(op.apply(field.values) - field.values)))
+    return _TwoPointOperator(alpha, gamma, nt, field.t_step, nx // 2, field.x_step).defect(field.values)

@@ -217,13 +217,16 @@ def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0
     return _brownian_path(_path_start(x0, t, n_steps), t, n_steps, derive_stream(seed, replica))
 
 
-def _path_start(x0, t, n_steps):
-    # x0 as a 1-d array, once t, n_steps and x0 are checked (in that order).
+def _path_start(x0, t, n_steps, name="x0", one=False):
+    # x0 as a 1-d array, once t, n_steps and x0 are checked (in that order), x0 under ``name``:
+    # with ``one``, that it is one position before that it is finite.
     _check_time("t", t, positive=True)
     _check_count("n_steps", n_steps)
     start = np.atleast_1d(np.asarray(x0, dtype=float))
+    if one and start.size != 1:
+        raise ValueError(f"{name} must be one position, got {start.size} values")
     if not all(map(math.isfinite, start)):
-        raise ValueError("x0 must be finite")
+        raise ValueError(f"{name} must be finite")
     return start
 
 
@@ -255,10 +258,7 @@ def feynman_kac_estimate(
     below on that path, as for a potential of -1e6).
     """
     replicas = _check_count("replicas", replicas, least=2)  # checked before the path arguments
-    start = _path_start(x, t, n_steps)
-    if start.size != 1:
-        raise ValueError(f"x must be one position, got {start.size} values")
-    x0, dt = float(start[0]), t / n_steps
+    x0, dt = float(_path_start(x, t, n_steps, "x", one=True)[0]), t / n_steps
     values = np.empty(replicas)
     streams = _replica_streams(seed, replicas)
     per_pass = max(1, _WALK_CELLS // n_steps)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatfield
 from heatfield import cli, dyson, montecarlo, pring
@@ -479,6 +481,114 @@ def test_csv_writer_matches_row_format_oracle(tmp_path):
     special = {line.split(b",")[0] for line in data.splitlines()[1:]}
     assert data.count(b"\n") == rows + 1
     assert {b"-0", b"0", b"nan", b"inf", b"-inf", b"4.9406564584124654e-324"} <= special
+
+
+_ORACLE_FORMATS = {"i": "%d", "b": "%d", "U": "%s"}
+
+
+def _cells(col: np.ndarray):
+    # The per-cell formatter of the writer before the block writer: every distinct float
+    # (by bit pattern) through "%.17g", its strings gathered by the inverse index, and every
+    # other cell formatted on its own.
+    if col.dtype.kind != "f":
+        return [_ORACLE_FORMATS[col.dtype.kind] % v for v in col.tolist()]
+    distinct, where = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
+    return np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()], dtype=object)[where]
+
+
+def _csv_oracle(columns) -> bytes:
+    cols = [np.asarray(col) for col in columns.values()]
+    rows = min(map(len, cols), default=0)
+    cells = [_cells(col[:rows]) for col in cols]
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _written(tmp_path, columns) -> bytes:
+    path = tmp_path / "block.csv"
+    cli._write_csv(str(path), columns)
+    return path.read_bytes()
+
+
+EDGE_FLOATS = [
+    0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9.999999999999998e16, 1e17, 1e-4, 1e-5,
+    1.7976931348623157e308, math.inf, 0.1, 1.0 / 3.0, 123456789.0,
+]
+
+
+class TestBlockWriter:
+    def test_edge_floats(self, tmp_path):
+        # Signed, so the longest %.17g text (-2.2250738585072014e-308, 24 characters) is in.
+        values = EDGE_FLOATS + [-v for v in EDGE_FLOATS] + [math.nan, -math.nan]
+        columns = {"v": np.array(values), "w": np.array(values[::-1]), "listed": values}
+        data = _written(tmp_path, columns)
+        assert data == _csv_oracle(columns)
+        cells = [line.split(b",")[0] for line in data.splitlines()[1:]]
+        assert b"-2.2250738585072014e-308" in cells and b"-0" in cells and b"nan" in cells
+        assert {b"10000000000000000", b"99999999999999984", b"1e+17", b"1.0000000000000001e-05"} <= set(cells)
+
+    def test_ints_bools_and_strings(self, tmp_path):
+        words = ["a", "gamma additive", " leading", "trailing ", "x" * 40, "é", "ab", "a"]
+        words += ["w" * n for n in range(1, 41)]
+        n = len(words)
+        columns = {
+            "int": np.array([0, -1, 2**63 - 1, -(2**63), 10**18, -(10**17), 7, 7] + list(range(n - 8))),
+            "flag": np.arange(n) % 3 == 0,
+            "name": words,
+            "value": np.linspace(-1.0, 1.0, n),
+            "small": np.array([-5, 3] * (n // 2), dtype=np.int8),
+        }
+        data = _written(tmp_path, columns)
+        assert data == _csv_oracle(columns)
+        assert b"\0" not in data
+        assert data.splitlines()[2].split(b",")[2] == b"gamma additive"
+
+    def test_only_text_columns(self, tmp_path):
+        columns = {"name": ["p", "q r"], "count": np.array([3, -4])}
+        assert _written(tmp_path, columns) == _csv_oracle(columns) == b"name,count\np,3\nq r,-4\n"
+
+    @pytest.mark.parametrize("rows", [0, 1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1, 2 * cli._CSV_BLOCK + 1])
+    def test_row_counts(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        columns = {
+            "t": np.repeat(rng.random(rows // 7 + 1), 7)[:rows],
+            "x": np.tile(rng.standard_normal(5), rows // 5 + 1)[:rows],
+            "field": rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 307, rows),
+            "count": rng.integers(-(2**62), 2**62, rows),
+            "passed": rng.random(rows) < 0.5,
+            "property": rng.choice(["inverse", "exp additive", "z"], rows),
+        }
+        data = _written(tmp_path, columns)
+        assert data == _csv_oracle(columns)
+        assert data.count(b"\n") == rows + 1
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300), st.integers(1, 4))
+    def test_any_float_bit_pattern(self, tmp_path_factory, patterns, repeat):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        columns = {"a": np.repeat(values, repeat), "b": np.tile(values[::-1], repeat)}
+        assert _written(tmp_path_factory.mktemp("bits"), columns) == _csv_oracle(columns)
+
+    BENCHMARK_SHAPED = {
+        "kernel": {"gamma": 0.3, "d": 2, "t.min": 0.05, "t.max": 3.0, "t.count": 40, "r.max": 6.0, "r.count": 60},
+        "semigroup": {"t": 1.0, "grid.origin": -48.0, "grid.step": 0.01, "grid.count": 9601,
+                      "u.kind": "gaussian", "u.center": 0.3, "u.sigma": 0.5},
+        "clock": {"gamma": 2.0, "dtau.max": 3.0, "replicas": 2000, "seed": 5},
+        "extinction": {"alpha": 0.25, "gamma": 1.0, "horizon": 60.0, "replicas": 200, "seed": 7,
+                       "max.particles": 10_000},
+        "onepoint": {"alpha": 0.25, "gamma": 1.0, "tau.max": 5.0, "picard.order": 20},
+        "gf": {"alpha": 0.25, "gamma": 1.0, "theta": 0.5, "t.max": 1.0, "replicas": 150, "seed": 11},
+        "twopoint": {"alpha": 0.5, "gamma": 1.0, "t.max": 2.0, "t.step": 0.025, "x.halfwidth": 10.0,
+                     "x.step": 0.05},
+        "ring-check": {"cases": 10_000, "seed": 3},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BENCHMARK_SHAPED))
+    def test_benchmark_shaped_csvs(self, tmp_path, kind):
+        text = "".join(f"{key} = {value}\n" for key, value in self.BENCHMARK_SHAPED[kind].items())
+        params = parse_config(write(tmp_path / "run.cfg", text), kind).params
+        columns, _ = cli._RUNNERS[kind](params)
+        assert _written(tmp_path, columns) == _csv_oracle(columns)
 
 
 def test_package_and_project_versions_agree():

@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -299,6 +300,100 @@ class TestMassCurve:
         assert worst <= 1e-12
 
 
+def picard_loop(alpha, gamma, tau_max, order, step=None):
+    # one_point_picard as it was before the scan: each history sum carried node by node.
+    h, n = dyson._curve_grid(gamma, tau_max, step)
+    survival = np.exp(-gamma * (h * np.arange(n + 1)))
+    base = np.concatenate(([0.0], np.cumsum(0.5 * h * (survival[1:] + survival[:-1]))))
+    base *= gamma * alpha
+    c = 0.5 * h * gamma * (1.0 - alpha)
+    r = math.exp(-gamma * h)
+    a = np.zeros(n + 1)
+    for _ in range(order):
+        q = a * a
+        s = accumulate(q[:-1].tolist(), lambda acc, qk: r * (acc + qk), initial=0.0)
+        a = base + c * (2.0 * np.fromiter(s, float, n + 1) + q)
+    return a
+
+
+def mass_curve_loop(alpha, gamma, t_max, step=None):
+    # mass_curve as it was before the scan: the forward march, one node at a time.
+    h, n = dyson._curve_grid(gamma, t_max, step)
+    times = h * np.arange(n + 1)
+    base = np.exp(-gamma * times)
+    a_curve = one_point_closed_form(alpha, gamma, times)
+    div = dyson._march_divisors(alpha, gamma, h, a_curve)
+    r = math.exp(-gamma * h)
+    coeff = h * gamma * (1.0 - alpha)
+    m = base.copy()
+    s = q = 0.0
+    for i in range(1, n + 1):
+        s = r * (s + q)
+        m[i] = (base[i] + coeff * s) / div[i]
+        q = a_curve[i] * m[i]
+    return m
+
+
+SCAN_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
+SCAN_GAMMAS = (0.3, 1.0, 2.5)
+
+
+class TestScanAgainstLoops:
+    """The array scans against the node-by-node loops they replaced, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 1000, 4097])
+    def test_linear_scan_solves_the_recurrence(self, n):
+        rng = np.random.default_rng(n)
+        r, u, d = 0.97, rng.random(n) * 1e-2, rng.random(n)
+        want, s = [], 0.0
+        for ui, di in zip(u.tolist(), d.tolist()):
+            s = r * (1.0 + ui) * s + di
+            want.append(s)
+        np.testing.assert_allclose(dyson._linear_scan(r, d.copy(), u.copy()), want, rtol=1e-13, atol=0)
+        want, s = [], 0.0
+        for di in d.tolist():
+            s = r * s + di
+            want.append(s)
+        np.testing.assert_allclose(dyson._linear_scan(r, d.copy()), want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("alpha", SCAN_ALPHAS)
+    @pytest.mark.parametrize("gamma", SCAN_GAMMAS)
+    def test_short_grids(self, alpha, gamma):
+        for steps in (1, 2, 3):
+            span = steps * 0.1
+            np.testing.assert_allclose(
+                mass_curve(alpha, gamma, span, step=0.1).values, mass_curve_loop(alpha, gamma, span, 0.1), rtol=1e-12, atol=0
+            )
+            for order in (1, 2, 5):
+                np.testing.assert_allclose(
+                    one_point_picard(alpha, gamma, span, order, step=0.1).values,
+                    picard_loop(alpha, gamma, span, order, 0.1),
+                    rtol=1e-12,
+                    atol=0,
+                )
+
+    @pytest.mark.parametrize("alpha", SCAN_ALPHAS)
+    @pytest.mark.parametrize("gamma", SCAN_GAMMAS)
+    def test_default_grids(self, alpha, gamma):
+        np.testing.assert_allclose(mass_curve(alpha, gamma, 3.0).values, mass_curve_loop(alpha, gamma, 3.0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            one_point_picard(alpha, gamma, 2.0, 6).values, picard_loop(alpha, gamma, 2.0, 6), rtol=1e-12, atol=0
+        )
+
+    def test_benchmark_curves(self):
+        np.testing.assert_allclose(mass_curve(0.1, 1.0, 40.0).values, mass_curve_loop(0.1, 1.0, 40.0), rtol=1e-12, atol=0)
+        for alpha in (0.25, 0.5, 0.75):
+            np.testing.assert_allclose(
+                one_point_picard(alpha, 1.0, 5.0, 20).values, picard_loop(alpha, 1.0, 5.0, 20), rtol=1e-12, atol=0
+            )
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_degenerate_laws_are_exact(self, alpha):
+        # alpha = 0: A = 0 and M = exp(-gamma*t); alpha = 1: no ladder term.  Both exactly.
+        np.testing.assert_array_equal(mass_curve(alpha, 2.0, 3.0).values, mass_curve_loop(alpha, 2.0, 3.0))
+        np.testing.assert_array_equal(one_point_picard(alpha, 2.0, 3.0, 4).values, picard_loop(alpha, 2.0, 3.0, 4))
+
+
 @pytest.fixture(scope="module")
 def field():
     return two_point_picard(0.5, 1.0, t_max=1.0, t_step=0.05, x_half_width=6.5, x_step=0.1)
@@ -335,6 +430,15 @@ class TestTwoPoint:
         mass = mass_curve(0.5, 1.0, 1.0, step=1e-3)
         want = mass(field.times)
         assert np.max(np.abs(field.spatial_mass() - want)) < 2e-4
+
+    @pytest.mark.parametrize("args", [(0.5, 1.0, 1.0, 0.05, 6.5, 0.1), (0.1, 1.0, 2.0, 0.025, 10.0, 0.05)])
+    def test_one_build_gives_the_public_field_and_residual(self, args):
+        field, residual = dyson._two_point_solve(*args, residual=True)
+        public = two_point_picard(*args)
+        np.testing.assert_array_equal(field.values, public.values)
+        assert (field.t_step, field.x_step) == (public.t_step, public.x_step)
+        assert residual == two_point_residual(public, *args[:2])
+        assert dyson._two_point_solve(*args)[1] is None
 
     def test_pure_death_equals_retarded_propagator_exactly(self):
         field = two_point_picard(1.0, 0.7, t_max=1.0, t_step=0.1, x_half_width=6.5, x_step=0.1)

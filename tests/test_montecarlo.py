@@ -858,8 +858,12 @@ class TestArgumentChecks:
             feynman_kac_estimate(self.U, self.zero, 1.0, 0.0, 10, 0, seed=1)
         with pytest.raises(ValueError, match="^n_steps must"):
             sample_brownian_path(0.0, 1.0, 2.0, seed=1)
-        with pytest.raises(ValueError, match="^x0 must"):
+        with pytest.raises(ValueError, match="^x must be finite$"):
             feynman_kac_estimate(self.U, self.zero, 1.0, math.nan, 10, 4, seed=1)
+        with pytest.raises(ValueError, match="^x must be one position, got 2 values$"):
+            feynman_kac_estimate(self.U, self.zero, 1.0, [math.nan, 0.2], 10, 4, seed=1)
+        with pytest.raises(ValueError, match="^x0 must be finite$"):
+            sample_brownian_path(math.nan, 1.0, 4, seed=1)
 
     @pytest.mark.parametrize("replicas", [0, 1, -2, 1.5, True])
     def test_replica_counts(self, replicas):
