@@ -36,10 +36,14 @@ float64 bytes of the benchmark's ``mass_curve(0.1, 1, 40)``.
 Where a CSV's sha256 differs, each column's largest relative deviation
 |change - parent| / |parent| is printed under the run (0 where both
 cells are equal, including two NaNs; inf where the parent's cell is 0
-or not finite; a text column reads ``same`` or ``differs``); so is the
-``mass_curve`` deviation beside its hash, and so is every manifest
-estimate that differs, with its two values.  ``--change`` defaults to
-the tree holding this script.  Exits 1 unless every run is identical.
+or not finite; a text column reads ``same`` or ``differs``).  A column
+that differs also shows, in brackets, its largest |change - parent|
+divided by its largest |parent|, which stays finite where a cell moves
+off or onto 0 (inf only for a column of zeros, or a change that is not
+finite).  The ``mass_curve`` deviation is printed beside its hash, and
+every manifest estimate that differs with its two values.  ``--change``
+defaults to the tree holding this script.  Exits 1 unless every run is
+identical.
 """
 
 from __future__ import annotations
@@ -182,8 +186,17 @@ def relative_deviation(old: list, new: list) -> float:
     return worst
 
 
+def scaled_deviation(old: list, new: list) -> float:
+    """Largest |new - old| over paired floats divided by the largest finite |old| (equal cells, NaN pairs too, count 0)."""
+    worst = max((abs(b - a) for a, b in zip(old, new) if a != b and not (math.isnan(a) and math.isnan(b))), default=0.0)
+    scale = max((abs(a) for a in old if math.isfinite(a)), default=0.0)
+    if not worst:
+        return 0.0
+    return worst / scale if math.isfinite(worst) and scale else math.inf
+
+
 def column_deviations(old_csv: str, new_csv: str) -> str:
-    """Each column's largest relative deviation between two CSVs with the same header."""
+    """Each column's largest relative deviation between two CSVs with the same header, and its scaled one if it differs."""
     tables = []
     for path in (old_csv, new_csv):
         with open(path, encoding="utf-8", newline="") as fh:
@@ -194,7 +207,10 @@ def column_deviations(old_csv: str, new_csv: str) -> str:
     parts = []
     for name, old, new in zip(old_head, zip(*old_rows), zip(*new_rows)):
         try:
-            parts.append(f"{name} {relative_deviation(list(map(float, old)), list(map(float, new))):.2g}")
+            old, new = list(map(float, old)), list(map(float, new))
+            deviation = relative_deviation(old, new)
+            scaled = f" [{scaled_deviation(old, new):.2g} of max]" if deviation else ""
+            parts.append(f"{name} {deviation:.2g}{scaled}")
         except ValueError:
             parts.append(f"{name} {'same' if old == new else 'differs'}")
     return ", ".join(parts)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -403,14 +404,18 @@ def _csv_block(cols: list) -> bytes:
     return cells.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path: str, columns: dict):
-    # Rows are written _CSV_BLOCK at a time, each block in one write (_csv_block).
+def _write_csv(path: str, columns: dict) -> str:
+    # Rows go out _CSV_BLOCK at a time, one write per block (_csv_block); returns the sha256 of the bytes.
     cols = [np.asarray(col) for col in columns.values()]
     rows = min(map(len, cols), default=0)
-    with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode("utf-8"))
-        for lo in range(0, rows, _CSV_BLOCK):
-            fh.write(_csv_block([col[lo : min(lo + _CSV_BLOCK, rows)] for col in cols]))
+    if any(len(col) != rows for col in cols):
+        raise ValueError(f"CSV columns differ in length: {dict(zip(columns, map(len, cols)))}")
+    header = (",".join(columns) + "\n").encode("utf-8")
+    blocks = (_csv_block([col[lo : lo + _CSV_BLOCK] for col in cols]) for lo in range(0, rows, _CSV_BLOCK))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:  # writelines drops each block once written: no two are alive at once
+        fh.writelines(map(lambda data: digest.update(data) or data, itertools.chain([header], blocks)))
+    return digest.hexdigest()
 
 
 def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:
@@ -446,13 +451,8 @@ def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:
     started = time.perf_counter()
     try:
         columns, estimates = _RUNNERS[config.kind](config.params)
-        _write_csv(csv_path, columns)
+        manifest["csv_sha256"] = _write_csv(csv_path, columns)
         manifest["estimates"] = estimates
-        digest = hashlib.sha256()
-        with open(csv_path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 16), b""):
-                digest.update(block)
-        manifest["csv_sha256"] = digest.hexdigest()
         code = 0
     except Exception as err:  # noqa: BLE001 - every library error maps to exit 2
         manifest["status"] = "error"

@@ -28,13 +28,13 @@ exp(-gamma*w), and exp(-(gamma + xi**2/2)*w) per spatial Fourier mode xi
 of the two-point field.  So every trapezoid history sum obeys
 S_i = r*(S_{i-1} + q_{i-1}) with r = exp(-lambda*h) and costs O(1) per
 node (fast convolution quadrature, Lubich and Schaedle, SIAM J. Sci.
-Comput. 24, 2002, in its exact single-exponential case).  The two-point
-field carries its sums row by row.  On the curves (the Picard sweeps and,
-with the march's division folded in, the mass curve) the sums form a
-first-order linear recurrence with non-negative coefficients, solved for
-all nodes at once by a prefix scan (``_linear_scan``; Blelloch, Prefix
-sums and their applications, CMU-CS-90-190, 1990): the same discrete
-equations, evaluated in another order, so only rounding differs.
+Comput. 24, 2002, in its exact single-exponential case).  The sums of each
+Picard sweep and, with the march's division folded in (``_ladder_sums``),
+those of the mass curve and of every Fourier mode of the two-point field
+at once form a first-order linear recurrence, solved for all nodes at once
+by a prefix scan (``_linear_scan``; Blelloch, Prefix sums and their
+applications, CMU-CS-90-190, 1990): the same discrete equations, evaluated
+in another order, so only rounding differs.
 
 Closed form: with s = |1 - 2*alpha| and beta = 1 - alpha,
 
@@ -289,68 +289,71 @@ def mass_curve(
 
         M(t) = exp(-gamma*t) + gamma*beta * int_0^t exp(-gamma*w) A(t-w) M(t-w) dw
 
-    with the closed-form one-point function A.  Only the diagonal term
-    0.5*step*gamma*beta*A(t)*M(t) of node t involves M(t), so with the
-    history sum S_i = r*(S_{i-1} + A_{i-1}*M_{i-1}) (r = exp(-gamma*step),
-    S_0 = 0) the discrete solution is M_i = (exp(-gamma*t_i) + coeff*S_i)/div_i,
-    exactly up to rounding, where coeff = step*gamma*beta and div is one
-    minus that weight.  Substituting M_{i-1} makes the sums a recurrence
-    in S alone, S_i = r*(1 + coeff*A_{i-1}/div_{i-1})*S_{i-1}
-    + r*A_{i-1}*exp(-gamma*t_{i-1})/div_{i-1}, which one ``_linear_scan``
-    solves for every node.  Raises ValueError when ``step`` is so coarse
-    that the weight reaches 1.  The grid takes the fewest whole steps
-    that reach t_max, as in ``one_point_ode``.
+    with the closed-form one-point function A by the forward march
+    (``_ladder_sums``), exact up to rounding.  Raises ValueError when
+    ``step`` is so coarse that the march's diagonal weight reaches 1.  The
+    grid takes the fewest whole steps that reach t_max, as in ``one_point_ode``.
     """
     _validate_alpha_gamma(alpha, gamma)
     h, n = _curve_grid(gamma, t_max, step)
     times = h * np.arange(n + 1)
-    base = np.exp(-gamma * times)
     a_curve = one_point_closed_form(alpha, gamma, times)
+    base = np.exp(np.multiply(times, -gamma, out=times), out=times)  # times is not needed again
     div = _march_divisors(alpha, gamma, h, a_curve)
-    r = math.exp(-gamma * h)
     coeff = h * gamma * (1.0 - alpha)
-    weight = np.divide(a_curve, div, out=a_curve)  # A/div
-    excess, sums = times, np.empty(n + 1)  # times is not needed again; s_0 = 0
-    excess[0] = sums[0] = 0.0
-    np.multiply(weight[:-1], coeff, out=excess[1:])
-    np.multiply(weight[:-1], base[:-1], out=sums[1:])
-    sums[1:] *= r
-    m = _linear_scan(r, sums, excess)
+    m = _ladder_sums(math.exp(-gamma * h), base, np.divide(a_curve, div, out=a_curve), coeff)
     m *= coeff
     m += base
     m /= div
     return SampledFunction(0.0, h, m)
 
 
-def _linear_scan(r: float, d: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+def _ladder_sums(r, base: np.ndarray, w: np.ndarray, coeff: float) -> np.ndarray:
+    """History sums S_i = r*(S_{i-1} + a_{i-1}*x_{i-1}), S_0 = 0, of the march x_i = (base_i + coeff*S_i)/div_i.
+
+    div is one minus the diagonal weight (``_march_divisors``).  Substituting
+    x_{i-1}, with w = a/div, gives one ``_linear_scan``:
+    S_i = r*(1 + coeff*w_{i-1})*S_{i-1} + r*w_{i-1}*base_{i-1}, where base,
+    r and w take the shapes of its d, r and u.  w is overwritten.
+    """
+    sums = np.zeros_like(base)
+    np.multiply(w[:-1], base[:-1], out=sums[1:])
+    sums[1:] *= r
+    np.multiply(w[:-1], coeff, out=w[1:])  # u, one node on (the overlap is buffered); u_0 meets s_{-1} = 0
+    return _linear_scan(r, sums, w)
+
+
+def _linear_scan(r, d: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
     """Solve s_i = r*(1 + u_i)*s_{i-1} + d_i, s_{-1} = 0, for every i; returns d, which then holds s.
 
-    Hillis-Steele scan of the affine maps s -> r*(1 + u_i)*s + d_i: before
-    the pass at offset k, entry i >= k composes the k maps ending at i, as
-    its value d at s = 0 and its factor r**k * (1 + u), so ceil(log2 n)
-    array passes replace the loop over nodes.  The factor is kept as its
-    excess u over r**k because a factor near 1, rounded once to a double
-    and raised to the n-th power, would bias s by up to n ulps.  With u,
-    d >= 0 nothing cancels.  d and u (None: all zero) are overwritten.
+    d is a vector, or a matrix of columns that share u, of shape (n, 1),
+    and have one rate r each.  Hillis-Steele scan of the affine maps
+    s -> r*(1 + u_i)*s + d_i: before the pass at offset k, entry i >= k
+    composes the k maps ending at i, as its value d at s = 0 and its factor
+    r**k * (1 + u), so ceil(log2 n) array passes replace the loop over
+    nodes.  The factor is kept as its excess u over r**k because a factor
+    near 1, rounded once to a double and raised to the n-th power, would
+    bias s by up to n ulps.  With u, d >= 0 nothing cancels; nor in the
+    two-point field's complex columns, each a real multiple of one phase
+    (every propagator row is symmetric about x = 0 on an odd grid) whose
+    real factors are negative only at the 1e-13 noise floor of the high
+    modes.  d and u (None: all zero) are overwritten.
     """
-    n = d.size
-    work = np.empty(n)
-    k = 1
-    while k < n:
+    n = len(d)
+    work, spare = np.empty_like(d), None if u is None else np.empty_like(u)
+    for k in (2**j for j in range((n - 1).bit_length())):  # k = 1, 2, 4, ... < n
         m = n - k
         # entries i >= k hold k maps: compose each with entry i - k
         if u is None:
             np.multiply(d[:m], r**k, out=work[:m])
-            d[k:] += work[:m]
         else:
             np.multiply(u[k:], d[:m], out=work[:m])
             work[:m] += d[:m]
             work[:m] *= r**k
-            d[k:] += work[:m]
-            np.multiply(u[k:], u[:m], out=work[:m])  # (1 + u)(1 + u') - 1
-            work[:m] += u[:m]
-            u[k:] += work[:m]
-        k *= 2
+            np.multiply(u[k:], u[:m], out=spare[:m])  # (1 + u)(1 + u') - 1
+            spare[:m] += u[:m]
+            u[k:] += spare[:m]
+        d[k:] += work[:m]
     return d
 
 
@@ -443,14 +446,13 @@ class _TwoPointOperator:
         return float(np.max(np.abs(self.apply(field) - field)))
 
     def march(self) -> np.ndarray:
-        """The fixed point, one time row at a time, negative rounding clamped to 0."""
-        field = np.empty_like(self.base)
-        step = np.exp(-self.rate * self.k)
-        history = np.zeros(self.rate.size, dtype=complex)
-        for j in range(1, self.nt + 1):
-            ladder = np.fft.irfft(history, self.xs.size)
-            field[j - 1] = (self.base[j - 1] + self.coeff * ladder) / self.div[j - 1]
-            history = step * (history + self.a[j - 1] * np.fft.rfft(field[j - 1]))
+        """The fixed point, every mode's history sums by one ``_ladder_sums``, negative rounding clamped to 0."""
+        spectra = np.fft.rfft(self.base, axis=1)
+        sums = _ladder_sums(np.exp(-self.rate * self.k), spectra, (self.a / self.div)[:, None], self.coeff)
+        field = np.fft.irfft(sums, self.xs.size, axis=1)
+        field *= self.coeff
+        field += self.base
+        field /= self.div[:, None]
         return np.maximum(field, 0.0, out=field)
 
 
@@ -466,22 +468,19 @@ def two_point_picard(
 
     Solves the discretisation of
     D(t, x) = exp(-gamma*t) p_t(x) + gamma*beta * (ladder term) that is
-    trapezoid in time and spectral in x (each earlier row is smoothed
-    per np.fft.rfft mode, with its history carried as in the module
-    docstring) by one forward march: row t depends on earlier rows and,
-    through the diagonal weight 0.5*t_step*gamma*beta*A(t), on itself,
-    so each row is exact up to rounding.  The time grid takes the fewest
-    whole t_step steps that reach t_max, and the spatial grid the fewest
-    whole x_step steps that reach x_half_width on each side (see
-    ``_grid_count``).  The grid's half-width must be at least 6*sqrt of
-    its last time, else GridTooNarrowError; that keeps the
-    truncated Gaussian mass, and the periodic wrap of the spectral x
-    grid, below 1e-8.  x_step must be at most sqrt(t_step), else
-    ValueError: at that limit the first row's mass is off by
-    2*exp(-2*pi**2) = 5.4e-9.  Negative entries are clamped to 0: they
-    are below 1e-17 for x_step <= sqrt(t_step)/2 and up to about 4e-8 at
-    the limit, which then bounds ``two_point_residual``.  A time step so
-    coarse that the diagonal weight reaches 1 raises ValueError.
+    trapezoid in time and spectral in x by the forward march, exact up to
+    rounding, for every np.fft.rfft mode at once (``_ladder_sums``).  The
+    time grid takes the fewest whole t_step steps that reach t_max, and the
+    spatial grid the fewest whole x_step steps that reach x_half_width on
+    each side (see ``_grid_count``).  The grid's half-width must be at least
+    6*sqrt of its last time, else GridTooNarrowError; that keeps the
+    truncated Gaussian mass, and the periodic wrap of the spectral x grid,
+    below 1e-8.  x_step must be at most sqrt(t_step), else ValueError: at
+    that limit the first row's mass is off by 2*exp(-2*pi**2) = 5.4e-9.
+    Negative entries are clamped to 0: they are below 1e-17 for x_step <=
+    sqrt(t_step)/2 and up to about 4e-8 at the limit, which then bounds
+    ``two_point_residual``.  A time step so coarse that the diagonal weight
+    reaches 1 raises ValueError.
     """
     return _two_point_solve(alpha, gamma, t_max, t_step, x_half_width, x_step)[0]
 

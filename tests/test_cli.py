@@ -86,6 +86,43 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config(path, "ring-check")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("Alpha = 0.5\n", "invalid key 'Alpha' (dotted lowercase)"), ("alpha =\n", "empty value for 'alpha'")],
+    )
+    def test_malformed_pairs_are_parse_errors(self, tmp_path, text, message):
+        path = write(tmp_path / "bad.cfg", "gamma = 1.0\n" + text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: {message}")):
+            parse_config(path, "onepoint")
+
+    def test_non_numeric_value_and_unknown_kind(self, tmp_path, capsys):
+        path = write(tmp_path / "bad.cfg", "alpha = half\ngamma = 1.0\ntau.max = 1.0\n")
+        with pytest.raises(ValidationError, match="^alpha: expected float, got 'half'$"):
+            parse_config(path, "onepoint")
+        assert cli.main(["onepoint", "--config", path]) == 1
+        assert "heatfield onepoint: alpha: expected float, got 'half'" in capsys.readouterr().err
+        with pytest.raises(ValidationError, match="^unknown experiment kind 'twopoints'$"):
+            parse_config(path, "twopoints")
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("kernel", "t.min = 1.0\nt.max = 0.5\nt.count = 2\nr.max = 1.0\nr.count = 2\n", "t.max: must be >= t.min"),
+            ("kernel", "t.min = 0.5\nt.max = 1.0\nt.count = 2\nr.min = 2.0\nr.max = 1.0\nr.count = 2\n",
+             "r.max: must be >= r.min"),
+            ("semigroup", "t = 0.25\ngrid.origin = -8.0\ngrid.step = 0.02\ngrid.count = 801\nu.kind = indicator\n"
+             "u.lo = 1.0\nu.hi = -1.0\n", "u.hi: must be >= u.lo"),
+        ],
+    )
+    def test_reversed_ranges_exit_1(self, tmp_path, capsys, kind, text, message):
+        path = write(tmp_path / "bad.cfg", text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_config(path, kind)
+        out = tmp_path / "bad.csv"
+        assert cli.main([kind, "--config", path, "--out", str(out)]) == 1
+        assert f"heatfield {kind}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_kind_declaration_must_match(self, tmp_path):
         path = write(tmp_path / "run.cfg", "experiment = gf\ncases = 1\n")
         with pytest.raises(ValidationError):
@@ -309,6 +346,45 @@ class TestMain:
         manifest = json.loads((tmp_path / "tp.csv.manifest.json").read_text())
         assert manifest["csv_sha256"] == hashlib.sha256(data).hexdigest()
         assert manifest["library_version"] == heatfield.__version__
+
+    @pytest.mark.parametrize("kind", sorted(cli._SCHEMAS))
+    def test_manifest_hash_is_the_hash_of_the_file_on_disk(self, tmp_path, kind):
+        out = tmp_path / f"{kind}.csv"
+        assert cli.main([kind, "--config", write(tmp_path / "run.cfg", self.VALID[kind]), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / f"{kind}.csv.manifest.json").read_text())
+        assert manifest["csv_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_columns_of_unequal_length_are_an_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "short.csv"
+        with pytest.raises(ValueError, match=r"^CSV columns differ in length: \{'a': 2053, 'b': 2050\}$"):
+            cli._write_csv(str(path), {"a": np.zeros(2053), "b": np.ones(2050)})
+        assert not path.exists()
+        monkeypatch.setitem(cli._RUNNERS, "ring-check", lambda p: ({"a": [1.0, 2.0], "b": [3.0]}, {}))
+        out = tmp_path / "rc.csv"
+        assert cli.main(["ring-check", "--config", write(tmp_path / "rc.cfg", "cases = 5\n"), "--out", str(out)]) == 2
+        assert "ValueError: CSV columns differ in length" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "rc.csv.manifest.json").read_text())
+        assert manifest["status"] == "error" and "csv_sha256" not in manifest
+
+    def test_indicator_semigroup_run(self, tmp_path):
+        # u = 1 on [lo, hi], both ends on grid nodes, evolves to Phi((hi - x)/sqrt(t)) - Phi((lo - x)/sqrt(t)).
+        # The trapezoid sum weighs each end node by step instead of step/2, which adds at most
+        # step * max p_t = step/sqrt(2*pi*t) in all; the rest of the quadrature error is O(step**2).
+        t, step = 0.25, 2.0**-6
+        cfg = write(
+            tmp_path / "sg.cfg",
+            f"t = {t}\ngrid.origin = -8.0\ngrid.step = {step}\ngrid.count = 1025\n"
+            "u.kind = indicator\nu.lo = -1.0\nu.hi = 1.0\n",
+        )
+        out = tmp_path / "sg.csv"
+        assert cli.main(["semigroup", "--config", cfg, "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["x", "u", "evolved"]
+        x, u, evolved = np.array(rows, dtype=float).T
+        np.testing.assert_array_equal(u, (np.abs(x) <= 1.0).astype(float))
+        phi = np.vectorize(lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)))
+        want = phi((1.0 - x) / math.sqrt(t)) - phi((-1.0 - x) / math.sqrt(t))
+        assert np.max(np.abs(evolved - want)) <= step / math.sqrt(2.0 * math.pi * t) + step**2
 
     def test_manifest_records_the_environment(self, tmp_path):
         cfg = write(tmp_path / "rc.cfg", "cases = 5\n")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from itertools import accumulate
@@ -165,6 +166,11 @@ class TestExtinctionProbability:
         assert extinction_probability(0.5) == 1.0
         assert extinction_probability(0.0) == 0.0
         assert extinction_probability(1.0) == 1.0
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.1, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            extinction_probability(alpha)
 
 
 class TestOnePointOde:
@@ -545,3 +551,93 @@ class TestGridRule:
                 dyson.SpaceTimeField(t_step, x_step, np.ones((2, 3)))
         with pytest.raises(ValueError, match="time row"):
             dyson.SpaceTimeField(0.1, 0.1, np.ones((0, 3)))
+
+    def test_field_needs_an_odd_node_count_and_finite_values(self):
+        with pytest.raises(ValueError, match="odd node count"):
+            dyson.SpaceTimeField(0.1, 0.1, np.ones((2, 4)))
+        for bad in (math.nan, math.inf, -math.inf):
+            values = np.ones((2, 3))
+            values[1, 2] = bad
+            with pytest.raises(ValueError, match="^field values must be finite$"):
+                dyson.SpaceTimeField(0.1, 0.1, values)
+
+
+def row_march(op):
+    # _TwoPointOperator.march as it was before the scan: each mode's history
+    # carried forward one time row at a time, through irfft and rfft.
+    field = np.empty_like(op.base)
+    step = np.exp(-op.rate * op.k)
+    history = np.zeros(op.rate.size, dtype=complex)
+    for j in range(1, op.nt + 1):
+        ladder = np.fft.irfft(history, op.xs.size)
+        field[j - 1] = (op.base[j - 1] + op.coeff * ladder) / op.div[j - 1]
+        history = step * (history + op.a[j - 1] * np.fft.rfft(field[j - 1]))
+    return np.maximum(field, 0.0, out=field)
+
+
+# (nt, t_step, half, x_step): the benchmark's coarse and fine grids (t 2, half-width 10),
+# and grids of 1, 2 and 3 rows.
+MARCH_GRIDS = [(40, 0.05, 100, 0.1), (80, 0.025, 200, 0.05), (1, 0.3, 90, 0.1), (2, 0.3, 90, 0.1), (3, 0.3, 90, 0.1)]
+
+
+class TestMarchAgainstRows:
+    """The scanned march against the row-by-row march it replaced."""
+
+    @pytest.mark.parametrize("alpha", SCAN_ALPHAS)
+    @pytest.mark.parametrize("grid", MARCH_GRIDS)
+    def test_agrees_to_rounding(self, alpha, grid):
+        op = dyson._TwoPointOperator(alpha, 1.0, *grid)
+        want = row_march(op)
+        assert np.max(np.abs(op.march() - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid", MARCH_GRIDS)
+    def test_pure_death_is_exact(self, grid):
+        op = dyson._TwoPointOperator(1.0, 0.7, *grid)
+        np.testing.assert_array_equal(op.march(), row_march(op))
+        np.testing.assert_array_equal(op.march(), op.base)
+
+    def test_benchmark_mass_curve_bytes_are_pinned(self):
+        # sha256 of the float64 bytes of the benchmark's mass curve, as the
+        # scan gave them before the two-point march shared its helper.
+        values = mass_curve(0.1, 1.0, 40.0).values
+        assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == (
+            "a6942f0a3e629dbc880b23e2a889bc2f457bfb3aef748523ff830cecc231adc1"
+        )
+
+
+def mass_closed_form(alpha, gamma, t):
+    # M(t) = exp(gamma * int_0^t (beta*A - 1)), which the coth form of A integrates to
+    # exp(-gamma*t/2) * sinh(c) / sinh(c + s*gamma*t/2), s = |1 - 2*alpha|, c = artanh(s);
+    # at alpha = 1/2, exp(-gamma*t/2) * 2 / (2 + gamma*t).
+    t = np.asarray(t, dtype=float)
+    s = abs(1.0 - 2.0 * alpha)
+    if s == 0.0:
+        return np.exp(-0.5 * gamma * t) * 2.0 / (2.0 + gamma * t)
+    c = math.atanh(s)
+    return np.exp(-0.5 * gamma * t) * math.sinh(c) / np.sinh(c + 0.5 * s * gamma * t)
+
+
+class TestClosedFormMass:
+    """D(t, x) = M(t) p_t(x): each Fourier mode obeys the mass curve's equation at rate gamma + xi**2/2."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.75])
+    def test_two_point_field_converges_at_second_order(self, alpha):
+        errors = []
+        for halvings in range(3):
+            field = two_point_picard(alpha, 1.0, 2.0, 0.05 / 2**halvings, 10.0, 0.1 / 2**halvings)
+            t, x = field.times[:, None], field.xs[None, :]
+            want = mass_closed_form(alpha, 1.0, t) * np.exp(-(x**2) / (2.0 * t)) / np.sqrt(2.0 * math.pi * t)
+            errors.append(np.max(np.abs(field.values - want)))
+        assert 3.5 <= errors[0] / errors[1] <= 4.5
+        assert 3.5 <= errors[1] / errors[2] <= 4.5
+        assert errors[0] < 1e-5
+
+    def test_critical_law_has_the_rational_form(self):
+        t = np.linspace(0.0, 5.0, 11)
+        np.testing.assert_allclose(mass_closed_form(0.5, 1.3, t), mass_closed_form(0.5 + 1e-9, 1.3, t), rtol=1e-7)
+
+    @pytest.mark.parametrize("alpha", SCAN_ALPHAS)
+    @pytest.mark.parametrize("gamma", SCAN_GAMMAS)
+    def test_mass_curve_matches_it(self, alpha, gamma):
+        curve = mass_curve(alpha, gamma, 10.0)
+        assert np.max(np.abs(curve.values - mass_closed_form(alpha, gamma, curve.nodes))) < 1e-8

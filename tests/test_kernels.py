@@ -57,6 +57,13 @@ class TestHeatKernel:
         with pytest.raises(DimensionMismatchError):
             heat_kernel(1.0, [0.0] * 4, [0.0] * 4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            heat_kernel(1.0, [0.0, bad], [0.0, 0.0])
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            heat_kernel(1.0, 0.0, bad)
+
 
 class TestSampledFunction:
     def test_validation(self):
@@ -124,6 +131,12 @@ class TestSemigroup:
         u = SampledFunction.sample(lambda x: gaussian_pdf(x, 0.1), -2.0, 0.01, 401)
         with pytest.raises(GridTooNarrowError):
             apply_semigroup(u, 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_non_positive_duration_rejected(self, t):
+        u = SampledFunction.sample(lambda x: gaussian_pdf(x, 0.1), -7.0, 0.01, 1401)
+        with pytest.raises(NonPositiveTimeError, match="^duration must be > 0"):
+            apply_semigroup(u, t)
 
     def test_zero_function_passes_through(self):
         u = SampledFunction(0.0, 0.1, np.zeros(32))

@@ -823,6 +823,9 @@ class TestArgumentChecks:
             BranchingConfig(1.0, BINARY_QUARTER, d=True)
         with pytest.raises(ValueError, match="^max_particles must"):
             BranchingConfig(1.0, BINARY_QUARTER, max_particles=2.5)
+        for x0 in ((math.nan,), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="^x0 must be finite$"):
+                BranchingConfig(1.0, BINARY_QUARTER, d=len(x0), x0=x0)
 
     def test_horizons(self):
         with pytest.raises(ValueError, match="^horizon must"):

@@ -53,6 +53,8 @@ def test_addition_componentwise():
     assert PseudoComplex(1, 2) + PseudoComplex(3, -2) == PseudoComplex(4.0, 0.0)
     assert PseudoComplex(1, 2) - PseudoComplex(3, -2) == PseudoComplex(-2.0, 4.0)
     assert 1.0 + I == PseudoComplex(1.0, 1.0)
+    assert 2 - PseudoComplex(0.5, 3.0) == PseudoComplex(1.5, -3.0)
+    assert 1.0 - I == PseudoComplex(1.0, -1.0)
 
 
 def test_gamma_projections():
