@@ -30,8 +30,11 @@ lockstep passes, one row per pass and the smallest run, a sha256 of
 times, extinction time) for three offspring laws in d = 1, 2 and 3,
 the exact floats of
 ``estimate_extinction`` and ``estimate_generating_function`` (cap 10k,
-one time or several) at 257 to 600 replicas, and a sha256 of the exact
-float64 bytes of the benchmark's ``mass_curve(0.1, 1, 40)``.
+one time or several) at 257 to 600 replicas, a sha256 of the exact
+float64 bytes of the benchmark's ``mass_curve(0.1, 1, 40)``, and the exact
+float of ``two_point_residual`` at alpha 0.25 on a seeded random field
+on the benchmark's fine two-point grid (80 x 401), where the defect is
+O(1), so that a rounding move in the ladder map shows on its own.
 
 Where a CSV's sha256 differs, each column's largest relative deviation
 |change - parent| / |parent| is printed under the run (0 where both
@@ -40,8 +43,9 @@ or not finite; a text column reads ``same`` or ``differs``).  A column
 that differs also shows, in brackets, its largest |change - parent|
 divided by its largest |parent|, which stays finite where a cell moves
 off or onto 0 (inf only for a column of zeros, or a change that is not
-finite).  The ``mass_curve`` deviation is printed beside its hash, and
-every manifest estimate that differs with its two values.  ``--change``
+finite).  The ``mass_curve`` and ``residual`` deviations are printed
+beside their values, and every manifest estimate that differs with its
+two values.  ``--change``
 defaults to the tree holding this script.  Exits 1 unless every run is
 identical.
 """
@@ -108,6 +112,7 @@ LIBRARY_RUNS = (
        for alpha, theta, t, replicas, seed in ((0.25, 0.5, 1.0, 600, 6), (0.25, 0.0, [0.5, 1.0, 2.0], 257, 7),
                                                (0.4, 0.9, [0.25, 3.0], 300, 8))]
     + [("mass_curve", {"alpha": 0.1, "gamma": 1.0, "t_max": 40.0})]
+    + [("residual", {"alpha": 0.25, "seed": 19})]
 )
 
 
@@ -129,6 +134,9 @@ def library_value(kind: str, params: dict):
     if kind == "mass_curve":  # size, hash, then the values themselves for the deviation
         values = dyson.mass_curve(params["alpha"], params["gamma"], params["t_max"]).values
         return [values.size, hashlib.sha256(values.astype("<f8").tobytes()).hexdigest(), values.tolist()]
+    if kind == "residual":
+        values = np.random.default_rng(params["seed"]).uniform(0.0, 0.4, size=(80, 401))
+        return dyson.two_point_residual(dyson.SpaceTimeField(0.025, 0.05, values), params["alpha"], 1.0).hex()
     if kind == "mckean":
         xs = np.arange(-40.0, 40.0 + 1e-9, 0.1)
         phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(params["freq"] * xs + params["phase"]))
@@ -251,6 +259,9 @@ def main(argv=None) -> int:
         if kind == "mass_curve":
             deviation = relative_deviation(old[2], new[2]) if old[0] == new[0] else math.inf
             shown = new[:2] + [f"largest relative deviation {deviation:.2g}"]
+        if kind == "residual":
+            old_value, new_value = float.fromhex(old), float.fromhex(new)
+            shown = f"{new_value!r}, relative deviation {relative_deviation([old_value], [new_value]):.2g}"
         print(f"{'same' if old == new else 'DIFFERENT'}  library {kind} {params}  {shown}")
     total = len(RUNS) + len(LIBRARY_RUNS)
     print(f"{total - failures} of {total} runs identical")

@@ -63,4 +63,4 @@ from .dyson import (
     two_point_residual,
 )
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"

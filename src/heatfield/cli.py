@@ -322,9 +322,8 @@ def _run_gf(p):
 
 
 def _run_twopoint(p):
-    field, residual = dyson._two_point_solve(
-        p["alpha"], p["gamma"], p["t.max"], p["t.step"], p["x.halfwidth"], p["x.step"], residual=True
-    )
+    field = dyson.two_point_picard(p["alpha"], p["gamma"], p["t.max"], p["t.step"], p["x.halfwidth"], p["x.step"])
+    residual = dyson.two_point_residual(field, p["alpha"], p["gamma"])
     mass = dyson.mass_curve(p["alpha"], p["gamma"], field.times[-1])(field.times)
     slice_mass = field.spatial_mass()
     nx = field.xs.size

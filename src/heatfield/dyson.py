@@ -34,7 +34,10 @@ those of the mass curve and of every Fourier mode of the two-point field
 at once form a first-order linear recurrence, solved for all nodes at once
 by a prefix scan (``_linear_scan``; Blelloch, Prefix sums and their
 applications, CMU-CS-90-190, 1990): the same discrete equations, evaluated
-in another order, so only rounding differs.
+in another order, so only rounding differs.  The two-point field's
+fixed-point check ``two_point_residual`` shares no recursion with that
+march: it takes each mode's history as one causal convolution in time,
+by FFT.
 
 Closed form: with s = |1 - 2*alpha| and beta = 1 - alpha,
 
@@ -92,9 +95,7 @@ class FertilityDistribution:
     @classmethod
     def binary(cls, alpha: float) -> "FertilityDistribution":
         """Law (alpha, 0, 1 - alpha): a dying particle leaves 0 or 2 children."""
-        alpha = float(alpha)
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        alpha = _validate_alpha(float(alpha))
         return cls((alpha, 0.0, 1.0 - alpha))
 
     def pgf(self, phi):
@@ -116,9 +117,14 @@ def _check_count(name, n, least=1):
     return int(n)
 
 
-def _validate_alpha_gamma(alpha, gamma):
+def _validate_alpha(alpha):
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha
+
+
+def _validate_alpha_gamma(alpha, gamma):
+    _validate_alpha(alpha)
     _validate_gamma(gamma)
 
 
@@ -127,24 +133,21 @@ def one_point_closed_form(alpha: float, gamma: float, tau):
 
     Accepts a scalar or array ``tau`` (all entries >= 0, none NaN) and evaluates
     the coth form documented in the module docstring, with the
-    alpha = 1/2 and beta = 0 limits on dedicated branches.
+    alpha = 1/2 and s = 1 limits on dedicated branches.
     """
     _validate_alpha_gamma(alpha, gamma)
     tau_arr = np.asarray(tau, dtype=float)
     if not np.all(tau_arr >= 0):
         raise ValueError("tau must be >= 0 and not NaN")
     alpha = float(alpha)
-    beta = 1.0 - alpha
-    if alpha == 0.0:
-        out = np.zeros_like(tau_arr)
-    elif beta == 0.0:
-        out = -np.expm1(-gamma * tau_arr)
-    elif alpha == 0.5:
+    s = abs(1.0 - 2.0 * alpha)
+    if s == 1.0:  # alpha is 0, 1 or at most 2**-55, where artanh(s) is infinite
+        out = -alpha * np.expm1(-gamma * tau_arr)  # exact at 0 and 1, else to O(alpha**2)
+    elif s == 0.0:
         out = 1.0 - 2.0 / (gamma * tau_arr + 2.0)
     else:
-        s = abs(1.0 - 2.0 * alpha)
         arg = 0.5 * s * gamma * tau_arr + math.atanh(s)
-        out = (1.0 - s / np.tanh(arg)) / (2.0 * beta)
+        out = (1.0 - s / np.tanh(arg)) / (2.0 * (1.0 - alpha))
         out = np.where(tau_arr == 0.0, 0.0, out)
     if np.isscalar(tau) or np.ndim(tau) == 0:
         return float(out)
@@ -153,9 +156,7 @@ def one_point_closed_form(alpha: float, gamma: float, tau):
 
 def extinction_probability(alpha: float) -> float:
     """Eventual extinction probability: alpha/(1-alpha) below 1/2, else 1."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if alpha < 0.5:
+    if _validate_alpha(alpha) < 0.5:
         return alpha / (1.0 - alpha)
     return 1.0
 
@@ -206,10 +207,10 @@ def one_point_ode(
     integrates the extinction probability and theta0 = 1 stays at 1.
     The default step 1e-3/gamma keeps the local error orders below the
     1e-8 agreement target with the closed form.  Trajectories must stay
-    inside [-1e-9, 1 + 1e-9]; anything else raises
-    StabilityViolationError.  The grid takes the fewest whole steps that
-    reach tau_max (``_grid_count``): its last node is at least tau_max (to
-    1e-12, relative) and less than tau_max + step.
+    inside [-1e-9, 1 + 1e-9]; anything else, NaN from an overflowing step
+    too, raises StabilityViolationError.  The grid takes the fewest whole
+    steps that reach tau_max (``_grid_count``): its last node is at least
+    tau_max (to 1e-12, relative) and less than tau_max + step.
     """
     _validate_gamma(gamma)
     if not 0.0 <= theta0 <= 1.0:
@@ -229,7 +230,7 @@ def one_point_ode(
         k4 = gamma * (pgf(y4) - y4)
         y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         values[i + 1] = y
-    if np.any(values < -1e-9) or np.any(values > 1.0 + 1e-9):
+    if not np.all((values >= -1e-9) & (values <= 1.0 + 1e-9)):  # NaN fails both bounds
         raise StabilityViolationError(
             f"trajectory left [0, 1] (range [{values.min():g}, {values.max():g}]); "
             "reduce the step"
@@ -421,29 +422,25 @@ class _TwoPointOperator:
         self.coeff = self.gamma * (1.0 - float(alpha)) * self.k
         times = self.k * np.arange(1, self.nt + 1)
         # Clock-dressed free propagator from the origin, one row per time through
-        # the scalar expression, so that it equals retarded_propagator_heat bit for bit.
-        self.base = np.array([_clocked_density(t, self.xs**2, self.gamma, 1) for t in times.tolist()])
+        # the scalar expression, so that it equals retarded_propagator_heat bit for bit;
+        # each row is computed for x >= 0 and mirrored, since xs[-i] = -xs[i] exactly.
+        rows = (_clocked_density(t, self.xs[half:] ** 2, self.gamma, 1) for t in times.tolist())
+        self.base = np.array([np.concatenate((row[:0:-1], row)) for row in rows])
         self.a = one_point_closed_form(alpha, gamma, times)  # a[m-1] = A(m*k)
         self.div = _march_divisors(alpha, gamma, self.k, self.a)
         xi = 2.0 * math.pi * np.fft.rfftfreq(self.xs.size, self.h)
         self.rate = self.gamma + 0.5 * xi**2
 
     def apply(self, field: np.ndarray) -> np.ndarray:
-        # Each lag's multiplier is evaluated directly, O(nt**2 * nx), so
-        # that the residual does not share the march's recursion.
-        spectra = self.a[:, None] * np.fft.rfft(field, axis=1)
-        decay = np.exp(-np.outer(self.k * np.arange(self.nt), self.rate))  # row l: lag l*k
-        out = np.empty_like(self.base)
-        for j in range(1, self.nt + 1):
-            # decay rows j-1 .. 1 are the lags (j - m)*k of rows m = 1 .. j-1
-            history = (decay[j - 1 : 0 : -1] * spectra[: j - 1]).sum(axis=0)
-            ladder = 0.5 * self.a[j - 1] * field[j - 1] + np.fft.irfft(history, self.xs.size)
-            out[j - 1] = self.base[j - 1] + self.coeff * ladder
-        return out
-
-    def defect(self, field: np.ndarray) -> float:
-        """Sup norm of apply(field) - field."""
-        return float(np.max(np.abs(self.apply(field) - field)))
+        """The ladder map T(field), by the causal FFT convolution that ``two_point_residual`` describes."""
+        lags = np.exp(-np.outer(self.k * np.arange(self.nt), self.rate))  # row l: lag l*k
+        lags[0] = 0.0  # the half-weighted diagonal is added in x below
+        # over 2*nt rows the circular convolution does not wrap: lags reach nt - 1 rows back
+        history = np.fft.fft(self.a[:, None] * np.fft.rfft(field, axis=1), 2 * self.nt, axis=0)
+        history *= np.fft.fft(lags, 2 * self.nt, axis=0)
+        ladder = np.fft.irfft(np.fft.ifft(history, axis=0)[: self.nt], self.xs.size, axis=1)
+        ladder += 0.5 * self.a[:, None] * field
+        return self.base + self.coeff * ladder
 
     def march(self) -> np.ndarray:
         """The fixed point, every mode's history sums by one ``_ladder_sums``, negative rounding clamped to 0."""
@@ -482,18 +479,21 @@ def two_point_picard(
     ``two_point_residual``.  A time step so coarse that the diagonal weight
     reaches 1 raises ValueError.
     """
-    return _two_point_solve(alpha, gamma, t_max, t_step, x_half_width, x_step)[0]
-
-
-def _two_point_solve(alpha, gamma, t_max, t_step, x_half_width, x_step, residual=False):
-    """``two_point_picard``'s field and, when asked, its ``two_point_residual``, from one operator build."""
     nt, half = _grid_count(t_max, t_step), _grid_count(x_half_width, x_step)
     op = _TwoPointOperator(alpha, gamma, nt, t_step, half, x_step)
-    field = SpaceTimeField(op.k, op.h, op.march())
-    return field, (op.defect(field.values) if residual else None)
+    return SpaceTimeField(op.k, op.h, op.march())
 
 
 def two_point_residual(field: SpaceTimeField, alpha: float, gamma: float) -> float:
-    """Sup-norm defect |T(D) - D| of a candidate two-point field, on the field's own grid."""
+    """Sup-norm defect |T(D) - D| of a candidate two-point field, on the field's own grid.
+
+    T is the discrete ladder map that ``two_point_picard`` solves.  Each Fourier
+    mode's history sum is one causal convolution in time with the lag multipliers
+    exp(-(gamma + xi**2/2)*l*t_step), evaluated directly, done by FFT over 2*nt rows
+    (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), so it costs
+    O(nt*log(nt)*nx) and shares no recursion with the march.  Raises the ValueError and
+    GridTooNarrowError of ``two_point_picard`` for the same alpha, gamma and grid.
+    """
     nt, nx = field.values.shape
-    return _TwoPointOperator(alpha, gamma, nt, field.t_step, nx // 2, field.x_step).defect(field.values)
+    op = _TwoPointOperator(alpha, gamma, nt, field.t_step, nx // 2, field.x_step)
+    return float(np.max(np.abs(op.apply(field.values) - field.values)))

@@ -226,6 +226,15 @@ class TestMain:
         np.testing.assert_array_equal(tau, 0.3 * np.arange(5))
         np.testing.assert_array_equal(closed, dyson.one_point_closed_form(0.25, 1.0, 0.3 * np.arange(5)))
 
+    def test_onepoint_overflowing_step_exits_2(self, tmp_path):
+        cfg = write(tmp_path / "run.cfg", "alpha = 0.25\ngamma = 1.0\ntau.max = 1.0\ntau.step = 1e60\n")
+        out = tmp_path / "onepoint.csv"
+        assert cli.main(["onepoint", "--config", cfg, "--out", str(out)]) == 2
+        manifest = json.loads((tmp_path / "onepoint.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("StabilityViolationError: ")
+        assert not out.exists()
+
     def test_semigroup_and_clock_and_gf_run(self, tmp_path):
         cfg = write(
             tmp_path / "sg.cfg",
@@ -309,6 +318,15 @@ class TestMain:
         assert cli.main(["twopoint", "--config", cfg, "--out", str(out)]) == 2
         assert "heatfield twopoint: ValueError: x_step 0.5 must be <= sqrt(t_step) = 0.1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [(0.5, 1.0, 1.0, 0.05, 6.5, 0.1), (0.1, 1.0, 2.0, 0.025, 10.0, 0.05)])
+    def test_twopoint_residual_is_the_public_pairs(self, tmp_path, args):
+        keys = ("alpha", "gamma", "t.max", "t.step", "x.halfwidth", "x.step")
+        cfg = write(tmp_path / "tp.cfg", "".join(f"{key} = {value!r}\n" for key, value in zip(keys, args)))
+        assert cli.main(["twopoint", "--config", cfg, "--out", str(tmp_path / "tp.csv")]) == 0
+        manifest = json.loads((tmp_path / "tp.csv.manifest.json").read_text())
+        want = dyson.two_point_residual(dyson.two_point_picard(*args), *args[:2])
+        assert manifest["estimates"]["residual"] == want
 
     def test_twopoint_mass_curve_reaches_the_last_row(self):
         # t.max 2 is not a whole number of t.step .3 steps, so the field runs to t = 2.1.

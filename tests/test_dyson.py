@@ -58,8 +58,8 @@ def direct_two_point_march(alpha, gamma, t_max, t_step, x_half_width, x_step):
 
 
 def direct_apply(op, field):
-    # _TwoPointOperator.apply with each row's lag multipliers exp(-(j - m)*k*rate)
-    # built afresh, as the operator did before it tabulated them once.
+    # _TwoPointOperator.apply as a direct sum over the lags of each row, with the
+    # lag multipliers exp(-(j - m)*k*rate) built afresh for every row.
     spectra = op.a[:, None] * np.fft.rfft(field, axis=1)
     out = np.empty_like(op.base)
     for j in range(1, op.nt + 1):
@@ -133,6 +133,14 @@ class TestClosedForm:
             one_point_closed_form(1.0, 1.0, taus), -np.expm1(-taus), rtol=0, atol=1e-15
         )
 
+    @pytest.mark.parametrize("alpha", [1e-300, 3.4e-193, 2.0**-55])
+    def test_alpha_too_small_to_move_s_off_1(self, alpha):
+        # 1 - 2*alpha rounds to 1, where artanh(s) used to raise "math domain error";
+        # A = alpha*(1 - exp(-gamma*tau)) + O(alpha**2).
+        taus = np.linspace(0.0, 5.0, 11)
+        np.testing.assert_allclose(one_point_closed_form(alpha, 1.3, taus), -alpha * np.expm1(-1.3 * taus), rtol=1e-15)
+        assert np.all(two_point_picard(alpha, 1.3, 1.0, 0.1, 6.5, 0.1).values >= 0.0)
+
     def test_monotone_increasing(self):
         taus = np.linspace(0.0, 20.0, 400)
         for alpha in (0.1, 0.5, 0.9):
@@ -172,6 +180,17 @@ class TestExtinctionProbability:
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
             extinction_probability(alpha)
 
+    def test_every_alpha_check_keeps_its_message(self):
+        # One check serves all three; binary formats alpha as a float.
+        for call, got in (
+            (lambda: FertilityDistribution.binary(2), "2.0"),
+            (lambda: extinction_probability(2), "2"),
+            (lambda: one_point_closed_form(2, 1.0, 1.0), "2"),
+            (lambda: mass_curve(-1, 1.0, 1.0), "-1"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'alpha must lie in [0, 1], got {got}')}$"):
+                call()
+
 
 class TestOnePointOde:
     def test_matches_closed_form(self):
@@ -195,6 +214,12 @@ class TestOnePointOde:
     def test_unstable_step_raises(self):
         with pytest.raises(StabilityViolationError):
             one_point_ode(FertilityDistribution.binary(0.0), 1.0, 0.9, 200.0, 50.0)
+
+    @pytest.mark.parametrize("step", [1e60, 1e200])
+    def test_overflowing_step_raises(self, step):
+        # The RK4 stages overflow to inf and then NaN, which compares false against both bounds.
+        with pytest.raises(StabilityViolationError, match=re.escape("range [nan, nan]")):
+            one_point_ode(BINARY_QUARTER, 1.0, 0.0, 1.0, step=step)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -437,15 +462,6 @@ class TestTwoPoint:
         want = mass(field.times)
         assert np.max(np.abs(field.spatial_mass() - want)) < 2e-4
 
-    @pytest.mark.parametrize("args", [(0.5, 1.0, 1.0, 0.05, 6.5, 0.1), (0.1, 1.0, 2.0, 0.025, 10.0, 0.05)])
-    def test_one_build_gives_the_public_field_and_residual(self, args):
-        field, residual = dyson._two_point_solve(*args, residual=True)
-        public = two_point_picard(*args)
-        np.testing.assert_array_equal(field.values, public.values)
-        assert (field.t_step, field.x_step) == (public.t_step, public.x_step)
-        assert residual == two_point_residual(public, *args[:2])
-        assert dyson._two_point_solve(*args)[1] is None
-
     def test_pure_death_equals_retarded_propagator_exactly(self):
         field = two_point_picard(1.0, 0.7, t_max=1.0, t_step=0.1, x_half_width=6.5, x_step=0.1)
         sampled = np.array(
@@ -536,14 +552,19 @@ class TestGridRule:
         want = float(np.max(np.abs(op.apply(field.values) - field.values)))
         assert two_point_residual(field, 0.5, 1.0) == want
 
-    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.75])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.75, 1.0])
     def test_apply_equals_direct_lags(self, alpha):
-        # The benchmark's coarse and fine grids, and a random field on a small one.
+        # The benchmark's coarse and fine grids, and grids of 1, 2 and 7 rows, on the
+        # march's field and on a random one.  The FFT convolution sums the lags in
+        # another order; at alpha = 1 the ladder's coefficient is 0 and apply is exact.
         rng = np.random.default_rng(11)
-        for nt, t_step, half, x_step in ((40, 0.05, 100, 0.1), (80, 0.025, 200, 0.05), (7, 0.3, 90, 0.1)):
-            op = dyson._TwoPointOperator(alpha, 1.0, nt, t_step, half, x_step)
+        for grid in ((40, 0.05, 100, 0.1), (80, 0.025, 200, 0.05)) + tuple((nt, 0.3, 90, 0.1) for nt in (1, 2, 7)):
+            op = dyson._TwoPointOperator(alpha, 1.0, *grid)
             for values in (op.march(), rng.uniform(0.0, 0.4, size=op.base.shape)):
-                np.testing.assert_array_equal(op.apply(values), direct_apply(op, values))
+                want = direct_apply(op, values)
+                if alpha == 1.0:
+                    np.testing.assert_array_equal(op.apply(values), want)
+                assert np.max(np.abs(op.apply(values) - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_field_steps_must_be_positive_and_finite(self):
         for t_step, x_step in ((0.0, 0.1), (0.1, -0.1), (math.nan, 0.1), (0.1, math.inf)):

@@ -1,11 +1,14 @@
-"""Property tests over the Monte Carlo entry points and the ladder solvers' grids.
+"""Property tests over the Monte Carlo entry points, the ladder solvers' grids and the two-point operator.
 
 Every call either raises a documented exception (ValueError, or
 PopulationExplosionError where the docstring names it) or returns finite
 values inside the documented range.  Times include nan, +-inf and
 negatives; counts include zero, negatives, a bool and a non-integer.
 The population cap is 64 so that every run stays short.  Every ladder
-solver's grid takes the fewest whole steps that reach its span.
+solver's grid takes the fewest whole steps that reach its span.  On any
+grid the two-point solver accepts, its operator matches the direct lag
+sums and the free propagator, and the marched field's residual stays
+within the clamp bound.
 """
 
 import math
@@ -28,6 +31,7 @@ from heatfield.montecarlo import (
     sample_extinction_times,
     simulate_branching,
 )
+from test_dyson import direct_apply
 
 CAP = 64
 TIMES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0]))
@@ -204,3 +208,21 @@ def test_whole_span_takes_exactly_its_steps(k, step):
 @given(st.integers(1, 10**9), st.floats(1e-6, 1e3))
 def test_grid_count_of_whole_span(k, step):
     assert dyson._grid_count(k * step, step) == k
+
+
+@PROPERTY
+@given(ALPHAS, st.floats(0.2, 3.0), st.integers(1, 40), st.floats(0.01, 0.5), st.floats(0.5, 1.0), st.floats(1.01, 1.5),
+       SEEDS)
+def test_two_point_operator(alpha, gamma, nt, t_step, x_ratio, width_ratio, seed):
+    # Grids the solver accepts: x_step <= sqrt(t_step), half-width >= 6*sqrt(last time).
+    x_step = x_ratio * math.sqrt(t_step)
+    half = math.ceil(width_ratio * 6.0 * math.sqrt(nt * t_step) / x_step)
+    op = dyson._TwoPointOperator(alpha, gamma, nt, t_step, half, x_step)
+    for values in (op.march(), np.random.default_rng(seed).uniform(0.0, 0.4, size=op.base.shape)):
+        want = direct_apply(op, values)
+        assert np.max(np.abs(op.apply(values) - want)) <= 1e-15 * np.max(np.abs(want))
+    times = op.k * np.arange(1, nt + 1)
+    free = [[kernels.retarded_propagator_heat((0.0, 0.0), (t, x), gamma) for x in op.xs] for t in times]
+    np.testing.assert_array_equal(op.base, free)
+    field = dyson.two_point_picard(alpha, gamma, nt * t_step, t_step, half * x_step, x_step)
+    assert 0.0 <= dyson.two_point_residual(field, alpha, gamma) <= 4e-8  # two_point_picard's clamp bound
