@@ -14,8 +14,13 @@ mass-only walker), the benchmark's ``clock`` runs (gamma 2, dtau.max 3,
 d = 1, 2 and 3, the benchmark's ``onepoint`` runs (alpha 0.25, 0.5 and
 0.75, tau.max 5) and ``twopoint`` runs (four alphas on its coarse and
 fine grids), ``gf`` at gamma 1.2345, whose t.max is not a whole
-number of solver steps, and ``onepoint`` and ``twopoint`` runs whose
-grids' spans are not whole numbers of steps (one of them exits 2).
+number of solver steps, the benchmark's ``semigroup`` shape (a Gaussian
+on 9601 nodes from -48 at step 0.01, t 1) at two centres and sigmas and
+an ``indicator`` run on the same grid, whose CSVs hold zeros,
+subnormals and doubles of every size that the CSV writer formats with
+numpy or with ``%``, ``ring-check`` at 10k cases with seeds 0 and
+2**31 - 1, and ``onepoint`` and ``twopoint`` runs whose grids' spans
+are not whole numbers of steps (one of them exits 2).
 
 It then runs library calls that no CLI subcommand makes, in one
 subprocess per tree (this script with ``--library``), and requires
@@ -66,6 +71,7 @@ import tempfile
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 EXTINCTION = {"alpha": 0.25, "gamma": 1.0, "horizon": 60.0, "replicas": 200, "max.particles": 10_000}
+SEMIGROUP = {"t": 1.0, "grid.origin": -48.0, "grid.step": 0.01, "grid.count": 9601}
 RUNS = (
     [("extinction", dict(EXTINCTION, seed=seed)) for seed in (1, 7, 931, 123456, 2**31 - 1, 55, 808, 40_000)]
     + [
@@ -88,6 +94,10 @@ RUNS = (
                      "x.step": x_step})
        for alpha in (0.1, 0.25, 0.5, 0.75) for t_step, x_step in ((0.05, 0.1), (0.025, 0.05))]
     + [("gf", {"alpha": 0.25, "gamma": 1.2345, "theta": 0.5, "t.max": 1.0, "replicas": 150, "seed": 14})]
+    + [("semigroup", dict(SEMIGROUP, **{"u.center": center, "u.sigma": sigma}))
+       for center, sigma in ((-0.7, 0.3), (0.45, 0.65))]
+    + [("semigroup", dict(SEMIGROUP, **{"u.kind": "indicator", "u.lo": -1.5, "u.hi": 0.25}))]
+    + [("ring-check", {"cases": 10_000, "seed": seed}) for seed in (0, 2**31 - 1)]
 )
 
 # Grids whose span is not a whole number of steps: the solvers take the fewest steps that reach it.

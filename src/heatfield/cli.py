@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, dyson, kernels, montecarlo, pring
+from ._digits import float_cells
 
 __all__ = ["ParseError", "ValidationError", "ExperimentConfig", "parse_config", "run_experiment", "main"]
 
@@ -376,9 +377,9 @@ _CELL_FORMATS = {"i": "%d", "b": "%d", "U": "%s"}  # floats: "%.17g"
 def _csv_block(cols: list) -> bytes:
     # The bytes of one block of rows.  Each distinct cell is formatted once (two-point t, x
     # and mass columns repeat most): the float columns share one np.unique on their int64
-    # view, which compares bit patterns, so -0.0 and 0.0 and NaN payloads stay apart, and one
-    # % call that left-justifies every value in a field of one width.  No number's text has a
-    # space, so the padding spaces become NUL; other columns' cells are NUL-padded UTF-8.
+    # view, which compares bit patterns, so -0.0 and 0.0 and NaN payloads stay apart, and
+    # float_cells (_digits) left-justifies every value in a field of one width with the bytes
+    # of "%.17g" and NUL padding; other columns' cells are NUL-padded UTF-8.
     # That makes one table of fixed-width rows, each ending in ','.  Each cell takes its row
     # by its inverse index, the last byte of every CSV row becomes '\n', and dropping the
     # NULs leaves the text.
@@ -396,9 +397,11 @@ def _csv_block(cols: list) -> bytes:
         index[:, j] = inverse + (distinct.size + len(words))
         words += [(_CELL_FORMATS[kinds[j]] % v).encode("utf-8") for v in values.tolist()]
     width = max([_CELL_WIDTH] + [len(word) + 1 for word in words])
-    numbers = (f"%-{width - 1}.17g," * distinct.size) % tuple(distinct.view(np.float64).tolist())
-    table = numbers.replace(" ", "\0").encode("ascii") + b"".join(w.ljust(width - 1, b"\0") + b"," for w in words)
-    cells = np.take(np.frombuffer(table, f"V{width}"), index).view(np.uint8).reshape(len(index), -1)
+    table = np.empty((distinct.size + len(words), width), np.uint8)
+    float_cells(distinct.view(np.float64), table[: distinct.size])
+    text = b"".join(w.ljust(width - 1, b"\0") + b"," for w in words)
+    table[distinct.size :] = np.frombuffer(text, np.uint8).reshape(len(words), width)
+    cells = np.take(table.view(f"V{width}").ravel(), index).view(np.uint8).reshape(len(index), -1)
     cells[:, -1] = ord("\n")
     return cells.tobytes().translate(None, b"\0")
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatfield
-from heatfield import cli, dyson, montecarlo, pring
+from heatfield import _digits, cli, dyson, montecarlo, pring
 from heatfield.cli import ParseError, ValidationError, parse_config
 
 
@@ -683,6 +684,130 @@ class TestBlockWriter:
         params = parse_config(write(tmp_path / "run.cfg", text), kind).params
         columns, _ = cli._RUNNERS[kind](params)
         assert _written(tmp_path, columns) == _csv_oracle(columns)
+
+    def test_zero_distinct_floats(self, tmp_path):
+        out = np.empty((0, cli._CELL_WIDTH), np.uint8)
+        _digits.float_cells(np.empty(0), out)
+        for columns in ({"count": np.array([3, -4]), "flag": np.array([True, False])}, {"v": np.empty(0)}):
+            assert _written(tmp_path, columns) == _csv_oracle(columns)
+
+    def test_one_row(self, tmp_path):
+        columns = {"a": np.array([1.5]), "b": np.array([-2e-300]), "n": np.array([3]), "name": ["x"]}
+        assert _written(tmp_path, columns) == _csv_oracle(columns) == b"a,b,n,name\n1.5,-2.0000000000000001e-300,3,x\n"
+
+    @pytest.mark.parametrize("distinct", [
+        _digits.NUMPY_MIN - 1, _digits.NUMPY_MIN, _digits.NUMPY_CHUNK, _digits.NUMPY_CHUNK + 1, 3 * cli._CSV_BLOCK,
+    ])
+    def test_distinct_counts_around_the_numpy_cutoff(self, tmp_path, monkeypatch, distinct):
+        # The numpy digits run exactly when a block has NUMPY_MIN distinct floats or more, on
+        # parts of NUMPY_MIN to NUMPY_CHUNK values, and give the bytes of the oracle.
+        parts = []
+        real = _digits.numpy_cells
+        monkeypatch.setattr(_digits, "numpy_cells", lambda values, out: parts.append(values.size) or real(values, out))
+        rng = np.random.default_rng(distinct)
+        values = rng.standard_normal(distinct) * 10.0 ** rng.integers(-12, 12, distinct)
+        rows = min(distinct, cli._CSV_BLOCK)
+        columns = {name: values[i * rows : (i + 1) * rows] for i, name in enumerate("abc") if i * rows < distinct}
+        columns = {name: np.resize(col, rows) for name, col in columns.items()}
+        assert _written(tmp_path, columns) == _csv_oracle(columns)
+        assert sum(parts) == (distinct if distinct >= _digits.NUMPY_MIN else 0)
+        assert all(_digits.NUMPY_MIN <= size <= _digits.NUMPY_CHUNK for size in parts)
+
+    def test_block_mixing_numpy_digits_and_fallback(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(20)
+        fallback = np.array([0.0, -0.0, 5e-324, -1e-300, 1e-281, 2e280, -1e300, math.inf, -math.inf, math.nan,
+                             1e15 + 0.25, 2.0**50 + 0.75])
+        fast = rng.uniform(1.0, 9.0, 1500) * 10.0 ** rng.integers(-270, 270, 1500)
+        values = rng.permutation(np.concatenate([fallback, fast, [1e-280, 1e280, 1e-5, 1e-4, 1e16, 1e17]]))
+        seen = _percent_spy(monkeypatch)
+        columns = {"v": values, "w": values[::-1], "n": np.arange(values.size)}
+        assert _written(tmp_path, columns) == _csv_oracle(columns)
+        assert set(fallback.view(np.int64).tolist()) <= set(seen)
+        assert len(seen) == fallback.size
+
+
+def _cell(value: float, width: int = cli._CELL_WIDTH) -> bytes:
+    # The oracle of one table row: a per-cell "%.17g", NUL-padded to the field, then ','.
+    return ("%.17g" % value).encode("ascii").ljust(width - 1, b"\0") + b","
+
+
+def _numpy_rows(values, width: int = cli._CELL_WIDTH) -> list:
+    values = np.asarray(values, dtype=np.float64)
+    out = np.full((values.size, width), 0xFF, np.uint8)  # every byte must be written
+    _digits.numpy_cells(values, out)
+    return [bytes(row) for row in out]
+
+
+def _percent_spy(monkeypatch) -> list:
+    # The bit patterns of the values that reach the % call.
+    seen = []
+    real = _digits.percent_cells
+    monkeypatch.setattr(_digits, "percent_cells", lambda values, width: seen.extend(
+        values.view(np.int64).tolist()) or real(values, width))
+    return seen
+
+
+def _decade_carries() -> list:
+    # Every double in [10**k * (1 - 5e-18), 10**k) for the k of the double range: their 17
+    # digits round up to 10**k, so the text carries into the next decade.
+    found = []
+    for k in range(-323, 309):
+        value = float(f"1e{k}")
+        while value > 0 and Fraction(value) >= Fraction(10) ** k * (1 - Fraction(5, 10**18)):
+            if Fraction(value) < Fraction(10) ** k:
+                found.append(value)
+            value = math.nextafter(value, 0.0)
+    return found
+
+
+class TestNumpyDigits:
+    """_digits.numpy_cells against a per-cell "%.17g" % v, byte for byte."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200), st.sampled_from([25, 26, 41]))
+    def test_any_bit_pattern(self, patterns, width):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert _numpy_rows(values, width) == [_cell(v, width) for v in values.tolist()]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = [float(f"1e{k}") for k in range(-323, 309)]
+        values = [v for p in powers for v in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+        values += [-v for v in values]
+        assert _numpy_rows(values) == [_cell(v) for v in values]
+
+    def test_exact_ties_take_the_fallback(self, monkeypatch):
+        # Odd multiples of 1/4 in [1e15, 2**51) and of 1/8 in [2**49, 1e15) have 18
+        # significant digits, the last a 5: their 17 digits are an exact tie.
+        rng = np.random.default_rng(5)
+        quarters = (2 * rng.integers(2 * 10**15, 2**52, 300) + 1) * 0.25
+        eighths = (2 * rng.integers(2**51, 4 * 10**15, 300) + 1) * 0.125
+        ties = np.concatenate([quarters, eighths, [1e15 + 0.25, 2.0**51 - 0.25]])
+        assert all(Fraction(v) * 10 ** (16 - math.floor(math.log10(v))) % 1 == Fraction(1, 2) for v in ties.tolist())
+        seen = _percent_spy(monkeypatch)
+        assert _numpy_rows(ties) == [_cell(v) for v in ties.tolist()]
+        assert sorted(seen) == sorted(ties.view(np.int64).tolist())
+
+    def test_zeros_subnormals_infinities_and_nan_payloads(self, monkeypatch):
+        subnormals = np.array([1, 2, 3, 2**51, 2**52 - 1, 12345678901], dtype=np.int64).view(np.float64)
+        nans = np.array([0x7FF8000000000000, 0x7FF0000000000001, 0x7FF8000000000123, 0xFFF8000000000000,
+                         0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+        values = np.concatenate([[0.0, -0.0, math.inf, -math.inf], subnormals, -subnormals, nans])
+        seen = _percent_spy(monkeypatch)
+        assert _numpy_rows(values) == [_cell(v) for v in values.tolist()]
+        assert sorted(seen) == sorted(values.view(np.int64).tolist())
+
+    def test_layout_edges_and_decade_carries(self, monkeypatch):
+        carries = _decade_carries()
+        inside = [v for v in carries if 1e-280 <= v <= 1e280]
+        assert inside and len(carries) > len(inside)  # carries inside the numpy range and outside it
+        edges = [1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280]
+        edges = [v for e in edges for v in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+        values = np.array(carries + edges + [-v for v in carries + edges])
+        seen = _percent_spy(monkeypatch)
+        rows = _numpy_rows(values)
+        assert rows == [_cell(v) for v in values.tolist()]
+        assert not set(np.array(inside).view(np.int64).tolist()) & set(seen)  # carried by the numpy digits
+        assert {row.rstrip(b"\0,") for row in rows[: len(carries)]} >= {b"1e-14", b"1e+98"}
 
 
 def test_package_and_project_versions_agree():
