@@ -10,7 +10,8 @@ benchmark's extinction runs (alpha 0.25, horizon 60, 200 replicas,
 cap 10k, eight seeds) plus other laws and caps, ``gf`` runs, both kinds
 again at 257 and 600 replicas (more than one 256-replica chunk of the
 mass-only walker), the benchmark's ``clock`` runs (gamma 2, dtau.max 3,
-2000 replicas, seeds 0, 5, 2**31 - 1 and 40,000), ``kernel`` runs in
+2000 replicas, seeds 0, 5, 2**31 - 1 and 40,000) and ``clock`` at 2
+replicas, at gamma 1e-3 and 1e3 and at seed 2**40, ``kernel`` runs in
 d = 1, 2 and 3, the benchmark's ``onepoint`` runs (alpha 0.25, 0.5 and
 0.75, tau.max 5) and ``twopoint`` runs (four alphas on its coarse and
 fine grids), ``gf`` at gamma 1.2345, whose t.max is not a whole
@@ -39,7 +40,12 @@ one time or several) at 257 to 600 replicas, a sha256 of the exact
 float64 bytes of the benchmark's ``mass_curve(0.1, 1, 40)``, and the exact
 float of ``two_point_residual`` at alpha 0.25 on a seeded random field
 on the benchmark's fine two-point grid (80 x 401), where the defect is
-O(1), so that a rounding move in the ladder map shows on its own.
+O(1), so that a rounding move in the ladder map shows on its own, and a
+sha256 of 600 replicas' lifetimes at gamma 2 to horizon 1.5 (seed 17) and
+gamma 0.5 to horizon 8 (seed 2**40), some of them past the horizon: from
+``sample_lifetimes`` in a tree that has it, else from the first events of
+pure-death ``simulate_branching`` trees, so that the two routes are
+compared bit for bit.
 
 Where a CSV's sha256 differs, each column's largest relative deviation
 |change - parent| / |parent| is printed under the run (0 where both
@@ -87,6 +93,8 @@ RUNS = (
                             ("gf", {"alpha": 0.25, "gamma": 1.0, "theta": 0.5, "t.max": 1.0}))
        for replicas, seed in ((257, 21), (600, 22))]
     + [("clock", {"gamma": 2.0, "dtau.max": 3.0, "replicas": 2000, "seed": seed}) for seed in (0, 5, 2**31 - 1, 40_000)]
+    + [("clock", {"gamma": gamma, "dtau.max": 3.0, "replicas": replicas, "seed": seed})
+       for gamma, replicas, seed in ((2.0, 2, 8), (1e-3, 2000, 9), (1e3, 2000, 10), (2.0, 2000, 2**40))]
     + [("kernel", {"gamma": 0.3, "d": d, "t.min": 0.05, "t.max": 3.0, "t.count": 40, "r.max": 6.0, "r.count": 60})
        for d in (1, 2, 3)]
     + [("onepoint", {"alpha": alpha, "gamma": 1.0, "tau.max": 5.0, "picard.order": 20}) for alpha in (0.25, 0.5, 0.75)]
@@ -123,6 +131,8 @@ LIBRARY_RUNS = (
                                                (0.4, 0.9, [0.25, 3.0], 300, 8))]
     + [("mass_curve", {"alpha": 0.1, "gamma": 1.0, "t_max": 40.0})]
     + [("residual", {"alpha": 0.25, "seed": 19})]
+    + [("lifetimes", {"gamma": gamma, "horizon": horizon, "seed": seed})
+       for gamma, horizon, seed in ((2.0, 1.5, 17), (0.5, 8.0, 2**40))]
 )
 
 
@@ -147,6 +157,15 @@ def library_value(kind: str, params: dict):
     if kind == "residual":
         values = np.random.default_rng(params["seed"]).uniform(0.0, 0.4, size=(80, 401))
         return dyson.two_point_residual(dyson.SpaceTimeField(0.025, 0.05, values), params["alpha"], 1.0).hex()
+    if kind == "lifetimes":  # sample_lifetimes, or the first events of pure-death trees in a tree without it
+        gamma, horizon, seed = params["gamma"], params["horizon"], params["seed"]
+        if hasattr(montecarlo, "sample_lifetimes"):
+            times = montecarlo.sample_lifetimes(gamma, horizon, 600, seed)
+        else:
+            config = montecarlo.BranchingConfig(gamma, dyson.FertilityDistribution((1.0,)))
+            logs = [montecarlo.simulate_branching(config, horizon, (), seed, replica=r) for r in range(600)]
+            times = np.array([log.events[0].time if log.events else math.inf for log in logs])
+        return hashlib.sha256(np.asarray(times, dtype="<f8").tobytes()).hexdigest()
     if kind == "mckean":
         xs = np.arange(-40.0, 40.0 + 1e-9, 0.1)
         phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(params["freq"] * xs + params["phase"]))

@@ -48,6 +48,7 @@ from .montecarlo import (
     feynman_kac_estimate,
     sample_brownian_path,
     sample_extinction_times,
+    sample_lifetimes,
     simulate_branching,
 )
 from .dyson import (

@@ -10,7 +10,15 @@ its keys against the target operation's preconditions before running
 anything, writes one CSV (fixed column order, Unix newlines; doubles at
 17 significant digits, integers as decimals, booleans as 0/1, ring-check
 property names verbatim) and a JSON manifest next to it.  Runs are bit
-reproducible: identical configs give byte-identical CSVs.
+reproducible within one ``environment``, which the manifest records
+(Python, numpy, platform, libc, the BLAS build, numpy's enabled CPU
+features and any variable that changes numpy's SIMD dispatch or the
+OpenBLAS kernel): there, identical configs give byte-identical CSVs.
+The ``kernel``, ``gf``, ``clock`` and ``ring-check`` CSVs were also
+measured byte-identical with numpy's AVX-512 dispatch off and with its
+AVX2 dispatch off as well; ``semigroup``, ``twopoint``, ``onepoint``
+and ``extinction`` bytes can change with the BLAS kernel or the SIMD
+level.  No drawn number depends on either.
 
 Exit status: 0 on success, 1 on config parse/validation errors, a
 missing output directory or an output path that is a directory (checked
@@ -249,20 +257,10 @@ def _run_clock(p):
     gamma, replicas, seed = p["gamma"], p["replicas"], p["seed"]
     dtau = np.linspace(0.0, p["dtau.max"], p["dtau.count"])
     columns = {"dtau": dtau, "event_probability": [kernels.event_probability(gamma, d) for d in dtau]}
-    # Single-particle lifetimes: pure-death law, horizon long enough
-    # that the no-event probability exp(-50) is negligible.
-    config = montecarlo.BranchingConfig(gamma, dyson.FertilityDistribution((1.0,)))
-    horizon = 50.0 / gamma
-    dyson._check_count("replicas", replicas)  # keeps the error order: replicas, then horizon
-    montecarlo._check_time("horizon", horizon)
-    cdf = config.offspring_cdf.tolist()
-
-    def first_event(r, rng):
-        events = montecarlo._branching_tree(config, cdf, horizon, rng)[0]
-        return events[0][0] if events else math.nan
-
-    times = montecarlo._replica_values(replicas, seed, first_event)
-    times = times[~np.isnan(times)]
+    # Single-particle lifetimes to a horizon long enough that the no-event probability
+    # exp(-50) is negligible; sample_lifetimes refuses gamma 0, which has no such horizon.
+    times = montecarlo.sample_lifetimes(gamma, 50.0 / gamma if gamma else math.inf, replicas, seed)
+    times = times[np.isfinite(times)]
     stat, pvalue = montecarlo.lifetime_ks(times, gamma)
     estimates = {
         "lifetime_mean": float(np.mean(times)),
@@ -420,6 +418,33 @@ def _write_csv(path: str, columns: dict) -> str:
     return digest.hexdigest()
 
 
+# Environment variables that change numpy's SIMD dispatch or the OpenBLAS kernel, and so CSV bytes.
+_DISPATCH_VARIABLES = ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+
+
+@functools.cache
+def _environment() -> dict:
+    # What a run's bytes rest on besides its config, found once per process, at its first run.
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        blas = {}
+    build = (blas.get("name"), blas.get("version"), blas.get("openblas configuration"))
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+        "libc": " ".join(platform.libc_ver()).strip(),
+        "blas": "; ".join(str(part).strip() for part in build if part) or "unknown",
+        "cpu_features": " ".join(name for name, enabled in __cpu_features__.items() if enabled),
+        "dispatch_variables": {name: os.environ[name] for name in _DISPATCH_VARIABLES if name in os.environ},
+    }
+
+
 def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:
     """Execute one experiment: write its CSV and manifest, return exit code.
 
@@ -439,12 +464,7 @@ def run_experiment(config: ExperimentConfig, out: str | None = None) -> int:
         "command": config.kind,
         "config": dict(sorted(config.params.items())),
         "library_version": __version__,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
-            "libc": " ".join(platform.libc_ver()).strip(),
-        },
+        "environment": _environment(),
         "csv": csv_path,
         "status": "ok",
         "error": None,

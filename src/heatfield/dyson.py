@@ -51,6 +51,7 @@ real-valued rewrite and is what gets evaluated.)
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -370,6 +371,8 @@ class SpaceTimeField:
     t_step: float
     x_step: float
     values: np.ndarray
+    # The ladder map two_point_picard solved for this field, which two_point_residual reuses.
+    _operator: _TwoPointOperator | None = dataclasses.field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -406,6 +409,7 @@ class _TwoPointOperator:
 
     def __init__(self, alpha, gamma, nt, t_step, half, x_step):
         _validate_alpha_gamma(alpha, gamma)
+        self.args = (alpha, gamma, nt, t_step, half, x_step)
         self.nt = nt
         self.k = float(t_step)
         self.h = float(x_step)
@@ -481,7 +485,9 @@ def two_point_picard(
     """
     nt, half = _grid_count(t_max, t_step), _grid_count(x_half_width, x_step)
     op = _TwoPointOperator(alpha, gamma, nt, t_step, half, x_step)
-    return SpaceTimeField(op.k, op.h, op.march())
+    solved = SpaceTimeField(op.k, op.h, op.march())
+    object.__setattr__(solved, "_operator", op)
+    return solved
 
 
 def two_point_residual(field: SpaceTimeField, alpha: float, gamma: float) -> float:
@@ -492,8 +498,13 @@ def two_point_residual(field: SpaceTimeField, alpha: float, gamma: float) -> flo
     exp(-(gamma + xi**2/2)*l*t_step), evaluated directly, done by FFT over 2*nt rows
     (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), so it costs
     O(nt*log(nt)*nx) and shares no recursion with the march.  Raises the ValueError and
-    GridTooNarrowError of ``two_point_picard`` for the same alpha, gamma and grid.
+    GridTooNarrowError of ``two_point_picard`` for the same alpha, gamma and grid.  A field
+    that ``two_point_picard`` returned carries its operator, which is reused when alpha,
+    gamma and the grid are the ones it was solved for.
     """
     nt, nx = field.values.shape
-    op = _TwoPointOperator(alpha, gamma, nt, field.t_step, nx // 2, field.x_step)
+    args = (alpha, gamma, nt, field.t_step, nx // 2, field.x_step)
+    op = field._operator
+    if op is None or op.args != args:  # a hand-made field, or another alpha or gamma
+        op = _TwoPointOperator(*args)
     return float(np.max(np.abs(op.apply(field.values) - field.values)))

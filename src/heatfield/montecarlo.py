@@ -7,13 +7,14 @@ are reproducible and replicas are independent work units:
   ``PCG64(splitmix64(s + (r + 1) * 0x9E3779B97F4A7C15))`` (all mod
   2**64, splitmix64 being the standard 64-bit finalizer below);
   ``derive_stream`` is the reference for that stream;
-* the tree estimator (and the CLI ``clock`` runner) runs its replicas
-  through one loop, ``_replica_values``; ``feynman_kac_estimate`` draws
-  its paths in lockstep passes of at most _WALK_CELLS cells; and the
-  population estimators run through one lockstep walker of the
-  mass-only jump chain, ``_mass_walks``.  All collect results in
-  replica order, and numpy's pairwise sum reduces them, so estimates do
-  not depend on replica scheduling;
+* the tree estimator runs its replicas through one loop,
+  ``_replica_mean``; ``sample_lifetimes`` draws one exponential per
+  replica; ``feynman_kac_estimate`` draws its paths in lockstep passes
+  of at most _WALK_CELLS cells; and the population estimators run
+  through one lockstep walker of the mass-only jump chain,
+  ``_mass_walks``.  All collect results in replica order, and numpy's
+  pairwise sum reduces them, so estimates do not depend on replica
+  scheduling;
 * all take their streams from ``_replica_streams``, which derives the
   PCG64 states of up to 256 replicas in one vectorised pass (numpy's
   SeedSequence hashing and PCG64 seeding, mirrored in integer arrays)
@@ -81,6 +82,7 @@ __all__ = [
     "sample_brownian_path",
     "feynman_kac_estimate",
     "simulate_branching",
+    "sample_lifetimes",
     "sample_extinction_times",
     "estimate_extinction",
     "estimate_generating_function",
@@ -184,17 +186,13 @@ def _check_time(name, t, positive=False):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {t}")
 
 
-def _replica_values(replicas, seed, one):
-    """one(r, rng) for r = 0 .. replicas-1 (a float or a row of floats), stacked in replica order.
-
-    rng is the stream derive_stream(seed, r), valid only within its call.
-    """
-    replicas = _check_count("replicas", replicas)
-    return np.array([one(r, rng) for r, rng in enumerate(_replica_streams(seed, replicas))], dtype=float)
-
-
 def _replica_mean(replicas, seed, one):
-    return _mean_stderr(_replica_values(_check_count("replicas", replicas, least=2), seed, one))
+    """(mean, stderr) of the floats one(rng), in replica order, rng the stream derive_stream(seed, r) of replica r.
+
+    rng is valid only within its call.
+    """
+    replicas = _check_count("replicas", replicas, least=2)
+    return _mean_stderr(np.array([one(rng) for rng in _replica_streams(seed, replicas)], dtype=float))
 
 
 def _mean_stderr(values):
@@ -436,6 +434,24 @@ def _branching_tree(config, cdf, horizon, rng):
     return events, ids, np.array(positions, dtype=float).reshape(len(ids), config.d)
 
 
+def sample_lifetimes(gamma: float, horizon: float, replicas: int, seed: int) -> np.ndarray:
+    """First clock time of each replica (inf if past the horizon), in replica order.
+
+    Replica r's entry is standard_exponential() / gamma, the first draw
+    of derive_stream(seed, r): the root's lifetime, and so the first event
+    time, of that replica's simulate_branching tree with the pure-death
+    law (1.0,), bit for bit.  Raises ValueError unless gamma is finite and
+    > 0, replicas is an integer >= 1 and horizon is finite and >= 0
+    (checked in that order).
+    """
+    _validate_gamma(gamma)
+    replicas = _check_count("replicas", replicas)
+    _check_time("horizon", horizon)
+    times = np.array([rng.standard_exponential() for rng in _replica_streams(seed, replicas)]) / gamma
+    times[times > horizon] = math.inf  # the tree fires no event past its horizon
+    return times
+
+
 # Fixed block schedule for the mass-only simulator; part of the
 # reproducibility contract (changing it changes the draw sequence).
 _BLOCK_SCHEDULE = (64, 256, 1024, 4096, 16384, 65536)
@@ -650,7 +666,7 @@ def estimate_mckean_product(
         raise ValueError("phi must take values in [0, 1]")
     _check_time("t", t)
     cdf = config.offspring_cdf.tolist()
-    return _replica_mean(replicas, seed, lambda r, rng: float(np.prod(phi(_branching_tree(config, cdf, t, rng)[2][:, 0]))))
+    return _replica_mean(replicas, seed, lambda rng: float(np.prod(phi(_branching_tree(config, cdf, t, rng)[2][:, 0]))))
 
 
 def lifetime_ks(times, rate: float):

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +16,8 @@ from hypothesis import strategies as st
 import heatfield
 from heatfield import _digits, cli, dyson, montecarlo, pring
 from heatfield.cli import ParseError, ValidationError, parse_config
+
+SRC = Path(heatfield.__file__).resolve().parent.parent
 
 
 def write(path, text):
@@ -409,9 +414,45 @@ class TestMain:
         cfg = write(tmp_path / "rc.cfg", "cases = 5\n")
         assert cli.main(["ring-check", "--config", cfg, "--out", str(tmp_path / "rc.csv")]) == 0
         environment = json.loads((tmp_path / "rc.csv.manifest.json").read_text())["environment"]
-        assert sorted(environment) == ["libc", "numpy", "platform", "python"]
+        assert sorted(environment) == [
+            "blas", "cpu_features", "dispatch_variables", "libc", "numpy", "platform", "python"
+        ]
+        variables = environment.pop("dispatch_variables")
         assert all(isinstance(value, str) for value in environment.values())
         assert environment["numpy"] == np.__version__
+        assert environment["blas"] and environment["cpu_features"].split()  # numpy's baseline features at least
+        assert variables == {name: os.environ[name] for name in cli._DISPATCH_VARIABLES if name in os.environ}
+
+    def test_portable_csvs_do_not_depend_on_the_simd_level(self, tmp_path):
+        # The kernel, gf, clock and ring-check bytes are the same with numpy's AVX-512
+        # dispatch turned off (a no-op on a CPU without it), each side in a fresh process.
+        kinds = ("kernel", "gf", "clock", "ring-check")
+        configs = {kind: write(tmp_path / f"{kind}.cfg", self.VALID[kind]) for kind in kinds}
+        script = (
+            "import json, sys\n"
+            "from heatfield import cli\n"
+            "for kind, cfg in json.loads(sys.argv[1]).items():\n"
+            "    out = f'{sys.argv[2]}-{kind}.csv'\n"
+            "    assert cli.main([kind, '--config', cfg, '--out', out]) == 0\n"
+            "    manifest = json.load(open(out + '.manifest.json'))\n"
+            "    print(kind, manifest['csv_sha256'], manifest['environment']['cpu_features'])\n"
+        )
+        reduced = "X86_V4 AVX512_ICL AVX512_SPR"
+        runs = {}
+        for side, disabled in (("default", None), ("reduced", reduced)):
+            env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(configs), str(tmp_path / side)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[side] = [line.split(" ", 2) for line in proc.stdout.splitlines()]
+        assert [row[:2] for row in runs["reduced"]] == [row[:2] for row in runs["default"]]
+        assert [row[0] for row in runs["default"]] == list(kinds)
+        assert all(not set(reduced.split()) & set(row[2].split()) for row in runs["reduced"])
 
     def test_ring_check_passes(self, tmp_path):
         cfg = write(tmp_path / "rc.cfg", "cases = 3000\nseed = 12\n")

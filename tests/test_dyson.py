@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -551,6 +552,25 @@ class TestGridRule:
         op = dyson._TwoPointOperator(0.5, 1.0, 7, 0.3, 90, 0.1)
         want = float(np.max(np.abs(op.apply(field.values) - field.values)))
         assert two_point_residual(field, 0.5, 1.0) == want
+
+    def test_residual_reuses_the_solved_operator(self, monkeypatch):
+        # A solved field carries its operator: the residual builds none for the same
+        # alpha and gamma and equals that of a hand-made copy of the field, bit for bit.
+        field = two_point_picard(0.25, 1.0, 2.0, 0.05, 10.0, 0.1)
+        copy = dyson.SpaceTimeField(field.t_step, field.x_step, field.values)
+        assert repr(copy) == repr(field) and copy._operator is None
+        assert dataclasses.replace(field)._operator is None
+        builds = []
+        build = dyson._TwoPointOperator
+        monkeypatch.setattr(dyson, "_TwoPointOperator", lambda *args: builds.append(args) or build(*args))
+        assert two_point_residual(field, 0.25, 1.0) == two_point_residual(copy, 0.25, 1.0)
+        assert len(builds) == 1
+        # Another alpha or gamma gets its own operator, as a hand-made field does.
+        for alpha, gamma in ((0.5, 1.0), (0.25, 1.5)):
+            assert two_point_residual(field, alpha, gamma) == two_point_residual(copy, alpha, gamma)
+        assert len(builds) == 5
+        with pytest.raises(ValueError, match="alpha"):
+            two_point_residual(field, math.nan, 1.0)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.75, 1.0])
     def test_apply_equals_direct_lags(self, alpha):

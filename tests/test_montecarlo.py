@@ -617,6 +617,26 @@ class TestReplicaContract:
             assert estimates["lifetime_mean"] == float(np.mean(times))
             assert (estimates["ks_statistic"], estimates["ks_pvalue"]) == lifetime_ks(times, 2.0)
 
+    # Seeds 0 and 2**31 - 1, and seeds of 2**32 and up, whose upper 32 bits enter the mixed seed word.
+    LIFETIME_SEEDS = (0, 1, 2, 5, 7, 9, 17, 31, 777, 4096, 40_000, 123456, 2**20 + 3, 2**31 - 1, 2**31,
+                      2**32, 2**32 + 5, 2**40, 2**53 + 1, 2**64 - 1)
+
+    def test_lifetimes_are_the_first_events_of_pure_death_trees(self):
+        config = BranchingConfig(2.0, PURE_DEATH)
+        for seed in self.LIFETIME_SEEDS:
+            want = [simulate_branching(config, 25.0, (), seed, replica=r).events[0].time for r in range(200)]
+            np.testing.assert_array_equal(montecarlo.sample_lifetimes(2.0, 25.0, 200, seed), want)
+
+    def test_lifetimes_past_the_horizon_are_inf(self):
+        config = BranchingConfig(0.7, PURE_DEATH)
+        for seed in self.SEEDS:
+            logs = [simulate_branching(config, 1.0, (), seed, replica=r) for r in range(300)]
+            times = montecarlo.sample_lifetimes(0.7, 1.0, 300, seed)
+            np.testing.assert_array_equal(times, [log.events[0].time if log.events else math.inf for log in logs])
+            assert 100 < np.isinf(times).sum() < 200  # exp(-0.7) = 0.50 of them
+        horizon = float(times[np.isfinite(times)].max())  # a first event exactly at the horizon still fires
+        np.testing.assert_array_equal(montecarlo.sample_lifetimes(0.7, horizon, 300, seed), times)
+
     def test_counts_match_lifespans_rebuilt_from_events(self):
         for alpha, horizon in ((0.25, 3.0), (0.7, 6.0)):
             config = binary_config(alpha)
@@ -723,6 +743,11 @@ class TestReplicaContractWithoutFastStreams:
     test_mckean_matches_tree_loop = TestReplicaContract.test_mckean_matches_tree_loop
     test_gf_matches_oracle_walks = TestReplicaContract.test_gf_matches_oracle_walks
     test_clock_matches_tree_loop = TestReplicaContract.test_clock_matches_tree_loop
+    LIFETIME_SEEDS = TestReplicaContract.LIFETIME_SEEDS
+    test_lifetimes_are_the_first_events_of_pure_death_trees = (
+        TestReplicaContract.test_lifetimes_are_the_first_events_of_pure_death_trees
+    )
+    test_lifetimes_past_the_horizon_are_inf = TestReplicaContract.test_lifetimes_past_the_horizon_are_inf
     test_replica_counts_across_chunks = TestMassWalks.test_replica_counts_across_chunks
     test_gf_equals_per_replica_oracle = TestMassWalks.test_gf_equals_per_replica_oracle
     test_gf_explosion_names_the_first_replica = TestMassWalks.test_gf_explosion_names_the_first_replica
@@ -880,6 +905,19 @@ class TestArgumentChecks:
         if replicas != 1:  # one replica gives an extinction fraction and its binomial stderr
             with pytest.raises(ValueError, match="^replicas must"):
                 estimate_extinction(config, 1.0, replicas, seed=1)
+
+    def test_lifetimes_check_order(self):
+        # gamma, then replicas, then horizon.
+        for gamma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                montecarlo.sample_lifetimes(gamma, math.nan, 0, seed=1)
+        for replicas in (0, 1.5, True):
+            with pytest.raises(ValueError, match="^replicas must"):
+                montecarlo.sample_lifetimes(2.0, math.nan, replicas, seed=1)
+        for horizon in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^horizon must"):
+                montecarlo.sample_lifetimes(2.0, horizon, 1, seed=1)
+        assert montecarlo.sample_lifetimes(2.0, 0.0, 1, seed=1).tolist() == [math.inf]
 
     def test_feynman_kac_check_order(self):
         # The checks run in this order: replicas, then t, n_steps and x0.
