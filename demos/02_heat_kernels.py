@@ -22,7 +22,7 @@ print("\nkernel normalization (trapezoid over +-8 sqrt(t)):")
 for t in (0.25, 1.0, 4.0):
     h = math.sqrt(t) / 8.0
     zs = np.arange(-64, 65) * h
-    vals = np.array([kernels.heat_kernel(t, 0.0, z) for z in zs])
+    vals = kernels.heat_kernel(t, 0.0, zs[:, None])  # an (m, 1) array: one density per target point
     integral = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
     print(f"  t = {t:4}: integral = {integral:.10f}")
 

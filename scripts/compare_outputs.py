@@ -12,8 +12,9 @@ again at 257 and 600 replicas (more than one 256-replica chunk of the
 mass-only walker), the benchmark's ``clock`` runs (gamma 2, dtau.max 3,
 2000 replicas, seeds 0, 5, 2**31 - 1 and 40,000) and ``clock`` at 2
 replicas, at gamma 1e-3 and 1e3 and at seed 2**40, ``kernel`` runs in
-d = 1, 2 and 3, the benchmark's ``onepoint`` runs (alpha 0.25, 0.5 and
-0.75, tau.max 5) and ``twopoint`` runs (four alphas on its coarse and
+d = 1, 2 and 3 and at gamma 0, at r.min > 0 and on a one-cell grid, the
+benchmark's ``onepoint`` runs (alpha 0.25, 0.5 and 0.75, tau.max 5) and
+``twopoint`` runs (four alphas on its coarse and
 fine grids), ``gf`` at gamma 1.2345, whose t.max is not a whole
 number of solver steps, the benchmark's ``semigroup`` shape (a Gaussian
 on 9601 nodes from -48 at step 0.01, t 1) at two centres and sigmas and
@@ -45,7 +46,12 @@ sha256 of 600 replicas' lifetimes at gamma 2 to horizon 1.5 (seed 17) and
 gamma 0.5 to horizon 8 (seed 2**40), some of them past the horizon: from
 ``sample_lifetimes`` in a tree that has it, else from the first events of
 pure-death ``simulate_branching`` trees, so that the two routes are
-compared bit for bit.
+compared bit for bit, a sha256 of ``heat_kernel`` and
+``retarded_propagator_heat`` values at (m, d) arrays of target points in
+d = 1, 2 and 3 (r = 0 among them, gamma 0 and dt <= 0 too), falling back
+to one call per target in a tree whose kernels take one point only, and
+the exact floats of ``estimate_extinction`` on an ascending grid of 41
+horizons, or of one scalar call per horizon in a tree without grids.
 
 Where a CSV's sha256 differs, each column's largest relative deviation
 |change - parent| / |parent| is printed under the run (0 where both
@@ -97,6 +103,10 @@ RUNS = (
        for gamma, replicas, seed in ((2.0, 2, 8), (1e-3, 2000, 9), (1e3, 2000, 10), (2.0, 2000, 2**40))]
     + [("kernel", {"gamma": 0.3, "d": d, "t.min": 0.05, "t.max": 3.0, "t.count": 40, "r.max": 6.0, "r.count": 60})
        for d in (1, 2, 3)]
+    + [("kernel", dict({"d": 2, "t.min": 0.05, "t.max": 3.0, "t.count": 40, "r.max": 6.0, "r.count": 60}, **extra))
+       for extra in ({"gamma": 0.0}, {"gamma": 0.3, "r.min": 0.75})]
+    + [("kernel", {"gamma": 1.5, "d": 3, "t.min": 0.4, "t.max": 0.4, "t.count": 1, "r.min": 2.5, "r.max": 2.5,
+                   "r.count": 1})]
     + [("onepoint", {"alpha": alpha, "gamma": 1.0, "tau.max": 5.0, "picard.order": 20}) for alpha in (0.25, 0.5, 0.75)]
     + [("twopoint", {"alpha": alpha, "gamma": 1.0, "t.max": 2.0, "t.step": t_step, "x.halfwidth": 10.0,
                      "x.step": x_step})
@@ -133,6 +143,9 @@ LIBRARY_RUNS = (
     + [("residual", {"alpha": 0.25, "seed": 19})]
     + [("lifetimes", {"gamma": gamma, "horizon": horizon, "seed": seed})
        for gamma, horizon, seed in ((2.0, 1.5, 17), (0.5, 8.0, 2**40))]
+    + [("kernel_rows", {"d": d, "seed": 40 + d}) for d in (1, 2, 3)]
+    + [("extinction_curve", {"alpha": alpha, "horizon": horizon, "replicas": replicas, "seed": seed})
+       for alpha, horizon, replicas, seed in ((0.25, 60.0, 300, 9), (0.4, 20.0, 257, 10))]
 )
 
 
@@ -142,10 +155,16 @@ def library_value(kind: str, params: dict):
 
     from heatfield import dyson, kernels, montecarlo
 
-    if kind in ("extinction", "gf"):
+    if kind in ("extinction", "extinction_curve", "gf"):
         config = montecarlo.BranchingConfig(1.0, dyson.FertilityDistribution.binary(params["alpha"]), max_particles=10_000)
         if kind == "extinction":
             result = montecarlo.estimate_extinction(config, params["horizon"], params["replicas"], params["seed"])
+        elif kind == "extinction_curve":  # a grid of horizons, or one scalar call per horizon in a tree without grids
+            taus, replicas, seed = np.linspace(0.0, params["horizon"], 41), params["replicas"], params["seed"]
+            try:
+                result = montecarlo.estimate_extinction(config, taus, replicas, seed)
+            except TypeError:
+                result = list(zip(*(montecarlo.estimate_extinction(config, tau, replicas, seed) for tau in taus.tolist())))
         else:
             result = montecarlo.estimate_generating_function(
                 config, params["theta"], np.array(params["t"]), params["replicas"], params["seed"]
@@ -166,6 +185,24 @@ def library_value(kind: str, params: dict):
             logs = [montecarlo.simulate_branching(config, horizon, (), seed, replica=r) for r in range(600)]
             times = np.array([log.events[0].time if log.events else math.inf for log in logs])
         return hashlib.sha256(np.asarray(times, dtype="<f8").tobytes()).hexdigest()
+    if kind == "kernel_rows":  # array targets, or one call per target in a tree without them
+        d, rng = params["d"], np.random.default_rng(params["seed"])
+        x, rows = rng.normal(size=d), rng.normal(scale=2.0, size=(300, d))
+        rows[0] = x  # r = 0
+        calls = [lambda y, t=t: kernels.heat_kernel(t, x, y) for t in (1e-3, 0.37, 4.0)] + [
+            lambda y, tx=tx, ty=ty, gamma=gamma: kernels.retarded_propagator_heat((tx, x), (ty, y), gamma)
+            for tx, ty, gamma in ((0.0, 0.37, 0.0), (0.5, 2.0, 1.3), (1.0, 1.0, 0.7), (2.0, 1.0, 0.7))
+        ]
+        try:
+            kernels.heat_kernel(1.0, 0.0, np.zeros((1, 1)))
+            arrays = True
+        except kernels.DimensionMismatchError:
+            arrays = False
+        digest = hashlib.sha256()
+        for call in calls:
+            values = call(rows) if arrays else [call(y) for y in rows]
+            digest.update(np.asarray(values, dtype="<f8").tobytes())
+        return digest.hexdigest()
     if kind == "mckean":
         xs = np.arange(-40.0, 40.0 + 1e-9, 0.1)
         phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(params["freq"] * xs + params["phase"]))
@@ -291,6 +328,8 @@ def main(argv=None) -> int:
         if kind == "residual":
             old_value, new_value = float.fromhex(old), float.fromhex(new)
             shown = f"{new_value!r}, relative deviation {relative_deviation([old_value], [new_value]):.2g}"
+        if kind == "extinction_curve":  # the pair at the last of its 41 horizons
+            shown = [values[-1] for values in new]
         print(f"{'same' if old == new else 'DIFFERENT'}  library {kind} {params}  {shown}")
     total = len(RUNS) + len(LIBRARY_RUNS)
     print(f"{total - failures} of {total} runs identical")

@@ -14,6 +14,9 @@ reproducible within one ``environment``, which the manifest records
 (Python, numpy, platform, libc, the BLAS build, numpy's enabled CPU
 features and any variable that changes numpy's SIMD dispatch or the
 OpenBLAS kernel): there, identical configs give byte-identical CSVs.
+The BLAS build is numpy's build-time string, whose core is the build
+machine's; the OpenBLAS kernel picked at load is not recorded unless
+``OPENBLAS_CORETYPE`` is set.
 The ``kernel``, ``gf``, ``clock`` and ``ring-check`` CSVs were also
 measured byte-identical with numpy's AVX-512 dispatch off and with its
 AVX2 dispatch off as well; ``semigroup``, ``twopoint``, ``onepoint``
@@ -225,18 +228,14 @@ def _run_kernel(p):
     r_grid = np.linspace(p["r.min"], p["r.max"], p["r.count"])
     targets = np.zeros((r_grid.size, d))
     targets[:, 0] = r_grid
-    # Each grid is validated once: the rate, the shortest time and every target, which
-    # also gives the squared distances that heat_kernel and retarded_propagator_heat
-    # compute per cell.  Then each t-row is one call of the expression they evaluate,
-    # so every cell keeps its bits.
-    kernels._check_rate(gamma)
-    r2 = np.array([kernels._validated_r2(t_grid.min(), origin, y)[0] for y in targets])
     rows = t_grid.tolist()
     columns = {
         "t": np.repeat(t_grid, r_grid.size),
         "r": np.tile(r_grid, t_grid.size),
-        "heat_kernel": np.concatenate([kernels._heat_density(t, r2, d) for t in rows]),
-        "retarded_propagator": np.concatenate([kernels._clocked_density(t, r2, gamma, d) for t in rows]),
+        "heat_kernel": np.concatenate([kernels.heat_kernel(t, origin, targets) for t in rows]),
+        "retarded_propagator": np.concatenate(
+            [kernels.retarded_propagator_heat((0.0, origin), (t, targets), gamma) for t in rows]
+        ),
     }
     return columns, {}
 
@@ -278,12 +277,10 @@ def _run_extinction(p):
         dyson.FertilityDistribution.binary(p["alpha"]),
         max_particles=p["max.particles"],
     )
-    times, stop_level, stop_bias_bound = montecarlo._extinction_run(config, p["horizon"], p["replicas"], p["seed"])
-    times = np.sort(times)
     taus = np.linspace(0.0, p["horizon"], p["tau.count"])
+    p_hat, stderr = montecarlo.estimate_extinction(config, taus, p["replicas"], p["seed"])
     analytic = dyson.one_point_closed_form(p["alpha"], p["gamma"], taus)
-    p_hat = np.searchsorted(times, taus, side="right") / p["replicas"]  # the mean of times <= tau
-    stderr = np.sqrt(p_hat * (1.0 - p_hat) / p["replicas"])
+    stop_level, stop_bias_bound = config.extinction_stop  # the level the walks above stopped at
     estimates = {
         "final_analytic": float(analytic[-1]),
         "final_mc_estimate": float(p_hat[-1]),

@@ -46,9 +46,10 @@ class GridTooNarrowError(ValueError):
     """Quadrature grid does not hold enough Gaussian mass (> 1e-8 lost)."""
 
 
-def _as_point(x) -> np.ndarray:
+def _as_point(x, rows=False) -> np.ndarray:
+    # One point as a 1-d array; with rows, a 2-d array is m points, one per row.
     p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1 or not 1 <= p.size <= 3:
+    if p.ndim not in ((1, 2) if rows else (1,)) or not 1 <= p.shape[-1] <= 3:
         raise DimensionMismatchError(f"points must be vectors of dimension 1..3, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("point coordinates must be finite")
@@ -56,13 +57,14 @@ def _as_point(x) -> np.ndarray:
 
 
 def _validated_r2(t, x, y):
-    # Squared distance |x-y|^2 and dimension d of a valid kernel argument.
+    # |x-y|^2 (per row of an (m, d) y, summed as for one point) and d of a valid kernel argument.
     if not t > 0:
         raise NonPositiveTimeError(f"duration must be > 0, got {t}")
-    px, py = _as_point(x), _as_point(y)
-    if px.size != py.size:
-        raise DimensionMismatchError(f"dimension mismatch: {px.size} vs {py.size}")
-    return float(np.sum((px - py) ** 2)), px.size
+    px, py = _as_point(x), _as_point(y, rows=True)
+    if px.size != py.shape[-1]:
+        raise DimensionMismatchError(f"dimension mismatch: {px.size} vs {py.shape[-1]}")
+    r2 = np.sum((px - py) ** 2, axis=-1)
+    return (r2 if py.ndim == 2 else float(r2)), px.size
 
 
 def _check_rate(gamma):
@@ -70,26 +72,26 @@ def _check_rate(gamma):
         raise ValueError(f"clock rate gamma must be finite and >= 0, got {gamma}")
 
 
-def _heat_density(t: float, r2, d: int):
-    return (2.0 * math.pi * t) ** (-0.5 * d) * pring._per_element(math.exp, -r2 / (2.0 * t))
-
-
 def _clocked_density(t: float, r2, gamma: float, d: int):
-    # exp(-gamma*t) * p_t at squared distance(s) r2, unvalidated.  Grid builds
-    # that must match retarded_propagator_heat bit for bit call this same
-    # expression: np.exp differs from math.exp in the last bits.
-    return math.exp(-gamma * t) * _heat_density(t, r2, d)
+    # exp(-gamma*t) * p_t at squared distance(s) r2, unvalidated; gamma 0 gives p_t itself
+    # (1.0 * p is p).  Grid builds that must match retarded_propagator_heat bit for bit call
+    # this same expression: np.exp differs from math.exp in the last bits.
+    density = (2.0 * math.pi * t) ** (-0.5 * d) * pring._per_element(math.exp, -r2 / (2.0 * t))
+    return math.exp(-gamma * t) * density
 
 
-def heat_kernel(t: float, x, y) -> float:
+def heat_kernel(t: float, x, y):
     """Transition density (2*pi*t)**(-d/2) * exp(-|x-y|^2 / (2t)).
 
     ``x`` and ``y`` are vectors (or scalars, read as d=1) of equal
-    dimension d with 1 <= d <= 3.  Raises NonPositiveTimeError for
-    t <= 0 and DimensionMismatchError on unequal dimensions.
+    dimension d with 1 <= d <= 3; ``y`` may also be an (m, d) array of m
+    points, giving m densities equal bit for bit to the one-point calls
+    (a 1-d ``y`` is one point).  Raises NonPositiveTimeError for t <= 0,
+    DimensionMismatchError on unequal or unsupported dimensions or shapes,
+    and ValueError on a coordinate that is not finite.
     """
     r2, d = _validated_r2(t, x, y)
-    return _heat_density(t, r2, d)
+    return _clocked_density(t, r2, 0.0, d)
 
 
 # Relative threshold below which grid values are treated as outside the
@@ -226,21 +228,22 @@ def ck_residual(t: float, s: float, x: float, y: float) -> float:
     return abs(composed - heat_kernel(t + s, x, y))
 
 
-def retarded_propagator_heat(x, y, gamma: float) -> float:
+def retarded_propagator_heat(x, y, gamma: float):
     """Heat projection of the clocked retarded propagator.
 
     ``x`` and ``y`` are spacetime points, pairs (time, space vector).
     Returns 0 whenever dt = y_time - x_time <= 0 (equal times count as
     not-yet-propagated) and otherwise
-    exp(-gamma*dt) * heat_kernel(dt, x_space, y_space).  Raises
-    ValueError unless gamma is finite and >= 0.
+    exp(-gamma*dt) * heat_kernel(dt, x_space, y_space), one value per row
+    of an (m, d) y_space (m zeros when dt <= 0).  Raises ValueError
+    unless gamma is finite and >= 0.
     """
     _check_rate(gamma)
     tx, sx = x
     ty, sy = y
     dt = float(ty) - float(tx)
     if dt <= 0.0:
-        return 0.0
+        return np.zeros(len(sy)) if np.ndim(sy) == 2 else 0.0
     r2, d = _validated_r2(dt, sx, sy)
     return _clocked_density(dt, r2, gamma, d)
 

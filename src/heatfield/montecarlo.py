@@ -7,14 +7,13 @@ are reproducible and replicas are independent work units:
   ``PCG64(splitmix64(s + (r + 1) * 0x9E3779B97F4A7C15))`` (all mod
   2**64, splitmix64 being the standard 64-bit finalizer below);
   ``derive_stream`` is the reference for that stream;
-* the tree estimator runs its replicas through one loop,
-  ``_replica_mean``; ``sample_lifetimes`` draws one exponential per
-  replica; ``feynman_kac_estimate`` draws its paths in lockstep passes
-  of at most _WALK_CELLS cells; and the population estimators run
-  through one lockstep walker of the mass-only jump chain,
-  ``_mass_walks``.  All collect results in replica order, and numpy's
-  pairwise sum reduces them, so estimates do not depend on replica
-  scheduling;
+* the McKean product estimator grows one tree per replica, in replica
+  order; ``sample_lifetimes`` draws one exponential per replica;
+  ``feynman_kac_estimate`` draws its paths in lockstep passes of at most
+  _WALK_CELLS cells; and the population estimators run through one
+  lockstep walker of the mass-only jump chain, ``_mass_walks``.  All
+  collect results in replica order, and numpy's pairwise sum reduces
+  them, so estimates do not depend on replica scheduling;
 * all take their streams from ``_replica_streams``, which derives the
   PCG64 states of up to 256 replicas in one vectorised pass (numpy's
   SeedSequence hashing and PCG64 seeding, mirrored in integer arrays)
@@ -60,6 +59,7 @@ numbers of a walk to the cap.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -186,15 +186,6 @@ def _check_time(name, t, positive=False):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {t}")
 
 
-def _replica_mean(replicas, seed, one):
-    """(mean, stderr) of the floats one(rng), in replica order, rng the stream derive_stream(seed, r) of replica r.
-
-    rng is valid only within its call.
-    """
-    replicas = _check_count("replicas", replicas, least=2)
-    return _mean_stderr(np.array([one(rng) for rng in _replica_streams(seed, replicas)], dtype=float))
-
-
 def _mean_stderr(values):
     # (mean, stderr) of per-replica values: floats, or per row entry each reduced as one contiguous
     # array (pairwise sum), so an entry's estimate does not depend on the others.
@@ -212,7 +203,12 @@ def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0
     coordinate.  Raises ValueError unless x0 is finite, t is finite
     and > 0 and n_steps is an integer >= 1.
     """
-    return _brownian_path(_path_start(x0, t, n_steps), t, n_steps, derive_stream(seed, replica))
+    start = _path_start(x0, t, n_steps)
+    steps = derive_stream(seed, replica).standard_normal((n_steps, start.size)) * math.sqrt(t / n_steps)
+    path = np.empty((n_steps + 1, start.size))
+    path[0] = start
+    path[1:] = start + np.cumsum(steps, axis=0)
+    return path
 
 
 def _path_start(x0, t, n_steps, name="x0", one=False):
@@ -226,14 +222,6 @@ def _path_start(x0, t, n_steps, name="x0", one=False):
     if not all(map(math.isfinite, start)):
         raise ValueError(f"{name} must be finite")
     return start
-
-
-def _brownian_path(start, t, n_steps, rng):
-    steps = rng.standard_normal((n_steps, start.size)) * math.sqrt(t / n_steps)
-    path = np.empty((n_steps + 1, start.size))
-    path[0] = start
-    path[1:] = start + np.cumsum(steps, axis=0)
-    return path
 
 
 def feynman_kac_estimate(
@@ -324,6 +312,20 @@ class BranchingConfig:
         cdf = np.cumsum(self.fertility.p)
         cdf[-1] = 1.0  # guard the top bin against rounding in the sum
         return cdf
+
+    @functools.cached_property
+    def extinction_stop(self) -> tuple:
+        """(L, qbar**(L + 1)): the count past which an extinction walk stops, and its bias bound.
+
+        L = min(max_particles, n*), n* the smallest n with qbar**n <=
+        2**-100 (see sample_extinction_times); when qbar is 1, L is the cap
+        and the bound is 1.0.  Computed once per config, on first use.
+        """
+        qbar = _extinction_upper_bound(self.offspring_cdf)
+        if qbar >= 1.0:
+            return int(self.max_particles), 1.0
+        level = int(min(self.max_particles, math.ceil(math.log(_STOP_EPSILON) / math.log(qbar))))
+        return level, qbar ** (level + 1)
 
 
 @dataclass(frozen=True)
@@ -529,7 +531,7 @@ def _mass_walks(gamma, cdf, horizon, cap, replicas, seed, grid=(), halt=False):
     return ends, finals, at_grid
 
 
-_STOP_EPSILON = 2.0**-100  # eps of the early stop (see _stop_level)
+_STOP_EPSILON = 2.0**-100  # eps of the early stop (see BranchingConfig.extinction_stop)
 
 
 def _extinction_upper_bound(cdf) -> float:
@@ -560,19 +562,6 @@ def _extinction_upper_bound(cdf) -> float:
     return hi
 
 
-def _stop_level(config: BranchingConfig):
-    """(L, qbar**(L + 1)): the count past which the extinction walk stops, and its bias bound.
-
-    L = min(config.max_particles, n*), n* the smallest n with qbar**n <=
-    _STOP_EPSILON; when qbar is 1, L is the cap and the bound is 1.0.
-    """
-    qbar = _extinction_upper_bound(config.offspring_cdf)
-    if qbar >= 1.0:
-        return int(config.max_particles), 1.0
-    level = int(min(config.max_particles, math.ceil(math.log(_STOP_EPSILON) / math.log(qbar))))
-    return level, qbar ** (level + 1)
-
-
 def sample_extinction_times(
     config: BranchingConfig, horizon: float, replicas: int, seed: int
 ) -> np.ndarray:
@@ -587,32 +576,41 @@ def sample_extinction_times(
     as never extinct; it would die out later with probability at most
     qbar**(L + 1), which bounds the downward bias of each replica's
     classification: at most eps = 7.9e-31 whenever L is below the cap
-    (L = 64 at alpha 0.25).  A replica that dies out before passing L
-    draws exactly the numbers of a walk to the cap.  Raises ValueError
-    unless horizon is finite and >= 0 and replicas is an integer >= 1.
+    (L = 64 at alpha 0.25; both in config.extinction_stop).  A replica
+    that dies out before passing L draws exactly the numbers of a walk to
+    the cap.  Raises ValueError unless horizon is finite and >= 0 and
+    replicas is an integer >= 1.
     """
-    return _extinction_run(config, horizon, replicas, seed)[0]
-
-
-def _extinction_run(config, horizon, replicas, seed):
-    # (times, L, bias bound): sample_extinction_times, with the stop level it walked to (see _stop_level).
     _check_time("horizon", horizon)
-    level, bound = _stop_level(config)
     replicas = _check_count("replicas", replicas)
-    return _mass_walks(config.gamma, config.offspring_cdf, horizon, level, replicas, seed)[0], level, bound
+    return _mass_walks(config.gamma, config.offspring_cdf, horizon, config.extinction_stop[0], replicas, seed)[0]
 
 
-def estimate_extinction(config: BranchingConfig, horizon: float, replicas: int, seed: int):
-    """Extinct fraction at the horizon, with binomial stderr; ValueError as sample_extinction_times.
+def _time_grid(name, t):
+    # t as a non-empty ascending 1-D float array of finite times >= 0, errors naming ``name``.
+    grid = np.array(t, dtype=float, ndmin=1)
+    if grid.ndim > 1 or not grid.size or np.any(grid[1:] < grid[:-1]):
+        raise ValueError(f"{name} must be a time or a non-empty ascending 1-D array of times, got {t!r}")
+    _check_time(name, float(grid.min()))  # nan, negative and -inf times
+    _check_time(name, float(grid.max()))
+    return grid
 
-    Replicas are walked as in sample_extinction_times, so the fraction
-    is biased downward by at most qbar**(L + 1) (see _stop_level), which
-    is at most 2**-100 whenever L is below config.max_particles.
+
+def estimate_extinction(config: BranchingConfig, horizon: float | np.ndarray, replicas: int, seed: int):
+    """Extinct fraction by the horizon, with binomial stderr; ValueError as sample_extinction_times.
+
+    ``horizon`` is a time (floats returned) or a non-empty ascending 1-D
+    array of times (arrays returned, one fraction per time).  Replicas
+    are walked once, as in sample_extinction_times to the last time, so
+    each fraction is biased downward by at most qbar**(L + 1)
+    (config.extinction_stop), at most 2**-100 whenever L is below
+    config.max_particles.
     """
-    times = sample_extinction_times(config, horizon, replicas, seed)
-    p_hat = float(np.mean(np.isfinite(times)))
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / replicas)
-    return p_hat, stderr
+    grid = _time_grid("horizon", horizon)
+    times = np.sort(sample_extinction_times(config, float(grid[-1]), replicas, seed))
+    p_hat = np.searchsorted(times, grid, side="right") / replicas  # the mean of times <= each horizon
+    stderr = np.sqrt(p_hat * (1.0 - p_hat) / replicas)
+    return (p_hat, stderr) if np.ndim(horizon) else (float(p_hat[0]), float(stderr[0]))
 
 
 def estimate_generating_function(
@@ -630,12 +628,8 @@ def estimate_generating_function(
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    grid = np.array(t, dtype=float, ndmin=1)
-    if grid.ndim > 1 or not grid.size or np.any(grid[1:] < grid[:-1]):
-        raise ValueError(f"t must be a time or a non-empty ascending 1-D array of times, got {t!r}")
-    _check_time("t", float(grid.min()))  # nan, negative and -inf times
+    grid = _time_grid("t", t)
     horizon = float(grid.max())
-    _check_time("t", horizon)
     replicas = _check_count("replicas", replicas, least=2)
     cap = config.max_particles
     _, finals, at_grid = _mass_walks(config.gamma, config.offspring_cdf, horizon, cap, replicas, seed, grid, halt=True)
@@ -665,8 +659,12 @@ def estimate_mckean_product(
     if np.any(phi.values < 0.0) or np.any(phi.values > 1.0):
         raise ValueError("phi must take values in [0, 1]")
     _check_time("t", t)
+    replicas = _check_count("replicas", replicas, least=2)
     cdf = config.offspring_cdf.tolist()
-    return _replica_mean(replicas, seed, lambda rng: float(np.prod(phi(_branching_tree(config, cdf, t, rng)[2][:, 0]))))
+    # One tree per replica stream, in replica order (each stream is valid until the next is drawn).
+    survivors = (_branching_tree(config, cdf, t, rng)[2][:, 0] for rng in _replica_streams(seed, replicas))
+    values = [float(np.prod(phi(positions))) for positions in survivors]
+    return _mean_stderr(np.array(values, dtype=float))
 
 
 def lifetime_ks(times, rate: float):

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -170,10 +171,19 @@ class TestMain:
         assert "final_mc_stderr" in manifest["estimates"]
         config = montecarlo.BranchingConfig(1.0, dyson.FertilityDistribution.binary(0.25), max_particles=4000)
         assert (manifest["estimates"]["stop_level"], manifest["estimates"]["stop_bias_bound"]) == (
-            montecarlo._stop_level(config)
+            config.extinction_stop
         )
         assert manifest["estimates"]["stop_level"] == 64
         assert 0.0 < manifest["estimates"]["stop_bias_bound"] <= 2.0**-100
+
+    def test_extinction_computes_its_stop_level_once(self, tmp_path, monkeypatch):
+        # The walks and the manifest's stop_level read one cached bisection.
+        calls = []
+        bound = montecarlo._extinction_upper_bound
+        monkeypatch.setattr(montecarlo, "_extinction_upper_bound", lambda cdf: calls.append(1) or bound(cdf))
+        cfg = write(tmp_path / "run.cfg", EXTINCTION_CFG)
+        assert cli.main(["extinction", "--config", cfg, "--out", str(tmp_path / "ext.csv")]) == 0
+        assert len(calls) == 1
 
     def test_extinction_without_early_stop(self, tmp_path):
         # alpha 1/2 dies out for sure, so the cap is the stop level and nothing is guaranteed.
@@ -854,3 +864,22 @@ class TestNumpyDigits:
 def test_package_and_project_versions_agree():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == heatfield.__version__
+
+
+def test_cli_reads_no_private_library_name():
+    # Each runner goes through the library's public API, which the benchmark tracer wraps: the
+    # CLI reads no underscore attribute of dyson, kernels, montecarlo or pring, nor imports one.
+    modules = {"dyson", "kernels", "montecarlo", "pring"}
+    tree = ast.parse((SRC / "heatfield" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ] + [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] in modules
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -65,6 +65,70 @@ class TestHeatKernel:
             heat_kernel(1.0, 0.0, bad)
 
 
+class TestArrayTargets:
+    """An (m, d) y is m target points: m values, each bit for bit the one-point call."""
+
+    @staticmethod
+    def targets(rng, d):
+        rows = rng.normal(scale=2.0, size=(40, d))
+        rows[0] = 0.0  # r = 0 against a source at the origin
+        return rows
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_heat_kernel_rows_equal_scalar_calls(self, d):
+        rng = np.random.default_rng(10 + d)
+        rows = self.targets(rng, d)
+        for x in (np.zeros(d), rng.normal(size=d)):
+            for t in (1e-3, 0.37, 2.0, 40.0):
+                got = heat_kernel(t, x, rows)
+                assert got.shape == (len(rows),)
+                assert got.tobytes() == np.array([heat_kernel(t, x, y) for y in rows]).tobytes()
+        assert heat_kernel(0.5, np.zeros(d), np.zeros((1, d)))[0] == heat_kernel(0.5, np.zeros(d), np.zeros(d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_propagator_rows_equal_scalar_calls(self, d):
+        rng = np.random.default_rng(20 + d)
+        rows = self.targets(rng, d)
+        x = rng.normal(size=d)
+        for gamma in (0.0, 0.3, 2.5):
+            for tx, ty in ((0.0, 0.05), (1.25, 3.0), (0.0, 0.0), (2.0, 1.0)):
+                got = retarded_propagator_heat((tx, x), (ty, rows), gamma)
+                want = [retarded_propagator_heat((tx, x), (ty, y), gamma) for y in rows]
+                assert got.shape == (len(rows),)
+                assert got.tobytes() == np.array(want).tobytes()
+
+    def test_backward_times_give_m_zeros(self):
+        for ty in (1.0, 0.5):
+            got = retarded_propagator_heat((1.0, [0.0, 0.0]), (ty, np.ones((7, 2))), 1.0)
+            assert got.shape == (7,) and not np.any(got)
+
+    def test_one_dimensional_y_is_one_point(self):
+        # [0, 1, 2] is a point of dimension 3, not three points in d = 1.
+        assert heat_kernel(1.0, [0.0, 0.0, 0.0], [0.0, 1.0, 2.0]) == heat_kernel(1.0, [0.0] * 3, [[0.0, 1.0, 2.0]])[0]
+        with pytest.raises(DimensionMismatchError):
+            heat_kernel(1.0, 0.0, [0.0, 1.0, 2.0])
+
+    def test_errors(self):
+        with pytest.raises(DimensionMismatchError, match="dimension 1..3"):
+            heat_kernel(1.0, [0.0] * 4, np.zeros((3, 4)))
+        with pytest.raises(DimensionMismatchError, match="dimension 1..3"):
+            heat_kernel(1.0, [0.0] * 4, [0.0] * 4)  # a 1-d y of size 4
+        with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
+            heat_kernel(1.0, [0.0, 0.0], np.zeros((5, 3)))
+        with pytest.raises(DimensionMismatchError, match="got shape \\(2, 3, 1\\)"):
+            heat_kernel(1.0, 0.0, np.zeros((2, 3, 1)))
+        with pytest.raises(DimensionMismatchError):  # the source stays one point
+            heat_kernel(1.0, np.zeros((2, 1)), np.zeros((2, 1)))
+        rows = np.zeros((4, 2))
+        rows[2, 1] = math.nan
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            heat_kernel(1.0, [0.0, 0.0], rows)
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            retarded_propagator_heat((0.0, [0.0, 0.0]), (1.0, rows), 1.0)
+        with pytest.raises(NonPositiveTimeError):
+            heat_kernel(0.0, 0.0, np.zeros((3, 1)))
+
+
 class TestSampledFunction:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -444,6 +444,51 @@ class TestMassOnlyEstimators:
         assert a == b
 
 
+def extinction_curve_oracle(config, taus, replicas, seed):
+    # The extinction CLI's own formula before it called estimate_extinction with its grid.
+    times = np.sort(sample_extinction_times(config, taus[-1], replicas, seed))
+    p_hat = np.searchsorted(times, taus, side="right") / replicas  # the mean of times <= tau
+    return p_hat, np.sqrt(p_hat * (1.0 - p_hat) / replicas)
+
+
+class TestExtinctionCurve:
+    """estimate_extinction at an ascending grid of horizons walks each replica once."""
+
+    CASES = ((0.25, 10_000, 20.0, 300, 31), (0.4, 2000, 8.0, 257, 32), (0.5, 500, 5.0, 60, 33), (0.1, 40, 3.0, 1, 34))
+
+    @pytest.mark.parametrize("alpha, cap, horizon, replicas, seed", CASES)
+    def test_equals_scalar_calls_and_the_cli_formula(self, alpha, cap, horizon, replicas, seed):
+        config = binary_config(alpha, cap=cap)
+        taus = np.linspace(0.0, horizon, 41)
+        p_hat, stderr = estimate_extinction(config, taus, replicas, seed)
+        assert p_hat.shape == stderr.shape == taus.shape
+        for got, want in zip((p_hat, stderr), extinction_curve_oracle(config, taus, replicas, seed)):
+            assert got.tobytes() == want.tobytes()
+        scalar = [estimate_extinction(config, tau, replicas, seed) for tau in taus.tolist()]
+        assert all(type(p) is float and type(se) is float for p, se in scalar)
+        assert p_hat.tolist() == [p for p, _ in scalar] and stderr.tolist() == [se for _, se in scalar]
+
+    def test_scalar_horizon_is_the_extinct_fraction(self):
+        config = binary_config(0.25, cap=10_000)
+        times = sample_extinction_times(config, 60.0, 600, seed=35)
+        p_hat = float(np.mean(np.isfinite(times)))
+        assert estimate_extinction(config, 60.0, 600, seed=35) == (p_hat, math.sqrt(p_hat * (1.0 - p_hat) / 600))
+
+    def test_repeated_and_one_time_grids(self):
+        config = binary_config(0.25, cap=10_000)
+        p_hat, stderr = estimate_extinction(config, [0.0, 2.0, 2.0, 6.0], 200, seed=36)
+        assert p_hat[0] == 0.0 and stderr[0] == 0.0 and p_hat[1] == p_hat[2] <= p_hat[3]
+        one = estimate_extinction(config, np.array([6.0]), 200, seed=36)
+        assert [v.tolist() for v in one] == [[p_hat[3]], [stderr[3]]]
+
+    @pytest.mark.parametrize(
+        "grid", [[], [1.0, 0.5], [0.5, math.nan], [math.nan], [-1.0, 1.0], [0.5, math.inf], [[0.5, 1.0]]]
+    )
+    def test_bad_grids_name_horizon(self, grid):
+        with pytest.raises(ValueError, match="^horizon must"):
+            estimate_extinction(binary_config(0.25), np.array(grid), 10, seed=1)
+
+
 class TestMcKeanProduct:
     def test_constant_weight_reduces_to_gf(self):
         config = binary_config(0.25)
@@ -775,12 +820,22 @@ class TestEarlyStop:
             qbar = montecarlo._extinction_upper_bound(binary_config(alpha).offspring_cdf)
             assert q <= Fraction(qbar) <= q + Fraction(1, 2**50)
 
+    def test_stop_level_is_computed_once_per_config(self, monkeypatch):
+        calls = []
+        bound = montecarlo._extinction_upper_bound
+        monkeypatch.setattr(montecarlo, "_extinction_upper_bound", lambda cdf: calls.append(1) or bound(cdf))
+        config = binary_config(0.25, cap=10_000)
+        estimate_extinction(config, np.linspace(0.0, 5.0, 6), 20, seed=1)
+        sample_extinction_times(config, 5.0, 20, seed=2)
+        assert config.extinction_stop == (64, bound(config.offspring_cdf) ** 65)
+        assert len(calls) == 1
+
     def test_stop_level_and_bias_bound(self):
-        level, bound = montecarlo._stop_level(binary_config(0.25, cap=10_000))
+        level, bound = binary_config(0.25, cap=10_000).extinction_stop
         assert level == 64 and 0.0 < bound <= 2.0**-100  # (1/3)**64 > 2**-100 > (1/3)**65
-        assert montecarlo._stop_level(binary_config(0.25, cap=40)) == (40, pytest.approx((1 / 3) ** 41))
-        assert montecarlo._stop_level(binary_config(0.1, cap=10_000))[0] == 32
-        assert montecarlo._stop_level(binary_config(0.4, cap=10_000))[0] == 171
+        assert binary_config(0.25, cap=40).extinction_stop == (40, pytest.approx((1 / 3) ** 41))
+        assert binary_config(0.1, cap=10_000).extinction_stop[0] == 32
+        assert binary_config(0.4, cap=10_000).extinction_stop[0] == 171
 
     def test_no_extinction_laws(self):
         # alpha 0 and the law (0, 1) never die out: q = 0.
@@ -788,7 +843,7 @@ class TestEarlyStop:
             config = BranchingConfig(1.0, law, max_particles=10_000)
             qbar = montecarlo._extinction_upper_bound(config.offspring_cdf)
             assert 0.0 < qbar <= 2.0**-64
-            level, bound = montecarlo._stop_level(config)
+            level, bound = config.extinction_stop
             assert level == 2 and bound == qbar**3
             assert np.all(sample_extinction_times(config, 5.0, 200, seed=3) == math.inf)
 
@@ -798,7 +853,7 @@ class TestEarlyStop:
         for law in (dyson.FertilityDistribution.binary(0.5), dyson.FertilityDistribution.binary(1.0), subcritical):
             config = BranchingConfig(1.0, law, max_particles=500)
             assert montecarlo._extinction_upper_bound(config.offspring_cdf) == 1.0
-            assert montecarlo._stop_level(config) == (500, 1.0)
+            assert config.extinction_stop == (500, 1.0)
             for seed in (1, 7):
                 want = [horizon_walk_oracle(1.0, config.offspring_cdf, 30.0, 500, derive_stream(seed, r))[0]
                         for r in range(200)]
@@ -818,7 +873,7 @@ class TestEarlyStop:
         laws = [dyson.FertilityDistribution.binary(alpha) for alpha in (0.1, 0.25, 0.4)] + [FOUR_POINT]
         for law in laws:
             config = BranchingConfig(1.0, law, max_particles=10_000)
-            level, _ = montecarlo._stop_level(config)
+            level, _ = config.extinction_stop
             assert level < 10_000
             for seed in (1, 7, 123456):
                 walked.clear()
