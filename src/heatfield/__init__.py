@@ -64,4 +64,4 @@ from .dyson import (
     two_point_residual,
 )
 
-__version__ = "0.3.3"
+__version__ = "0.3.4"

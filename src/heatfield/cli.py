@@ -17,11 +17,11 @@ OpenBLAS kernel): there, identical configs give byte-identical CSVs.
 The BLAS build is numpy's build-time string, whose core is the build
 machine's; the OpenBLAS kernel picked at load is not recorded unless
 ``OPENBLAS_CORETYPE`` is set.
-The ``kernel``, ``gf``, ``clock`` and ``ring-check`` CSVs were also
-measured byte-identical with numpy's AVX-512 dispatch off and with its
-AVX2 dispatch off as well; ``semigroup``, ``twopoint``, ``onepoint``
-and ``extinction`` bytes can change with the BLAS kernel or the SIMD
-level.  No drawn number depends on either.
+The ``kernel``, ``gf``, ``clock``, ``ring-check``, ``extinction`` and
+``onepoint`` CSVs were also measured byte-identical with numpy's AVX-512
+dispatch off and with its AVX2 dispatch off as well; ``semigroup`` and
+``twopoint`` bytes can change with the BLAS kernel or the SIMD level.
+No drawn number depends on either.
 
 Exit status: 0 on success, 1 on config parse/validation errors, a
 missing output directory or an output path that is a directory (checked

@@ -39,14 +39,14 @@ fixed-point check ``two_point_residual`` shares no recursion with that
 march: it takes each mode's history as one causal convolution in time,
 by FFT.
 
-Closed form: with s = |1 - 2*alpha| and beta = 1 - alpha,
+Closed form (Athreya and Ney, Branching Processes, 1972, III.3), with
+s = |1 - 2*alpha|:
 
-    A(tau) = (1 - s * coth(s*gamma*tau/2 + artanh(s))) / (2*beta),
+    A(tau) = 2*alpha / (1 + s + 2*s/expm1(s*gamma*tau)),
 
-which degenerates to 1 - 2/(gamma*tau + 2) at alpha = 1/2 and to
-1 - exp(-gamma*tau) at beta = 0.  (The textbook tanh form hides the
-constant behind artanh of a number >= 1; the coth form above is the
-real-valued rewrite and is what gets evaluated.)
+where s + 2*s/expm1(s*gamma*tau) is 2/(gamma*tau) at s = 0.  The
+denominator's terms are all >= 0, so nothing cancels for any alpha or
+tau, and at tau = 0, 2*s/expm1(0) = inf gives A = 0 exactly.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pring
 from .kernels import GridTooNarrowError, SampledFunction, _clocked_density
 
 __all__ = [
@@ -133,8 +134,8 @@ def one_point_closed_form(alpha: float, gamma: float, tau):
     """Extinction probability by time-to-horizon tau, binary offspring law.
 
     Accepts a scalar or array ``tau`` (all entries >= 0, none NaN) and evaluates
-    the coth form documented in the module docstring, with the
-    alpha = 1/2 and s = 1 limits on dedicated branches.
+    the one expression of the module docstring with libm's ``math.expm1`` per
+    element; its denominator is a sum of terms >= 0, so it does not cancel.
     """
     _validate_alpha_gamma(alpha, gamma)
     tau_arr = np.asarray(tau, dtype=float)
@@ -142,17 +143,13 @@ def one_point_closed_form(alpha: float, gamma: float, tau):
         raise ValueError("tau must be >= 0 and not NaN")
     alpha = float(alpha)
     s = abs(1.0 - 2.0 * alpha)
-    if s == 1.0:  # alpha is 0, 1 or at most 2**-55, where artanh(s) is infinite
-        out = -alpha * np.expm1(-gamma * tau_arr)  # exact at 0 and 1, else to O(alpha**2)
-    elif s == 0.0:
-        out = 1.0 - 2.0 / (gamma * tau_arr + 2.0)
-    else:
-        arg = 0.5 * s * gamma * tau_arr + math.atanh(s)
-        out = (1.0 - s / np.tanh(arg)) / (2.0 * (1.0 - alpha))
-        out = np.where(tau_arr == 0.0, 0.0, out)
-    if np.isscalar(tau) or np.ndim(tau) == 0:
-        return float(out)
-    return out
+    with np.errstate(divide="ignore"):  # tau = 0 gives numpy's 2*s/0 = inf (arrays, 0-d too), so A = 0
+        if s == 0.0:
+            tail = 2.0 / (gamma * tau_arr)
+        else:  # expm1 overflows past 709.78; from 700 on, 2*s/expm1 < 1e-300*s cannot move 1 + s
+            tail = 2.0 * s / pring._per_element(math.expm1, np.asarray(np.minimum(s * gamma * tau_arr, 700.0)))
+        out = 2.0 * alpha / (1.0 + s + tail)
+    return float(out) if np.ndim(tau) == 0 else out
 
 
 def extinction_probability(alpha: float) -> float:
@@ -262,7 +259,7 @@ def one_point_picard(
     _validate_alpha_gamma(alpha, gamma)
     _check_count("order", order)
     h, n = _curve_grid(gamma, tau_max, step)
-    survival = np.exp(-gamma * (h * np.arange(n + 1)))
+    survival = pring._per_element(math.exp, -gamma * (h * np.arange(n + 1)))  # np.exp bits follow the SIMD level
     # cumulative trapezoid of gamma*alpha*exp(-gamma*w)
     base = np.concatenate(([0.0], np.cumsum(0.5 * h * (survival[1:] + survival[:-1]))))
     base *= gamma * alpha

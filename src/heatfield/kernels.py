@@ -56,10 +56,8 @@ def _as_point(x, rows=False) -> np.ndarray:
     return p
 
 
-def _validated_r2(t, x, y):
-    # |x-y|^2 (per row of an (m, d) y, summed as for one point) and d of a valid kernel argument.
-    if not t > 0:
-        raise NonPositiveTimeError(f"duration must be > 0, got {t}")
+def _validated_r2(x, y):
+    # |x-y|^2 (per row of an (m, d) y, summed as for one point) and d of two valid points.
     px, py = _as_point(x), _as_point(y, rows=True)
     if px.size != py.shape[-1]:
         raise DimensionMismatchError(f"dimension mismatch: {px.size} vs {py.shape[-1]}")
@@ -73,9 +71,11 @@ def _check_rate(gamma):
 
 
 def _clocked_density(t: float, r2, gamma: float, d: int):
-    # exp(-gamma*t) * p_t at squared distance(s) r2, unvalidated; gamma 0 gives p_t itself
+    # exp(-gamma*t) * p_t at squared distance(s) r2, checking t only; gamma 0 gives p_t itself
     # (1.0 * p is p).  Grid builds that must match retarded_propagator_heat bit for bit call
     # this same expression: np.exp differs from math.exp in the last bits.
+    if not t > 0:
+        raise NonPositiveTimeError(f"duration must be > 0, got {t}")
     density = (2.0 * math.pi * t) ** (-0.5 * d) * pring._per_element(math.exp, -r2 / (2.0 * t))
     return math.exp(-gamma * t) * density
 
@@ -90,7 +90,7 @@ def heat_kernel(t: float, x, y):
     DimensionMismatchError on unequal or unsupported dimensions or shapes,
     and ValueError on a coordinate that is not finite.
     """
-    r2, d = _validated_r2(t, x, y)
+    r2, d = _validated_r2(x, y)
     return _clocked_density(t, r2, 0.0, d)
 
 
@@ -235,17 +235,18 @@ def retarded_propagator_heat(x, y, gamma: float):
     Returns 0 whenever dt = y_time - x_time <= 0 (equal times count as
     not-yet-propagated) and otherwise
     exp(-gamma*dt) * heat_kernel(dt, x_space, y_space), one value per row
-    of an (m, d) y_space (m zeros when dt <= 0).  Raises ValueError
+    of an (m, d) y_space (m zeros when dt <= 0).  The space points are
+    checked as in ``heat_kernel`` whatever dt is.  Raises ValueError
     unless gamma is finite and >= 0.
     """
     _check_rate(gamma)
     tx, sx = x
     ty, sy = y
+    r2, d = _validated_r2(sx, sy)
     dt = float(ty) - float(tx)
     if dt <= 0.0:
         return np.zeros(len(sy)) if np.ndim(sy) == 2 else 0.0
-    r2, d = _validated_r2(dt, sx, sy)
-    return _clocked_density(dt, r2, gamma, d)
+    return _clocked_density(dt, r2, gamma, d)  # a NaN dt raises there
 
 
 def event_probability(gamma: float, dtau: float) -> float:

@@ -54,9 +54,11 @@ def _check_finite(value, name: str):
 
 
 def _per_element(fn, x):
-    # fn on each element as a Python float: numpy's vector exp (and
-    # square) differ from libm's math.exp (and **) in the last bits.
-    return np.frompyfunc(fn, 1, 1)(x).astype(float) if isinstance(x, np.ndarray) else fn(x)
+    # fn on each element as a Python float, into a float array of x's shape (0-d too):
+    # numpy's vector exp (and square) differ from libm's math.exp (and **) in the last bits.
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _ring_op(method):

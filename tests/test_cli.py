@@ -434,9 +434,10 @@ class TestMain:
         assert variables == {name: os.environ[name] for name in cli._DISPATCH_VARIABLES if name in os.environ}
 
     def test_portable_csvs_do_not_depend_on_the_simd_level(self, tmp_path):
-        # The kernel, gf, clock and ring-check bytes are the same with numpy's AVX-512
-        # dispatch turned off (a no-op on a CPU without it), each side in a fresh process.
-        kinds = ("kernel", "gf", "clock", "ring-check")
+        # The kernel, gf, clock, ring-check, extinction and onepoint bytes are the same with
+        # numpy's AVX-512 dispatch turned off and with its AVX2 dispatch off as well (no-ops on
+        # a CPU without them), each level in a fresh process.
+        kinds = ("kernel", "gf", "clock", "ring-check", "extinction", "onepoint")
         configs = {kind: write(tmp_path / f"{kind}.cfg", self.VALID[kind]) for kind in kinds}
         script = (
             "import json, sys\n"
@@ -447,9 +448,10 @@ class TestMain:
             "    manifest = json.load(open(out + '.manifest.json'))\n"
             "    print(kind, manifest['csv_sha256'], manifest['environment']['cpu_features'])\n"
         )
-        reduced = "X86_V4 AVX512_ICL AVX512_SPR"
+        no_avx512 = "X86_V4 AVX512_ICL AVX512_SPR"
+        levels = {"default": None, "no-avx512": no_avx512, "no-avx2": f"{no_avx512} X86_V3"}
         runs = {}
-        for side, disabled in (("default", None), ("reduced", reduced)):
+        for side, disabled in levels.items():
             env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
             if disabled:
@@ -460,9 +462,10 @@ class TestMain:
             )
             assert proc.returncode == 0, proc.stderr
             runs[side] = [line.split(" ", 2) for line in proc.stdout.splitlines()]
-        assert [row[:2] for row in runs["reduced"]] == [row[:2] for row in runs["default"]]
         assert [row[0] for row in runs["default"]] == list(kinds)
-        assert all(not set(reduced.split()) & set(row[2].split()) for row in runs["reduced"])
+        for side, disabled in levels.items():
+            assert [row[:2] for row in runs[side]] == [row[:2] for row in runs["default"]], side
+            assert all(not set((disabled or "").split()) & set(row[2].split()) for row in runs[side])
 
     def test_ring_check_passes(self, tmp_path):
         cfg = write(tmp_path / "rc.cfg", "cases = 3000\nseed = 12\n")

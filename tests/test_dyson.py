@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import hashlib
 import math
 import re
@@ -26,6 +27,20 @@ BINARY_QUARTER = FertilityDistribution.binary(0.25)
 # Classic RK4 of dA/dtau = alpha - A + (1-alpha)*A^2 at alpha = 0.25,
 # step 1e-4, from A(0) = 0 to tau = 1 (independent of the library path).
 RK4_ORACLE_QUARTER_AT_1 = 0.16439288929438495
+
+
+def closed_form_oracle(alpha, gamma, tau):
+    # A at 50 digits for the exact binary values of alpha, gamma and tau, from the Riccati
+    # equation's two fixed points: A = alpha*(1 - E)/(max(alpha, beta) - min(alpha, beta)*E),
+    # E = exp(-|alpha - beta|*gamma*tau), and gamma*tau/(gamma*tau + 2) at alpha = beta.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, g, t = (decimal.Decimal(v) for v in (alpha, gamma, tau))
+        b = 1 - a
+        if a == b:
+            return g * t / (g * t + 2)
+        e = (-abs(a - b) * g * t).exp()
+        return a * (1 - e) / (max(a, b) - min(a, b) * e)
 
 
 def volterra_oracle(alpha, gamma, h, prev):
@@ -133,6 +148,20 @@ class TestClosedForm:
         np.testing.assert_allclose(
             one_point_closed_form(1.0, 1.0, taus), -np.expm1(-taus), rtol=0, atol=1e-15
         )
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize(
+        "alpha", [0.0, 2.0**-60, 2.0**-54, 1e-9, 0.1, 0.25, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.75, 0.9, 1 - 1e-12, 1.0]
+    )
+    def test_relative_error_against_a_50_digit_oracle(self, alpha, gamma):
+        taus = np.geomspace(1e-8, 200.0, 49)
+        got = one_point_closed_form(alpha, gamma, taus)
+        want = [closed_form_oracle(alpha, gamma, tau) for tau in taus.tolist()]
+        if alpha == 0.0:
+            assert np.all(got == 0.0)
+            return
+        worst = max(abs(decimal.Decimal(g) - w) / w for g, w in zip(got.tolist(), want))
+        assert worst <= decimal.Decimal("1e-15"), float(worst)
 
     @pytest.mark.parametrize("alpha", [1e-300, 3.4e-193, 2.0**-55])
     def test_alpha_too_small_to_move_s_off_1(self, alpha):
@@ -638,11 +667,12 @@ class TestMarchAgainstRows:
         np.testing.assert_array_equal(op.march(), op.base)
 
     def test_benchmark_mass_curve_bytes_are_pinned(self):
-        # sha256 of the float64 bytes of the benchmark's mass curve, as the
-        # scan gave them before the two-point march shared its helper.
+        # sha256 of the float64 bytes of the benchmark's mass curve, re-pinned when A became
+        # one cancellation-free expression: the curve moved by at most 2.1e-15 relative, A itself
+        # by at most 1.4e-13 relative at its first nodes, where the old tanh form cancelled.
         values = mass_curve(0.1, 1.0, 40.0).values
         assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == (
-            "a6942f0a3e629dbc880b23e2a889bc2f457bfb3aef748523ff830cecc231adc1"
+            "b0fb1f46c5215948112afa64662086f3baaec75151bf402d1b8a455b7ec00ba1"
         )
 
 

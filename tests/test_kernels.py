@@ -234,6 +234,24 @@ class TestRetardedPropagator:
         assert retarded_propagator_heat((1.0, 0.0), (1.0, 0.5), 1.0) == 0.0
         assert retarded_propagator_heat((2.0, 0.0), (1.0, 0.5), 1.0) == 0.0
 
+    @pytest.mark.parametrize("ty", [2.0, 1.0, 0.5])  # forward, equal and backward times
+    def test_space_points_are_checked_in_either_time_order(self, ty):
+        with pytest.raises(DimensionMismatchError, match="dimension 1..3"):
+            retarded_propagator_heat((1.0, [math.nan] * 5), (ty, [math.nan] * 4), 1.0)
+        with pytest.raises(DimensionMismatchError, match="dimension 1..3"):
+            retarded_propagator_heat((1.0, [0.0] * 4), (ty, np.zeros((3, 4))), 1.0)
+        with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
+            retarded_propagator_heat((1.0, [0.0, 0.0]), (ty, np.zeros((3, 3))), 1.0)
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            retarded_propagator_heat((1.0, 0.0), (ty, math.inf), 1.0)
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            retarded_propagator_heat((1.0, [0.0, 0.0]), (ty, [[0.0, 0.0], [math.nan, 0.0]]), 1.0)
+
+    def test_nan_time_rejected(self):
+        for y in (0.5, np.zeros((3, 1))):
+            with pytest.raises(NonPositiveTimeError):
+                retarded_propagator_heat((0.0, 0.0), (math.nan, y), 1.0)
+
     def test_rate_zero_is_bare_kernel(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -289,6 +289,14 @@ def test_batch_exp_takes_libm_exp_per_element():
     assert _bits(got.im) == _bits([w.im for w in want])
 
 
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5), (0,), (2, 0)])
+def test_per_element_keeps_the_shape_and_takes_libm_per_value(shape):
+    x = np.random.default_rng(5).uniform(-30.0, 30.0, shape)
+    got = pring._per_element(math.exp, x)
+    assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == shape
+    assert _bits(got.ravel()) == _bits([math.exp(v) for v in x.ravel().tolist()])
+
+
 def test_batch_with_a_zero_divisor_has_no_inverse():
     with pytest.raises(ZeroDivisorError):
         inverse(_batch([2.0, 1.0, 3.0], [0.0, -1.0, 1.0]))
