@@ -60,11 +60,13 @@ or not finite; a text column reads ``same`` or ``differs``).  A column
 that differs also shows, in brackets, its largest |change - parent|
 divided by its largest |parent|, which stays finite where a cell moves
 off or onto 0 (inf only for a column of zeros, or a change that is not
-finite).  The ``mass_curve`` and ``residual`` deviations are printed
-beside their values, and every manifest estimate that differs with its
-two values.  ``--change``
-defaults to the tree holding this script.  Exits 1 unless every run is
-identical.
+finite), its largest distance in ulps of the parent's cell
+(|change - parent| / ``math.ulp(parent)``, finite at 0 and for
+subnormals; inf where a cell is not finite) and the counts of cells
+that moved off 0 and onto 0.  The ``mass_curve`` and ``residual``
+deviations are printed beside their values, and every manifest estimate
+that differs with its two values.  ``--change`` defaults to the tree
+holding this script.  Exits 1 unless every run is identical.
 """
 
 from __future__ import annotations
@@ -269,8 +271,18 @@ def scaled_deviation(old: list, new: list) -> float:
     return worst / scale if math.isfinite(worst) and scale else math.inf
 
 
+def ulp_distance(old: list, new: list) -> float:
+    """Largest |new - old| in ulps of old over paired floats (equal cells, NaN pairs too, count 0)."""
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            worst = max(worst, abs(b - a) / math.ulp(a) if math.isfinite(a) and math.isfinite(b) else math.inf)
+    return worst
+
+
 def column_deviations(old_csv: str, new_csv: str) -> str:
-    """Each column's largest relative deviation between two CSVs with the same header, and its scaled one if it differs."""
+    """Each column's largest relative deviation between two CSVs with the same header, and if it differs its scaled
+    deviation, ulp distance and moves off and onto 0."""
     tables = []
     for path in (old_csv, new_csv):
         with open(path, encoding="utf-8", newline="") as fh:
@@ -283,7 +295,9 @@ def column_deviations(old_csv: str, new_csv: str) -> str:
         try:
             old, new = list(map(float, old)), list(map(float, new))
             deviation = relative_deviation(old, new)
-            scaled = f" [{scaled_deviation(old, new):.2g} of max]" if deviation else ""
+            off, onto = sum(a == 0 != b for a, b in zip(old, new)), sum(b == 0 != a for a, b in zip(old, new))
+            scaled = (f" [{scaled_deviation(old, new):.2g} of max, {ulp_distance(old, new):.3g} ulps,"
+                      f" {off} off 0, {onto} onto 0]") if deviation else ""
             parts.append(f"{name} {deviation:.2g}{scaled}")
         except ValueError:
             parts.append(f"{name} {'same' if old == new else 'differs'}")

@@ -18,6 +18,7 @@ time, and equality, hashing and ``repr`` are for scalars only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,12 +54,18 @@ def _check_finite(value, name: str):
     return value
 
 
+# Values _per_element holds as Python floats at once (about 32 bytes each).
+_PER_ELEMENT_CHUNK = 4096
+
+
 def _per_element(fn, x):
     # fn on each element as a Python float, into a float array of x's shape (0-d too):
     # numpy's vector exp (and square) differ from libm's math.exp (and **) in the last bits.
     if not isinstance(x, np.ndarray):
         return fn(x)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    flat = x.ravel()
+    chunks = (flat[i : i + _PER_ELEMENT_CHUNK].tolist() for i in range(0, flat.size, _PER_ELEMENT_CHUNK))
+    return np.fromiter(map(fn, itertools.chain.from_iterable(chunks)), float, x.size).reshape(x.shape)
 
 
 def _ring_op(method):

@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +25,29 @@ from heatfield.kernels import (
 
 def gaussian_pdf(x, var):
     return np.exp(-np.asarray(x) ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+
+def _fixed(x):
+    # A double as an exact integer multiple of 2**-1074 (every double is one).
+    p, q = float(x).as_integer_ratio()
+    return p * (2**1074 // q)
+
+
+def exact_semigroup(u, t):
+    """Each node's exact sum of the double products a_j * K_(i-j) that apply_semigroup forms,
+    rounded once to a double, and the rounded exact sum of their magnitudes."""
+    h, n = u.step, u.values.size
+    weights = np.full(n, h)
+    weights[0] = weights[-1] = 0.5 * h
+    a = [_fixed(v) for v in (u.values * weights).tolist()]
+    kern = [_fixed(v) for v in ((2.0 * math.pi * t) ** -0.5 * np.exp(-((h * np.arange(n)) ** 2) / (2.0 * t))).tolist()]
+    reach = max(k for k in range(n) if kern[k]) if any(kern) else -1
+    sums, mags = [], []
+    for i in range(n):
+        terms = [a[j] * kern[abs(i - j)] for j in range(max(i - reach, 0), min(i + reach + 1, n)) if a[j]]
+        sums.append(float(Fraction(sum(terms), 2**2148)))
+        mags.append(float(Fraction(sum(map(abs, terms)), 2**2148)))
+    return np.array(sums), np.array(mags)
 
 
 class TestHeatKernel:
@@ -206,6 +234,83 @@ class TestSemigroup:
         u = SampledFunction(0.0, 0.1, np.zeros(32))
         out = apply_semigroup(u, 5.0)
         assert np.all(out.values == 0.0)
+
+    @staticmethod
+    def _grid(f, count=301, origin=-37.5, step=0.25):
+        return SampledFunction.sample(f, origin, step, count)
+
+    def _edge_touching(self):
+        # Nonzero at both edges, below the support threshold there, so the grid check passes.
+        values = gaussian_pdf(-37.8 + 0.25 * np.arange(301), 0.25)
+        values[0], values[-1] = 1e-300, 3e-310
+        return SampledFunction(-37.5, 0.25, values)
+
+    # Grids on which u * w, the kernel or both have exact zeros and subnormal tails, and the
+    # edge cases of the trimmed sum; the last case's u * w spans three pieces, each convolved
+    # with a kernel of 77 nodes.
+    ORACLE_CASES = {
+        "gaussian": lambda self: (self._grid(lambda x: gaussian_pdf(x - 0.3, 0.25)), 1.0),
+        "narrow kernel": lambda self: (self._grid(lambda x: gaussian_pdf(x, 0.2), 401, -20.0, 0.1), 0.05),
+        "one-node kernel": lambda self: (self._grid(lambda x: gaussian_pdf(x, 0.25)), 1e-5),
+        "kernel without zeros": lambda self: (self._grid(lambda x: gaussian_pdf(x, 0.25), 101, -12.5), 1.0),
+        "near 1e300": lambda self: (self._grid(lambda x: np.exp(690.0 - x**2 / 0.25)), 1.0),
+        "near 1e300, one-node kernel": lambda self: (self._grid(lambda x: np.exp(690.0 - x**2 / 0.25)), 1e-13),
+        "all subnormal": lambda self: (self._grid(lambda x: 2.0**-1040 * np.exp(-(x**2) / 0.5)), 1.0),
+        "two nodes": lambda self: (SampledFunction(1.0, 0.5, [3.0, 5e-320]), 1e-300),
+        "support at both edges": lambda self: (self._edge_touching(), 1.0),
+        "three pieces": lambda self: (self._grid(lambda x: gaussian_pdf(x, 0.36), 5001, -25.0, 0.01), 1e-4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_within_two_ulps_of_the_exact_sum(self, case):
+        # Two ulps per cell is also within 4.5e-16 relative wherever the exact sum is normal.
+        u, t = self.ORACLE_CASES[case](self)
+        out = apply_semigroup(u, t).values
+        exact, _ = exact_semigroup(u, t)
+        assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+        assert np.all(np.abs(out - exact) <= 2.0 * np.spacing(exact))
+        assert np.count_nonzero(exact == 0.0) < out.size  # not vacuous
+
+    def test_indicator_within_1e_15_relative_of_the_exact_sum(self):
+        # Near the jumps a cell sums some 20 comparable terms, which the blocked BLAS order can
+        # round 3 ulps (4e-16 relative) off; 2 ulps holds where a few terms dominate.
+        u = self._grid(lambda x: ((x >= -2.0) & (x <= 3.5)).astype(float))
+        out = apply_semigroup(u, 2.0).values
+        exact, _ = exact_semigroup(u, 2.0)
+        assert np.all(np.abs(out - exact) <= np.maximum(1e-15 * exact, 2.0 * np.spacing(exact)))
+
+    def test_signed_u_within_two_ulps_of_the_summed_magnitudes(self):
+        u = self._grid(lambda x: np.sin(3.0 * x) * gaussian_pdf(x, 0.5))
+        out = apply_semigroup(u, 1.0).values
+        exact, magnitudes = exact_semigroup(u, 1.0)
+        assert np.all(np.abs(out - exact) <= 2.0 * np.spacing(magnitudes))
+
+    def test_u_times_weights_underflowing_to_zeros_gives_zeros(self):
+        values = np.zeros(301)
+        values[[100, 150, 151]] = 5e-324  # times the weight 0.25 rounds to 0
+        out = apply_semigroup(SampledFunction(-37.5, 0.25, values), 1.0)
+        assert np.all(out.values == 0.0)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # Here u * w spans some 15,000 nodes, past OpenBLAS's 10,000-term threading cutoff for
+        # one dot; each thread count runs in a fresh process.
+        script = (
+            "import hashlib, math\n"
+            "import numpy as np\n"
+            "from heatfield import kernels\n"
+            "u = kernels.SampledFunction.sample(lambda x: np.exp(-2.0 * x**2) / math.sqrt(0.5 * math.pi),"
+            " -50.0, 0.0025, 40001)\n"
+            "print(hashlib.sha256(kernels.apply_semigroup(u, 1.0).values.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1] and len(digests[0]) == len(hashlib.sha256().hexdigest())
 
 
 class TestChapmanKolmogorov:

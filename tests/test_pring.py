@@ -289,7 +289,7 @@ def test_batch_exp_takes_libm_exp_per_element():
     assert _bits(got.im) == _bits([w.im for w in want])
 
 
-@pytest.mark.parametrize("shape", [(), (7,), (3, 5), (0,), (2, 0)])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5), (0,), (2, 0), (2 * pring._PER_ELEMENT_CHUNK + 3,), (3, 4100)])
 def test_per_element_keeps_the_shape_and_takes_libm_per_value(shape):
     x = np.random.default_rng(5).uniform(-30.0, 30.0, shape)
     got = pring._per_element(math.exp, x)
