@@ -2,9 +2,9 @@
 
 Everything here is deterministic: the heat kernel itself, semigroup
 application by trapezoid quadrature on a uniform grid, a
-Chapman-Kolmogorov consistency residual, the exponentially clocked
-retarded propagator, the clock's event probability, and the
-split-complex time evolution element exp(-I*E*t).
+Chapman-Kolmogorov consistency residual (one trapezoid sum too), the
+exponentially clocked retarded propagator, the clock's event
+probability, and the split-complex time evolution element exp(-I*E*t).
 
 The diffusion constant is fixed at 1, so variance grows like t per
 spatial dimension.
@@ -76,7 +76,11 @@ def _clocked_density(t: float, r2, gamma: float, d: int):
     # this same expression: np.exp differs from math.exp in the last bits.
     if not t > 0:
         raise NonPositiveTimeError(f"duration must be > 0, got {t}")
-    density = (2.0 * math.pi * t) ** (-0.5 * d) * pring._per_element(math.exp, -r2 / (2.0 * t))
+    try:
+        norm = (2.0 * math.pi * t) ** (-0.5 * d)
+    except OverflowError:
+        raise ValueError(f"duration {t} is too short: (2*pi*t)**(-{d}/2) overflows") from None
+    density = norm * pring._per_element(math.exp, -r2 / (2.0 * t))
     return math.exp(-gamma * t) * density
 
 
@@ -88,7 +92,9 @@ def heat_kernel(t: float, x, y):
     points, giving m densities equal bit for bit to the one-point calls
     (a 1-d ``y`` is one point).  Raises NonPositiveTimeError for t <= 0,
     DimensionMismatchError on unequal or unsupported dimensions or shapes,
-    and ValueError on a coordinate that is not finite.
+    and ValueError on a coordinate that is not finite or on a t so short
+    that (2*pi*t)**(-d/2) overflows (below about 5e-207 in d = 3 and
+    8.9e-310 in d = 2).
     """
     r2, d = _validated_r2(x, y)
     return _clocked_density(t, r2, 0.0, d)
@@ -228,47 +234,26 @@ def apply_semigroup(u: SampledFunction, t: float) -> SampledFunction:
     return SampledFunction(u.origin, u.step, out)
 
 
-def _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(f, a, m, 0.5 * tol, fa, flm, fm, left, depth - 1) + _adaptive_simpson(
-        f, m, b, 0.5 * tol, fm, frm, fb, right, depth - 1
-    )
-
-
-def _simpson_quad(f, a, b, tol=1e-9):
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, depth=50)
-
-
 def ck_residual(t: float, s: float, x: float, y: float) -> float:
     """|integral p_t(x,z) p_s(z,y) dz  -  p_{t+s}(x,y)| in one dimension.
 
-    The z-integral runs over [min(x,y) - 8*sqrt(max(t,s)),
-    max(x,y) + 8*sqrt(max(t,s))] with adaptive Simpson quadrature at
-    absolute tolerance 1e-9; the vanishing of the residual is the
-    Markov consistency of the transition density.
+    The integrand is p_{t+s}(x,y) times a Gaussian density in z with
+    centre (s*x + t*y)/(t + s) and sd sigma = sqrt(t*s/(t + s)), so the
+    integral is one trapezoid sum over the 193 nodes centre +- 12*sigma
+    at step sigma/8, which converges geometrically for a Gaussian
+    (Trefethen & Weideman, SIAM Review 56, 2014) whatever the ratio t/s.
+    For t, s in [1e-9, 1e6] the residual stays below about 1e-8 of
+    p_{t+s}(x,y); the vanishing of the residual is the Markov consistency
+    of the transition density.  Raises NonPositiveTimeError unless t and
+    s are > 0, and ValueError as heat_kernel does.
     """
     if not (t > 0 and s > 0):
         raise NonPositiveTimeError(f"durations must be > 0, got t={t}, s={s}")
     x = float(np.asarray(x, dtype=float).reshape(()))
     y = float(np.asarray(y, dtype=float).reshape(()))
-    pad = 8.0 * math.sqrt(max(t, s))
-    lo, hi = min(x, y) - pad, max(x, y) + pad
-
-    def integrand(z):
-        return heat_kernel(t, x, z) * heat_kernel(s, z, y)
-
-    composed = _simpson_quad(integrand, lo, hi, tol=1e-9)
+    step = math.sqrt(t * s / (t + s)) / 8.0
+    nodes = ((s * x + t * y) / (t + s) + step * np.arange(-96, 97))[:, None]
+    composed = step * float(np.sum(heat_kernel(t, x, nodes) * heat_kernel(s, y, nodes)))  # p_s is symmetric
     return abs(composed - heat_kernel(t + s, x, y))
 
 
@@ -281,7 +266,7 @@ def retarded_propagator_heat(x, y, gamma: float):
     exp(-gamma*dt) * heat_kernel(dt, x_space, y_space), one value per row
     of an (m, d) y_space (m zeros when dt <= 0).  The space points are
     checked as in ``heat_kernel`` whatever dt is.  Raises ValueError
-    unless gamma is finite and >= 0.
+    unless gamma is finite and >= 0, and as heat_kernel does for dt > 0.
     """
     _check_rate(gamma)
     tx, sx = x

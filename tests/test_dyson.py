@@ -3,6 +3,7 @@ import decimal
 import hashlib
 import math
 import re
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -313,6 +314,24 @@ class TestOnePointPicard:
         # 2.5 used to raise an undocumented TypeError and True ran as order 1.
         with pytest.raises(ValueError, match="order"):
             one_point_picard(0.25, 1.0, 1.0, order, step=0.1)
+
+    def test_iterate_outside_unit_band_raises(self):
+        # Step 3 used to return A = 1.61 and 2.61 at order 5.
+        with pytest.raises(StabilityViolationError, match="Picard iterate left"):
+            one_point_picard(0.25, 1.0, 5.0, 5, step=3.0)
+
+    def test_band_checked_before_iterates_overflow(self):
+        # Step 2 at order 40 used to overflow: a numpy RuntimeWarning, then SampledFunction's error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StabilityViolationError):
+                one_point_picard(0.25, 1.0, 20.0, 40, step=2.0)
+
+    @pytest.mark.parametrize("step, bias", [(0.2, 2.2e-3), (1.0, 0.068)])
+    def test_coarse_step_bias_as_documented(self, step, bias):
+        curve = one_point_picard(0.25, 1.0, 20.0, 200, step=step)
+        worst = np.max(np.abs(curve.values - one_point_closed_form(0.25, 1.0, curve.nodes)))
+        assert worst == pytest.approx(bias, rel=0.03)
 
     def test_updates_contract_from_second_order(self):
         curves = [one_point_picard(0.5, 1.0, 5.0, order) for order in range(1, 9)]

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -84,6 +85,17 @@ class TestHeatKernel:
             heat_kernel(1.0, [0.0], [0.0, 0.0])
         with pytest.raises(DimensionMismatchError):
             heat_kernel(1.0, [0.0] * 4, [0.0] * 4)
+
+    def test_overflowing_normalisation_names_the_duration(self):
+        # (2*pi*t)**-1.5 used to raise a bare OverflowError in d = 3.
+        with pytest.raises(ValueError, match="duration 1e-310 is too short"):
+            heat_kernel(1e-310, [0.0] * 3, [0.0] * 3)
+        with pytest.raises(ValueError, match="duration 1e-310 is too short"):
+            heat_kernel(1e-310, [0.0] * 2, np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="too short"):
+            retarded_propagator_heat((0.0, [0.0] * 3), (1e-300, [0.0] * 3), 1.0)
+        assert heat_kernel(1e-206, [0.0] * 3, [1.0] * 3) == 0.0  # the normalisation is finite
+        assert heat_kernel(1e-310, 0.0, 0.0) == (2.0 * math.pi * 1e-310) ** -0.5
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected(self, bad):
@@ -332,6 +344,21 @@ class TestChapmanKolmogorov:
     def test_rejects_bad_durations(self):
         with pytest.raises(NonPositiveTimeError):
             ck_residual(0.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0])
+    def test_grid_of_duration_ratios(self, t):
+        # One duration short beside the other used to return p_{t+s}(x, y) itself, up to 0.24, as
+        # the residual: the quadrature sampled past the narrow factor's spike.
+        for s, x, y in itertools.product((1e-3, 0.5, 3.0), (-1.0, 0.0), (0.0, 2.5)):
+            assert ck_residual(t, s, x, y) <= 1e-13 * max(1.0, heat_kernel(t + s, x, y))
+
+    @pytest.mark.parametrize(
+        "t, s", [(1e-9, 1.0), (1.0, 1e-9), (1e-9, 1e-9), (1e-9, 1e6), (1e6, 1e-3), (2.3e-9, 1.1e-8)]
+    )
+    def test_wide_duration_ratios(self, t, s):
+        for x, y in ((0.0, 0.0), (-4.2, -4.2 + 3.0 * math.sqrt(t + s)), (1.0, 1.0 + 0.5 * math.sqrt(t + s))):
+            composed = heat_kernel(t + s, x, y)
+            assert composed > 0.0 and ck_residual(t, s, x, y) <= 1e-8 * composed
 
 
 class TestRetardedPropagator:

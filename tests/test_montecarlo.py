@@ -97,12 +97,12 @@ def inline_feynman_kac(u, v, t, x0, replicas, n_steps, seed):
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(replicas))
 
 
-def tree_digest(law, d, replicas=12):
-    """sha256 over simulate_branching replicas 0 .. replicas-1 (seed 31, horizon 2.5, six sample times)."""
-    config = BranchingConfig(1.0, dyson.FertilityDistribution(law), d=d, x0=(0.5, -1.25, 2.0)[:d])
+def tree_digest(law, d, replicas=12, horizon=2.5, gamma=1.0):
+    """sha256 over simulate_branching replicas 0 .. replicas-1 (seed 31, six sample times to the horizon)."""
+    config = BranchingConfig(gamma, dyson.FertilityDistribution(law), d=d, x0=(0.5, -1.25, 2.0)[:d])
     digest = hashlib.sha256()
     for r in range(replicas):
-        log = simulate_branching(config, 2.5, np.linspace(0.0, 2.5, 6), seed=31, replica=r)
+        log = simulate_branching(config, horizon, np.linspace(0.0, horizon, 6), seed=31, replica=r)
         for e in log.events:
             digest.update(struct.pack("<d2q", e.time, e.parent, len(e.children)))
             digest.update(repr((e.kind, e.children)).encode())
@@ -132,6 +132,7 @@ class TestStreams:
 
 MASK64 = 2**64 - 1
 GOLDEN = 0x9E3779B97F4A7C15
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier (O'Neill 2014)
 
 
 def unsplitmix64(z):
@@ -170,6 +171,24 @@ class TestFastStreams:
             states = list(montecarlo._pcg64_states(seed, r, r + 2))
             assert states[0] == np.random.PCG64(mixed).state
             assert states[1] == derive_stream(seed, r + 1).bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40, 2**63, 2**64 - 1, 2**64 + 5])
+    def test_state_arithmetic_matches_derive_stream(self, seed):
+        # One pass per range: one replica, just under, at and over a chunk, and several chunks' worth.
+        carries = set()
+        for first, stop in ((9, 10), (0, 255), (1, 257), (300, 557), (0, 600)):
+            states = list(montecarlo._pcg64_states(seed, first, stop))
+            assert len(states) == stop - first
+            for r, state in enumerate(states, first):
+                assert state == derive_stream(seed, r).bit_generator.state
+                mixed = splitmix64((seed + (r + 1) * GOLDEN) & MASK64)
+                words = np.random.SeedSequence(mixed).generate_state(4, np.uint64)
+                s_hi, s_lo, seq_hi, seq_lo = (int(w) for w in words)
+                inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & (2**128 - 1)
+                product_low = ((inc + (s_hi << 64 | s_lo)) * PCG64_MULT) & MASK64
+                carries.add(("inc + s", (inc & MASK64) + s_lo > MASK64))
+                carries.add(("* MULT + inc", product_low + (inc & MASK64) > MASK64))
+        assert carries == {(step, carry) for step in ("inc + s", "* MULT + inc") for carry in (False, True)}
 
     def test_one_generator_is_reused(self):
         streams = list(montecarlo._replica_streams(5, 3))
@@ -341,6 +360,38 @@ class TestSimulateBranching:
     def test_drawn_numbers_pinned(self, law, d, digest):
         # sha256 of 12 trees' events, survivors, counts and extinction times, as v0.3.0 drew them.
         assert tree_digest(law, d) == digest
+
+    @pytest.mark.parametrize(
+        "law, d, horizon, digest",
+        [
+            ((0.25, 0.0, 0.75), 1, 0.0, "7089efe90e4a7d037233868cbe1c3bc00203afcd36209e2c307788b725cb38d8"),
+            ((0.25, 0.0, 0.75), 2, 0.0, "f1250ffd77cb921b9154e34b1cc01a2a59e5f67a9a521c8dbced97240948fb51"),
+            ((0.25, 0.0, 0.75), 3, 0.0, "099583b9b74dc7487da56726d5f2cc457c35a5d3f3f9b3dec5d385a8a5064765"),
+            ((0.7, 0.0, 0.3), 1, 40.0, "8cc3a1cf4ed77918c30e60a5c48e24379824998208834c5b351028b773b066bb"),
+            ((0.7, 0.0, 0.3), 2, 40.0, "2e088457db046345cca6609a492e492b6d560f39a10ebdd6aeb144ddf629efc3"),
+            ((0.7, 0.0, 0.3), 3, 40.0, "b26b27cef7f48d259b17f8f268f8946dbd84c0df8774b3d33b50f14a5bb98d5a"),
+            ((0.2, 0.3, 0.1, 0.4), 1, 2.5, "f3bf0144cbf97e577be55b2045b3dc3eed470ed8de7134f67df89dd725d57bfc"),
+            ((0.2, 0.3, 0.1, 0.4), 2, 2.5, "51606b6876f26f38bb6489a7be8bdebc27680633ccec5511e34251b2c536f0c0"),
+            ((0.2, 0.3, 0.1, 0.4), 3, 2.5, "41a9ac3512b16dcba1adfb4d8b8a7a79b3e80234c0c448b53196e810fd4d4b06"),
+        ],
+    )
+    def test_edge_trees_pinned(self, law, d, horizon, digest):
+        # Trees with no event (horizon 0), trees that all die out, and branchings of up to 3 children,
+        # each as v0.3.5 drew them.
+        config = BranchingConfig(1.0, dyson.FertilityDistribution(law), d=d, x0=(0.5, -1.25, 2.0)[:d])
+        logs = [simulate_branching(config, horizon, (), seed=31, replica=r) for r in range(12)]
+        if horizon == 0.0:
+            assert not any(log.events for log in logs)
+        elif law[0] == 0.7:
+            assert all(math.isfinite(log.extinction_time) for log in logs)
+        else:
+            assert max(len(e.children) for log in logs for e in log.events) == 3
+        assert tree_digest(law, d, horizon=horizon) == digest
+
+    def test_clock_rate_pinned(self):
+        # At gamma 1.7 a lifetime's division by gamma is not exact, so its rounding shows in the digest.
+        digest = tree_digest((0.2, 0.3, 0.1, 0.4), 2, gamma=1.7)
+        assert digest == "3c3e10ab443b3055177c346f51946bd0d09bd5270b842fcc7a6436a94b5d3763"
 
     def test_sample_times_validated(self):
         with pytest.raises(ValueError):
@@ -523,6 +574,13 @@ class TestMcKeanProduct:
         phi = kernels.SampledFunction.sample(lambda x: 1.0 - 0.5 * np.exp(-(x**2)), -6.0, 0.05, 241)
         result = estimate_mckean_product(binary_config(0.25), phi, 1.5, 40, seed)
         assert result == (float.fromhex(estimate), float.fromhex(stderr))
+
+    def test_benchmark_shaped_estimate_pinned(self):
+        # Binary .25, t 6, 150 replicas, phi = 0.5 + 0.1 sin(1.1 x + 2) on [-40, 40]: the exact floats of v0.3.5.
+        xs = np.arange(-40.0, 40.0 + 1e-9, 0.1)
+        phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(1.1 * xs + 2.0))
+        result = estimate_mckean_product(binary_config(0.25), phi, 6.0, 150, seed=5)
+        assert result == (float.fromhex("0x1.78bab63dc857dp-2"), float.fromhex("0x1.37da356212ffdp-5"))
 
     def test_validation(self):
         phi = kernels.SampledFunction(-5.0, 0.1, np.full(101, 1.5))
