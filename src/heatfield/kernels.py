@@ -77,7 +77,7 @@ def _clocked_density(t: float, r2, gamma: float, d: int):
     if not t > 0:
         raise NonPositiveTimeError(f"duration must be > 0, got {t}")
     try:
-        norm = (2.0 * math.pi * t) ** (-0.5 * d)
+        norm = (2.0 * math.pi * float(t)) ** (-0.5 * d)  # a numpy scalar would overflow to inf, not raise
     except OverflowError:
         raise ValueError(f"duration {t} is too short: (2*pi*t)**(-{d}/2) overflows") from None
     density = norm * pring._per_element(math.exp, -r2 / (2.0 * t))

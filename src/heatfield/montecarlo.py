@@ -124,8 +124,9 @@ def derive_stream(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(mixed))
 
 
-_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)  # PCG64's 128-bit LCG multiplier
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
 # numpy SeedSequence's hash constants: the j-th hashmix call xors with
 # the j-th power-step of INIT and multiplies by the next (A: entropy mixing, B: output).
 _HASH_A = np.array([0x43B0D7E5 * 0x931E8875**j & _MASK32 for j in range(17)], dtype=np.uint32)[:, None]
@@ -145,9 +146,7 @@ def _pcg64_states(seed, first, stop):
     Mirrors numpy's SeedSequence with pool size 4 in uint32 arrays (the
     one or two entropy words of the mixed seed hash alike, missing words
     hashing as 0), its generate_state of 4 uint64 words, and PCG64's
-    set_seed: inc = 2 * seq + 1, state = ((inc + s) * MULT + inc) mod 2**128
-    (O'Neill, HMC-CS-2014-0905), on (high, low) uint64 array pairs.
-    _replica_streams' replica-0 check against derive_stream guards all of it.
+    set_seed: inc = 2 * seq + 1, state = ((inc + s) * MULT + inc) mod 2**128.
     """
     r = np.arange(first + 1, stop + 1, dtype=np.uint64)
     mixed = splitmix64(np.uint64(int(seed) & _MASK64) + r * np.uint64(_GOLDEN))
@@ -160,25 +159,11 @@ def _pcg64_states(seed, first, stop):
         mix = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashed
         pool[dst] = mix ^ (mix >> 16)
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], 0, _HASH_B).astype(np.uint64)
-    s_hi, s_lo, seq_hi, seq_lo = words[0::2] | words[1::2] << 32
-    # 128-bit values as (high, low) uint64 pairs, wrapping mod 2**64; a sum's carry is low < addend.
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    lo = inc_lo + s_lo
-    hi = inc_hi + s_hi + (lo < inc_lo)
-    hi = _mulhi64(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO
-    lo = lo * _MULT_LO + inc_lo
-    hi += inc_hi + (lo < inc_lo)
-    for a, b, c, d in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
-        state = {"state": a << 64 | b, "inc": c << 64 | d}
-        yield {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-
-
-def _mulhi64(a, b):
-    # High 64 bits of the 128-bit products a * b (uint64 array a, np.uint64 b), from 32-bit halves.
-    a_lo, a_hi, b_lo, b_hi = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    cross_lo, cross_hi = a_hi * b_lo, a_lo * b_hi
-    mid = (a_lo * b_lo >> 32) + (cross_lo & _MASK32) + (cross_hi & _MASK32)  # below 2**34
-    return a_hi * b_hi + (cross_lo >> 32) + (cross_hi >> 32) + (mid >> 32)
+    s_hi, s_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << 32).tolist()
+    for a, b, c, d in zip(s_hi, s_lo, seq_hi, seq_lo):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
 def _replica_streams(seed, replicas):
@@ -436,6 +421,7 @@ def _branching_tree(config, cdf, horizon, rng):
     while heap and heap[0][0] <= horizon:
         death_time, pid, birth_time, birth_pos = heappop(heap)
         scale = sqrt(death_time - birth_time)
+        # d = 1 skips the list comprehension, a function call before Python 3.12 (about 0.9 us an event).
         pos = (birth_pos[0] + normal() * scale,) if d == 1 else tuple([c + normal() * scale for c in birth_pos])
         k = bisect_right(cdf, uniform())  # = np.searchsorted(cdf, u, side="right")
         if k:

@@ -92,6 +92,8 @@ class TestHeatKernel:
             heat_kernel(1e-310, [0.0] * 3, [0.0] * 3)
         with pytest.raises(ValueError, match="duration 1e-310 is too short"):
             heat_kernel(1e-310, [0.0] * 2, np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="duration 1e-310 is too short"):
+            heat_kernel(np.float64(1e-310), [0.0] * 3, [1.0] * 3)  # numpy's power would return inf
         with pytest.raises(ValueError, match="too short"):
             retarded_propagator_heat((0.0, [0.0] * 3), (1e-300, [0.0] * 3), 1.0)
         assert heat_kernel(1e-206, [0.0] * 3, [1.0] * 3) == 0.0  # the normalisation is finite
