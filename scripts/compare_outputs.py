@@ -8,10 +8,12 @@ the same CSV sha256 and the same value for every manifest ``estimates``
 key the parent writes (the change may add keys).  The configs are the
 benchmark's extinction runs (alpha 0.25, horizon 60, 200 replicas,
 cap 10k, eight seeds) plus other laws and caps, ``gf`` runs, both kinds
-again at 257 and 600 replicas (more than one 256-replica chunk of the
-mass-only walker), the benchmark's ``clock`` runs (gamma 2, dtau.max 3,
-2000 replicas, seeds 0, 5, 2**31 - 1 and 40,000) and ``clock`` at 2
-replicas, at gamma 1e-3 and 1e3 and at seed 2**40, ``kernel`` runs in
+again at 257, 600 and 2049 replicas (several lockstep passes of the
+mass-only walker, and one more replica than a 2048-replica stream pass),
+the benchmark's ``clock`` runs (gamma 2, dtau.max 3, 2000 replicas,
+seeds 0, 5, 2**31 - 1 and 40,000) and ``clock`` at 2 replicas, at gamma
+1e-3 and 1e3, at seed 2**40 and at 2047 and 2049 replicas (one under
+and one over a stream pass), ``kernel`` runs in
 d = 1, 2 and 3 and at gamma 0, at r.min > 0 and on a one-cell grid, the
 benchmark's ``onepoint`` runs (alpha 0.25, 0.5 and 0.75, tau.max 5) and
 ``twopoint`` runs (four alphas on its coarse and
@@ -28,7 +30,9 @@ It then runs library calls that no CLI subcommand makes, in one
 subprocess per tree (this script with ``--library``), and requires
 identical results: ``estimate_mckean_product`` as the benchmark calls it
 (binary 0.25, t 6, 150 replicas, phi = 0.5 + 0.1 sin(freq x + phase)),
-its exact float pair, the exact float pair of ``feynman_kac_estimate``
+its exact float pair, also at 2049 replicas (more than one stream pass)
+and at binary 0.75, t 3, where most replicas die out (150 and 2100
+replicas), the exact float pair of ``feynman_kac_estimate``
 as the benchmark calls it (u a Gaussian on 2101 nodes, constant potential
 0.4, t 1, x 0, 1000 replicas of 200 steps) and at 257 replicas of 7000
 steps and 2 replicas of 3 steps (potential x**2 / 2), which span many
@@ -96,13 +100,14 @@ RUNS = (
     ]
     + [("gf", {"alpha": 0.25, "gamma": 1.0, "theta": theta, "t.max": 1.0, "replicas": 150, "seed": seed})
        for theta, seed in ((0.5, 11), (0.0, 12), (0.9, 13))]
-    + [(kind, dict(params, replicas=replicas, seed=seed))  # across the 256-replica chunk of the walker
+    + [(kind, dict(params, replicas=replicas, seed=seed))  # several walker passes; past a 2048-replica stream pass
        for kind, params in (("extinction", EXTINCTION),
                             ("gf", {"alpha": 0.25, "gamma": 1.0, "theta": 0.5, "t.max": 1.0}))
-       for replicas, seed in ((257, 21), (600, 22))]
+       for replicas, seed in ((257, 21), (600, 22), (2049, 23))]
     + [("clock", {"gamma": 2.0, "dtau.max": 3.0, "replicas": 2000, "seed": seed}) for seed in (0, 5, 2**31 - 1, 40_000)]
     + [("clock", {"gamma": gamma, "dtau.max": 3.0, "replicas": replicas, "seed": seed})
-       for gamma, replicas, seed in ((2.0, 2, 8), (1e-3, 2000, 9), (1e3, 2000, 10), (2.0, 2000, 2**40))]
+       for gamma, replicas, seed in ((2.0, 2, 8), (1e-3, 2000, 9), (1e3, 2000, 10), (2.0, 2000, 2**40),
+                                     (2.0, 2047, 11), (2.0, 2049, 12))]
     + [("kernel", {"gamma": 0.3, "d": d, "t.min": 0.05, "t.max": 3.0, "t.count": 40, "r.max": 6.0, "r.count": 60})
        for d in (1, 2, 3)]
     + [("kernel", dict({"d": 2, "t.min": 0.05, "t.max": 3.0, "t.count": 40, "r.max": 6.0, "r.count": 60}, **extra))
@@ -131,6 +136,8 @@ RUNS += [
 LIBRARY_RUNS = (
     [("mckean", {"seed": seed, "freq": freq, "phase": phase})
      for seed, freq, phase in ((0, 0.2, 0.0), (5, 1.1, 2.0), (2**31 - 1, 2.0, 4.5), (40_000, 0.7, 6.0))]
+    + [("mckean", {"seed": seed, "freq": 0.9, "phase": 1.0, "alpha": alpha, "t": t, "replicas": replicas})
+       for alpha, t, replicas, seed in ((0.25, 6.0, 2049, 3), (0.75, 3.0, 150, 4), (0.75, 3.0, 2100, 6))]
     + [("fk", {"potential": potential, "replicas": replicas, "n_steps": n_steps, "seed": seed})
        for potential, replicas, n_steps, seeds in (("constant", 1000, 200, (0, 5, 2**31 - 1)),
                                                    ("harmonic", 257, 7000, (3,)), ("harmonic", 2, 3, (4, 40_000)))
@@ -208,8 +215,11 @@ def library_value(kind: str, params: dict):
     if kind == "mckean":
         xs = np.arange(-40.0, 40.0 + 1e-9, 0.1)
         phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(params["freq"] * xs + params["phase"]))
-        config = montecarlo.BranchingConfig(1.0, dyson.FertilityDistribution.binary(0.25))
-        return [value.hex() for value in montecarlo.estimate_mckean_product(config, phi, 6.0, 150, params["seed"])]
+        config = montecarlo.BranchingConfig(1.0, dyson.FertilityDistribution.binary(params.get("alpha", 0.25)))
+        result = montecarlo.estimate_mckean_product(
+            config, phi, params.get("t", 6.0), params.get("replicas", 150), params["seed"]
+        )
+        return [value.hex() for value in result]
     if kind == "fk":
         u = kernels.SampledFunction.sample(lambda x: np.exp(-(x**2) / 0.5), -10.5, 0.01, 2101)
         potentials = {"constant": lambda xs: np.full(xs.shape, 0.4), "harmonic": lambda xs: 0.5 * xs**2}

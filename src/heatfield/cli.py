@@ -32,7 +32,9 @@ itself fails (the manifest then records the error).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
+import glob
 import hashlib
 import itertools
 import json
@@ -419,6 +421,29 @@ def _write_csv(path: str, columns: dict) -> str:
 _DISPATCH_VARIABLES = ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
 
 
+# OpenBLAS's report of the kernel it runs, in the 64-bit-int OpenBLAS of numpy 2 wheels and of numpy 1.22-1.26 wheels.
+_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_")
+
+
+def _blas_core() -> str | None:
+    # The OpenBLAS core that runs here (DYNAMIC_ARCH builds pick one at load), from the OpenBLAS that numpy's
+    # wheel bundles (numpy.libs on Linux and Windows, numpy/.dylibs on macOS); None where none reports it.
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+    for path in sorted(paths) + sorted(glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        try:
+            library = ctypes.CDLL(os.path.normpath(path))
+        except OSError:
+            continue
+        for symbol in _CORENAME_SYMBOLS:
+            corename = getattr(library, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                name = corename()
+                return name.decode("ascii", "replace").strip() if name else None
+    return None
+
+
 @functools.cache
 def _environment() -> dict:
     # What a run's bytes rest on besides its config, found once per process, at its first run.
@@ -437,6 +462,7 @@ def _environment() -> dict:
         "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
         "libc": " ".join(platform.libc_ver()).strip(),
         "blas": "; ".join(str(part).strip() for part in build if part) or "unknown",
+        "blas_core": _blas_core(),
         "cpu_features": " ".join(name for name, enabled in __cpu_features__.items() if enabled),
         "dispatch_variables": {name: os.environ[name] for name in _DISPATCH_VARIABLES if name in os.environ},
     }

@@ -15,12 +15,15 @@ are reproducible and replicas are independent work units:
   collect results in replica order, and numpy's pairwise sum reduces
   them, so estimates do not depend on replica scheduling;
 * all take their streams from ``_replica_streams``, which derives the
-  PCG64 states of up to 256 replicas in one vectorised pass (numpy's
-  SeedSequence hashing and PCG64 seeding, mirrored in integer arrays)
-  equal to ``derive_stream`` bit for bit, and sets them in turn on one
-  reused generator.  Each run checks replica 0 against
-  ``derive_stream`` and falls back to calling it per replica if numpy's
-  PCG64 seeding or state layout differs.
+  PCG64 states of up to 2048 replicas in one vectorised pass (numpy's
+  SeedSequence hashing and PCG64's 128-bit seeding step, mirrored in
+  uint32 and uint64 arrays) equal to ``derive_stream`` bit for bit, and
+  sets them in turn on one reused generator.  Each run checks replica 0
+  against ``derive_stream`` and falls back to calling it per replica if
+  numpy's PCG64 seeding or state layout differs.
+* a seed is an integer (Python or numpy, not bool), taken mod 2**64, and
+  a replica index an integer >= 0; anything else raises ValueError
+  rather than running some other stream.
 
 The branching simulator is event driven: every particle carries an
 exponential lifetime, diffuses by exact Gaussian increments between
@@ -112,26 +115,37 @@ def splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_seed(seed):
+    # A seed is any integer, taken mod 2**64; int() would run seed 1 for 1.7 or True.
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
+
+
 def derive_stream(seed: int, replica: int = 0) -> np.random.Generator:
     """Independent generator for one replica of a seeded run.
 
     The PCG64 state is seeded with
     splitmix64(seed + (replica + 1) * 0x9E3779B97F4A7C15), so streams
     for different replicas never collide and a run is reproducible from
-    (seed, replica) alone.
+    (seed, replica) alone.  Raises ValueError unless seed is an integer
+    (not bool; taken mod 2**64) and replica an integer >= 0.
     """
-    mixed = splitmix64((int(seed) + (int(replica) + 1) * _GOLDEN) & _MASK64)
+    seed, replica = _check_seed(seed), _check_count("replica", replica, least=0)
+    mixed = splitmix64((seed + (replica + 1) * _GOLDEN) & _MASK64)
     return np.random.Generator(np.random.PCG64(mixed))
 
 
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905) as uint64 halves, the low half split again in 32-bit
+# halves: np.uint64 constants, so that no np.uint64 scalar meets a Python int (numpy 1.x promotes that to float64).
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_LO_HI, _MULT_LO_LO = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 # numpy SeedSequence's hash constants: the j-th hashmix call xors with
 # the j-th power-step of INIT and multiplies by the next (A: entropy mixing, B: output).
 _HASH_A = np.array([0x43B0D7E5 * 0x931E8875**j & _MASK32 for j in range(17)], dtype=np.uint32)[:, None]
 _HASH_B = np.array([0x8B51F9DD * 0x58F38DED**j & _MASK32 for j in range(9)], dtype=np.uint32)[:, None]
-_STREAM_CHUNK = 256  # replicas whose states one array pass derives (bounds the memory it holds)
+_STREAM_CHUNK = 2048  # replicas whose states one array pass derives (bounds the memory it holds)
 _WALK_CELLS = 1 << 12  # cells of one lockstep pass of paths or jump chains, at most (one row for longer rows)
 
 
@@ -146,10 +160,13 @@ def _pcg64_states(seed, first, stop):
     Mirrors numpy's SeedSequence with pool size 4 in uint32 arrays (the
     one or two entropy words of the mixed seed hash alike, missing words
     hashing as 0), its generate_state of 4 uint64 words, and PCG64's
-    set_seed: inc = 2 * seq + 1, state = ((inc + s) * MULT + inc) mod 2**128.
+    set_seed: inc = 2 * seq + 1, state = ((inc + s) * MULT + inc) mod 2**128,
+    on (high, low) uint64 array pairs.  Python ints are built only for the
+    state dicts.  _replica_streams' replica-0 check against derive_stream
+    guards all of it.
     """
     r = np.arange(first + 1, stop + 1, dtype=np.uint64)
-    mixed = splitmix64(np.uint64(int(seed) & _MASK64) + r * np.uint64(_GOLDEN))
+    mixed = splitmix64(np.uint64(seed & _MASK64) + r * np.uint64(_GOLDEN))
     pool = np.zeros((4, r.size), dtype=np.uint32)
     pool[0], pool[1] = mixed & _MASK32, mixed >> 32
     pool = _hashmix(pool, 0, _HASH_A)
@@ -159,11 +176,22 @@ def _pcg64_states(seed, first, stop):
         mix = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashed
         pool[dst] = mix ^ (mix >> 16)
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], 0, _HASH_B).astype(np.uint64)
-    s_hi, s_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << 32).tolist()
-    for a, b, c, d in zip(s_hi, s_lo, seq_hi, seq_lo):
-        inc = (c << 65 | d << 1 | 1) & _MASK128
-        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    s_hi, s_lo, seq_hi, seq_lo = words[0::2] | words[1::2] << 32
+    # 128-bit values as (high, low) pairs, wrapping mod 2**64; a sum's carry is low < addend.
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < inc_lo)
+    # (hi, lo) * MULT mod 2**128: the high word of lo * MULT_LO from 32-bit halves, plus the cross terms.
+    lo_lo, lo_hi = lo & _MASK32, lo >> 32
+    cross_lo, cross_hi = lo_hi * _MULT_LO_LO, lo_lo * _MULT_LO_HI
+    mid = (lo_lo * _MULT_LO_LO >> 32) + (cross_lo & _MASK32) + (cross_hi & _MASK32)  # below 2**34
+    carry = lo_hi * _MULT_LO_HI + (cross_lo >> 32) + (cross_hi >> 32) + (mid >> 32)
+    hi = carry + lo * _MULT_HI + hi * _MULT_LO
+    lo = lo * _MULT_LO + inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    for a, b, c, d in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
+        state = {"state": a << 64 | b, "inc": c << 64 | d}
+        yield {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
 
 
 def _replica_streams(seed, replicas):
@@ -206,7 +234,8 @@ def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0
     Returns an array of shape (n_steps + 1, d) whose first row is x0;
     increments are i.i.d. Gaussian with variance t/n_steps per
     coordinate.  Raises ValueError unless x0 is finite, t is finite
-    and > 0 and n_steps is an integer >= 1.
+    and > 0 and n_steps is an integer >= 1, and then, as derive_stream,
+    unless seed is an integer and replica an integer >= 0.
     """
     start = _path_start(x0, t, n_steps)
     steps = derive_stream(seed, replica).standard_normal((n_steps, start.size)) * math.sqrt(t / n_steps)
@@ -241,15 +270,16 @@ def feynman_kac_estimate(
     Riemann sum over the n_steps path increments, and ``u`` is evaluated
     by linear interpolation on its grid.  Returns (estimate, stderr).
     One spatial dimension.  Raises ValueError unless replicas is an
-    integer >= 2, t is finite and > 0, n_steps is an integer >= 1 and x
-    is one finite position (checked in that order); and, on the first
-    replica where it happens, if v returns other than one value per
-    point (shape (n_steps,)), if the Riemann sum is NaN (v returned NaN,
-    or both +inf and -inf), or if exp(-sum) overflows (v not bounded
-    below on that path, as for a potential of -1e6).
+    integer >= 2, t is finite and > 0, n_steps is an integer >= 1, x is
+    one finite position and seed is an integer (checked in that order);
+    and, on the first replica where it happens, if v returns other than
+    one value per point (shape (n_steps,)), if the Riemann sum is NaN (v
+    returned NaN, or both +inf and -inf), or if exp(-sum) overflows (v
+    not bounded below on that path, as for a potential of -1e6).
     """
     replicas = _check_count("replicas", replicas, least=2)  # checked before the path arguments
     x0, dt = float(_path_start(x, t, n_steps, "x", one=True)[0]), t / n_steps
+    seed = _check_seed(seed)
     values = np.empty(replicas)
     streams = _replica_streams(seed, replicas)
     per_pass = max(1, _WALK_CELLS // n_steps)
@@ -380,8 +410,9 @@ def simulate_branching(
     are drawn in id order, and "the first child" of an event is its
     lowest id, children[0].  Raises PopulationExplosionError when the
     live count passes config.max_particles, and ValueError unless
-    horizon is finite and >= 0 and every sample time lies in
-    [0, horizon].
+    horizon is finite and >= 0, every sample time lies in [0, horizon],
+    seed is an integer and replica an integer >= 0 (checked in that
+    order).
     """
     _check_time("horizon", horizon)
     sample_times = np.asarray(sample_times, dtype=float)
@@ -405,12 +436,13 @@ def simulate_branching(
     )
 
 
-def _branching_tree(config, cdf, horizon, rng):
+def _branching_tree(config, cdf, horizon, rng, record=True):
     # simulate_branching's walk once its arguments are checked; cdf is config.offspring_cdf as a list.
-    # Returns events (time, parent, first_child_id, k, position tuple), the survivor ids and their
-    # (len(ids), d) positions.  d scalar normals are the numbers (and stream use) of standard_normal(d).
-    # Heap records are (death_time, id, birth_time, birth_pos); ids are unique, so no comparison reaches birth_time.
-    gamma, d = config.gamma, config.d
+    # Returns events (time, parent, first_child_id, k, position tuple; none unless record), the survivor
+    # ids and their (len(ids), d) positions.  d scalar normals are the numbers (and stream use) of
+    # standard_normal(d).  Heap records are (death_time, id, birth_time, birth_pos); ids are unique, so
+    # no comparison reaches birth_time.
+    gamma, d, cap = config.gamma, config.d, config.max_particles
     normal, exponential, uniform = rng.standard_normal, rng.standard_exponential, rng.random
     heappop, heappush, bisect_right, sqrt = heapq.heappop, heapq.heappush, bisect.bisect_right, math.sqrt
     heap = [(exponential() / gamma, 0, 0.0, config.x0)]
@@ -424,19 +456,19 @@ def _branching_tree(config, cdf, horizon, rng):
         # d = 1 skips the list comprehension, a function call before Python 3.12 (about 0.9 us an event).
         pos = (birth_pos[0] + normal() * scale,) if d == 1 else tuple([c + normal() * scale for c in birth_pos])
         k = bisect_right(cdf, uniform())  # = np.searchsorted(cdf, u, side="right")
-        if k:
+        if record:
+            events.append((death_time, pid, next_id, k, pos))
+        if k:  # only a birth can pass the cap
             for cid, lifetime in enumerate(exponential(k).tolist(), next_id):  # the numbers of k scalar calls
                 heappush(heap, (death_time + lifetime / gamma, cid, death_time, pos))
-        events.append((death_time, pid, next_id, k, pos))
-        next_id += k
-        live += k - 1
-        if live > config.max_particles:
-            raise PopulationExplosionError(
-                f"live population exceeded max_particles={config.max_particles} "
-                f"at t={death_time:g}"
-            )
-        if live == 0:
-            break
+            next_id += k
+            live += k - 1
+            if live > cap:
+                raise PopulationExplosionError(f"live population exceeded max_particles={cap} at t={death_time:g}")
+        else:  # only a death can empty the tree
+            live -= 1
+            if not live:
+                break
 
     heap.sort(key=operator.itemgetter(1))  # the survivors in id order
     _, ids, births, starts = zip(*heap) if heap else ((),) * 4
@@ -451,12 +483,13 @@ def sample_lifetimes(gamma: float, horizon: float, replicas: int, seed: int) -> 
     of derive_stream(seed, r): the root's lifetime, and so the first event
     time, of that replica's simulate_branching tree with the pure-death
     law (1.0,), bit for bit.  Raises ValueError unless gamma is finite and
-    > 0, replicas is an integer >= 1 and horizon is finite and >= 0
-    (checked in that order).
+    > 0, replicas is an integer >= 1, horizon is finite and >= 0 and seed
+    is an integer (checked in that order).
     """
     _validate_gamma(gamma)
     replicas = _check_count("replicas", replicas)
     _check_time("horizon", horizon)
+    seed = _check_seed(seed)
     times = np.array([rng.standard_exponential() for rng in _replica_streams(seed, replicas)]) / gamma
     times[times > horizon] = math.inf  # the tree fires no event past its horizon
     return times
@@ -481,12 +514,13 @@ def _mass_walks(gamma, cdf, horizon, cap, replicas, seed, grid=(), halt=False):
     the ascending grid in [0, horizon].  With halt, a replica past the cap
     ends the run: replicas after the first such one are not walked.
 
-    Each chunk of _STREAM_CHUNK replicas walks in lockstep: for block b,
-    every replica still walking sets its generator state, draws block b
-    and saves the state; the counts, times and stops of a pass are array
-    operations on (rows, block) arrays of at most _WALK_CELLS cells.  Each
-    replica's numbers and floating-point operations are those of a walk
-    on its own, so no drawn number depends on the others.
+    Each chunk of _STREAM_CHUNK (2048) replicas, the replicas of one
+    stream pass, walks in lockstep: for block b, every replica still
+    walking sets its generator state, draws block b and saves the state;
+    the counts, times and stops of a pass are array operations on
+    (rows, block) arrays of at most _WALK_CELLS cells.  Each replica's
+    numbers and floating-point operations are those of a walk on its own,
+    so no drawn number depends on the others or on the chunk size.
     """
     grid = np.asarray(grid, dtype=float)
     ends, finals, t = np.full(replicas, math.inf), np.ones(replicas, dtype=np.int64), np.zeros(replicas)
@@ -586,11 +620,13 @@ def sample_extinction_times(
     classification: at most eps = 7.9e-31 whenever L is below the cap
     (L = 64 at alpha 0.25; both in config.extinction_stop).  A replica
     that dies out before passing L draws exactly the numbers of a walk to
-    the cap.  Raises ValueError unless horizon is finite and >= 0 and
-    replicas is an integer >= 1.
+    the cap.  Raises ValueError unless horizon is finite and >= 0,
+    replicas is an integer >= 1 and seed is an integer (checked in that
+    order).
     """
     _check_time("horizon", horizon)
     replicas = _check_count("replicas", replicas)
+    seed = _check_seed(seed)
     return _mass_walks(config.gamma, config.offspring_cdf, horizon, config.extinction_stop[0], replicas, seed)[0]
 
 
@@ -631,14 +667,15 @@ def estimate_generating_function(
     counts as 1, so theta = 0 gives the finite-horizon extinction
     estimate.  Raises PopulationExplosionError if a replica crosses the
     cap before max(t), and ValueError unless theta lies in [0, 1], t is
-    finite and >= 0 (an array: non-empty, ascending) and replicas is an
-    integer >= 2.
+    finite and >= 0 (an array: non-empty, ascending), replicas is an
+    integer >= 2 and seed is an integer (checked in that order).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     grid = _time_grid("t", t)
     horizon = float(grid.max())
     replicas = _check_count("replicas", replicas, least=2)
+    seed = _check_seed(seed)
     cap = config.max_particles
     _, finals, at_grid = _mass_walks(config.gamma, config.offspring_cdf, horizon, cap, replicas, seed, grid, halt=True)
     if np.any(finals > cap):
@@ -660,7 +697,8 @@ def estimate_mckean_product(
     empty product (extinct replica) counts as 1.  One spatial
     dimension.  Raises PopulationExplosionError as simulate_branching
     does, and ValueError unless config.d is 1, phi lies in [0, 1], t is
-    finite and >= 0 and replicas is an integer >= 2.
+    finite and >= 0, replicas is an integer >= 2 and seed is an integer
+    (checked in that order).
     """
     if config.d != 1:
         raise ValueError("product functionals are supported in one spatial dimension only")
@@ -668,11 +706,19 @@ def estimate_mckean_product(
         raise ValueError("phi must take values in [0, 1]")
     _check_time("t", t)
     replicas = _check_count("replicas", replicas, least=2)
+    seed = _check_seed(seed)
     cdf = config.offspring_cdf.tolist()
     # One tree per replica stream, in replica order (each stream is valid until the next is drawn).
-    survivors = (_branching_tree(config, cdf, t, rng)[2][:, 0] for rng in _replica_streams(seed, replicas))
-    values = [float(np.prod(phi(positions))) for positions in survivors]
-    return _mean_stderr(np.array(values, dtype=float))
+    streams = _replica_streams(seed, replicas)
+    survivors = [_branching_tree(config, cdf, t, rng, record=False)[2][:, 0] for rng in streams]
+    # One phi call on every survivor; numpy's multiply reduction runs left to right, so each replica's
+    # reduceat segment is the bits of np.prod(phi(its survivors)).  An extinct replica's empty product is 1.
+    counts = np.array([positions.size for positions in survivors])
+    values, alive = np.ones(replicas), counts > 0
+    if alive.any():
+        starts = (np.cumsum(counts) - counts)[alive]
+        values[alive] = np.multiply.reduceat(phi(np.concatenate(survivors)), starts)
+    return _mean_stderr(values)
 
 
 def lifetime_ks(times, rate: float):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -425,13 +426,37 @@ class TestMain:
         assert cli.main(["ring-check", "--config", cfg, "--out", str(tmp_path / "rc.csv")]) == 0
         environment = json.loads((tmp_path / "rc.csv.manifest.json").read_text())["environment"]
         assert sorted(environment) == [
-            "blas", "cpu_features", "dispatch_variables", "libc", "numpy", "platform", "python"
+            "blas", "blas_core", "cpu_features", "dispatch_variables", "libc", "numpy", "platform", "python"
         ]
         variables = environment.pop("dispatch_variables")
+        core = environment.pop("blas_core")  # the OpenBLAS kernel picked at load, where numpy bundles OpenBLAS
+        assert core == cli._blas_core() and (core is None or (isinstance(core, str) and core))
         assert all(isinstance(value, str) for value in environment.values())
         assert environment["numpy"] == np.__version__
         assert environment["blas"] and environment["cpu_features"].split()  # numpy's baseline features at least
         assert variables == {name: os.environ[name] for name in cli._DISPATCH_VARIABLES if name in os.environ}
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="forces x86 OpenBLAS kernels")
+    def test_blas_core_follows_openblas_coretype(self):
+        # OPENBLAS_CORETYPE forces the kernel OpenBLAS picks at load, and blas_core reports the forced one; a
+        # numpy without a bundled OpenBLAS records None either way.
+        script = "from heatfield import cli\nprint(cli._environment()['blas_core'])\n"
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        cores = {}
+        for forced in (None, "Haswell", "Sandybridge"):
+            run_env = dict(env, OPENBLAS_CORETYPE=forced) if forced else env
+            proc = subprocess.run([sys.executable, "-c", script], env=run_env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            cores[forced] = proc.stdout.strip()
+        if cores[None] == "None":
+            assert set(cores.values()) == {"None"}
+        else:
+            assert cores["Haswell"] == "Haswell" and cores["Sandybridge"] == "Sandybridge"
+
+    def test_blas_core_is_none_without_a_bundled_openblas(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert cli._blas_core() is None
 
     def test_portable_csvs_do_not_depend_on_the_simd_level(self, tmp_path):
         # The kernel, gf, clock, ring-check, extinction and onepoint bytes are the same with

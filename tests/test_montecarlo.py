@@ -174,9 +174,12 @@ class TestFastStreams:
 
     @pytest.mark.parametrize("seed", [0, 1, 2**40, 2**63, 2**64 - 1, 2**64 + 5])
     def test_state_arithmetic_matches_derive_stream(self, seed):
-        # One pass per range: one replica, just under, at and over a chunk, and several chunks' worth.
+        # One pass per range: one replica, a few hundred, and one under, at, one over and twice a pass plus 3.
+        size = montecarlo._STREAM_CHUNK
+        assert size == 2048
         carries = set()
-        for first, stop in ((9, 10), (0, 255), (1, 257), (300, 557), (0, 600)):
+        spans = ((9, 10), (1, 257), (300, 557), (0, size - 1), (5, size + 5), (1, size + 2), (0, 2 * size + 3))
+        for first, stop in spans:
             states = list(montecarlo._pcg64_states(seed, first, stop))
             assert len(states) == stop - first
             for r, state in enumerate(states, first):
@@ -581,6 +584,27 @@ class TestMcKeanProduct:
         phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(1.1 * xs + 2.0))
         result = estimate_mckean_product(binary_config(0.25), phi, 6.0, 150, seed=5)
         assert result == (float.fromhex("0x1.78bab63dc857dp-2"), float.fromhex("0x1.37da356212ffdp-5"))
+
+    @pytest.mark.parametrize(
+        "alpha, t, replicas, seed",
+        [(1.0, 40.0, 300, 35), (0.25, 0.0, 300, 36), (0.75, 3.0, 2100, 37), (0.25, 2.0, 200, 38)],
+    )
+    def test_matches_per_replica_product(self, alpha, t, replicas, seed):
+        # The one-call product against np.prod per replica over simulate_branching's survivors: at alpha 1
+        # every tree has died out by t 40 (no survivor at all, every product 1), at t 0 each holds its root.
+        config = BranchingConfig(1.0, dyson.FertilityDistribution.binary(alpha), x0=(0.35,))
+        phi = kernels.SampledFunction.sample(lambda x: 0.6 + 0.3 * np.cos(x), -8.0, 0.05, 321)
+        survivors = [simulate_branching(config, t, (), seed, r).final.positions[:, 0] for r in range(replicas)]
+        values = np.array([float(np.prod(phi(positions))) for positions in survivors])
+        result = estimate_mckean_product(config, phi, t, replicas, seed)
+        assert result == montecarlo._mean_stderr(values)
+        sizes = {positions.size for positions in survivors}
+        if alpha == 1.0:
+            assert sizes == {0} and result == (1.0, 0.0)
+        if t == 0.0:
+            assert sizes == {1} and set(values.tolist()) == {float(phi(0.35))}
+        if alpha == 0.75:
+            assert 0 in sizes and len(sizes) > 2  # extinct replicas between replicas of several survivors
 
     def test_validation(self):
         phi = kernels.SampledFunction(-5.0, 0.1, np.full(101, 1.5))
@@ -1103,6 +1127,80 @@ class TestArgumentChecks:
             lifetime_ks([0.5, math.nan], 1.0)
         with pytest.raises(ValueError, match="^times must"):
             lifetime_ks([], 1.0)
+
+
+class TestSeedChecks:
+    """A seed is an integer (Python or numpy, not bool) and a replica an integer >= 0, or ValueError."""
+
+    PHI = kernels.SampledFunction(-5.0, 0.1, np.full(101, 0.5))
+    U = kernels.SampledFunction(-5.0, 0.1, np.ones(101))
+
+    def seeded_calls(self, seed):
+        config = binary_config(0.25)
+        return [
+            lambda: derive_stream(seed),
+            lambda: sample_brownian_path(0.0, 1.0, 4, seed),
+            lambda: feynman_kac_estimate(self.U, np.zeros_like, 1.0, 0.0, 10, 4, seed),
+            lambda: simulate_branching(config, 1.0, (), seed),
+            lambda: montecarlo.sample_lifetimes(2.0, 1.0, 10, seed),
+            lambda: sample_extinction_times(config, 1.0, 10, seed),
+            lambda: estimate_extinction(config, 1.0, 10, seed),
+            lambda: estimate_generating_function(config, 0.5, 1.0, 10, seed),
+            lambda: estimate_mckean_product(config, self.PHI, 1.0, 10, seed),
+        ]
+
+    @pytest.mark.parametrize("seed", [1.7, True, np.float64(3.0), math.nan, "5", None, np.bool_(True)])
+    def test_non_integer_seeds_raise(self, seed):
+        for call in self.seeded_calls(seed):
+            with pytest.raises(ValueError, match="^seed must be an integer, got "):
+                call()
+
+    @pytest.mark.parametrize("replica", [-1, 1.5, True, np.float64(1.0), math.nan])
+    def test_bad_replicas_raise(self, replica):
+        config = binary_config(0.25)
+        for call in (
+            lambda: derive_stream(5, replica),
+            lambda: sample_brownian_path(0.0, 1.0, 4, 5, replica),
+            lambda: simulate_branching(config, 1.0, (), 5, replica),
+        ):
+            with pytest.raises(ValueError, match="^replica must be an integer >= 0, got "):
+                call()
+
+    def test_integer_seeds_keep_their_streams(self):
+        # numpy integers run the stream of their value, and every seed is taken mod 2**64.
+        reference = derive_stream(7, 3).random(3).tolist()
+        for seed in (np.int64(7), np.uint64(7), np.int8(7), 7 + 2**64, 7 - 2**64):
+            assert derive_stream(seed, 3).random(3).tolist() == reference
+        assert derive_stream(5, np.int64(2)).random(3).tolist() == derive_stream(5, 2).random(3).tolist()
+        assert derive_stream(-1).random(3).tolist() == derive_stream(2**64 - 1).random(3).tolist()
+        config = binary_config(0.25)
+        assert estimate_generating_function(config, 0.5, 1.0, 20, np.uint64(2**64 - 1)) == estimate_generating_function(
+            config, 0.5, 1.0, 20, -1
+        )
+        assert montecarlo.sample_lifetimes(2.0, 1.0, 20, np.int32(9)).tolist() == montecarlo.sample_lifetimes(
+            2.0, 1.0, 20, 9
+        ).tolist()
+
+    def test_seed_checked_after_the_listed_arguments(self):
+        config = binary_config(0.25)
+        with pytest.raises(ValueError, match="^x0 must"):
+            sample_brownian_path(math.nan, 1.0, 4, 1.7, -1)
+        with pytest.raises(ValueError, match="^x must"):
+            feynman_kac_estimate(self.U, np.zeros_like, 1.0, math.nan, 10, 4, 1.7)
+        with pytest.raises(ValueError, match="^sample_times must"):
+            simulate_branching(config, 1.0, (2.0,), 1.7, -1)
+        with pytest.raises(ValueError, match="^seed must"):
+            simulate_branching(config, 1.0, (), 1.7, -1)
+        with pytest.raises(ValueError, match="^horizon must"):
+            montecarlo.sample_lifetimes(2.0, math.nan, 10, 1.7)
+        with pytest.raises(ValueError, match="^replicas must"):
+            sample_extinction_times(config, 1.0, 0, 1.7)
+        with pytest.raises(ValueError, match="^horizon must"):
+            estimate_extinction(config, math.nan, 10, 1.7)
+        with pytest.raises(ValueError, match="^replicas must"):
+            estimate_generating_function(config, 0.5, 1.0, 1, 1.7)
+        with pytest.raises(ValueError, match="^replicas must"):
+            estimate_mckean_product(config, self.PHI, 1.0, 1, 1.7)
 
 
 class TestKolmogorovTail:
