@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
-import glob
 import hashlib
 import itertools
 import json
@@ -429,10 +428,11 @@ def _blas_core() -> str | None:
     # The OpenBLAS core that runs here (DYNAMIC_ARCH builds pick one at load), from the OpenBLAS that numpy's
     # wheel bundles (numpy.libs on Linux and Windows, numpy/.dylibs on macOS); None where none reports it.
     root = os.path.dirname(np.__file__)
-    paths = glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
-    for path in sorted(paths) + sorted(glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+    folders = [folder for folder in (os.path.join(os.path.dirname(root), "numpy.libs"), os.path.join(root, ".dylibs"))
+               if os.path.isdir(folder)]
+    for path in [os.path.join(f, name) for f in folders for name in sorted(os.listdir(f)) if "openblas" in name]:
         try:
-            library = ctypes.CDLL(os.path.normpath(path))
+            library = ctypes.CDLL(path)
         except OSError:
             continue
         for symbol in _CORENAME_SYMBOLS:

@@ -178,7 +178,8 @@ class TestFastStreams:
         size = montecarlo._STREAM_CHUNK
         assert size == 2048
         carries = set()
-        spans = ((9, 10), (1, 257), (300, 557), (0, size - 1), (5, size + 5), (1, size + 2), (0, 2 * size + 3))
+        spans = ((9, 10), (0, 255), (1, 257), (300, 557), (0, 600), (0, size - 1), (5, size + 5), (1, size + 2),
+                 (0, 2 * size + 3))
         for first, stop in spans:
             states = list(montecarlo._pcg64_states(seed, first, stop))
             assert len(states) == stop - first
