@@ -1133,8 +1133,7 @@ class TestArgumentChecks:
 class TestSeedChecks:
     """A seed is an integer (Python or numpy, not bool) and a replica an integer >= 0, or ValueError."""
 
-    PHI = kernels.SampledFunction(-5.0, 0.1, np.full(101, 0.5))
-    U = kernels.SampledFunction(-5.0, 0.1, np.ones(101))
+    PHI, U = TestArgumentChecks.PHI, TestArgumentChecks.U
 
     def seeded_calls(self, seed):
         config = binary_config(0.25)
