@@ -59,6 +59,7 @@ import numpy as np
 
 from . import pring
 from .kernels import GridTooNarrowError, SampledFunction, _clocked_density
+from .pring import _check_count, _check_probability, _check_real
 
 __all__ = [
     "FertilityDistribution",
@@ -97,7 +98,7 @@ class FertilityDistribution:
     @classmethod
     def binary(cls, alpha: float) -> "FertilityDistribution":
         """Law (alpha, 0, 1 - alpha): a dying particle leaves 0 or 2 children."""
-        alpha = _validate_alpha(float(alpha))
+        alpha = _check_probability("alpha", float(alpha))
         return cls((alpha, 0.0, 1.0 - alpha))
 
     def pgf(self, phi):
@@ -108,26 +109,9 @@ class FertilityDistribution:
         return acc
 
 
-def _validate_gamma(gamma):
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"clock rate gamma must be finite and > 0, got {gamma}")
-
-
-def _check_count(name, n, least=1):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
-    return int(n)
-
-
-def _validate_alpha(alpha):
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
-
-
 def _validate_alpha_gamma(alpha, gamma):
-    _validate_alpha(alpha)
-    _validate_gamma(gamma)
+    _check_probability("alpha", alpha)
+    _check_real("clock rate gamma", gamma, positive=True)
 
 
 def one_point_closed_form(alpha: float, gamma: float, tau):
@@ -154,7 +138,7 @@ def one_point_closed_form(alpha: float, gamma: float, tau):
 
 def extinction_probability(alpha: float) -> float:
     """Eventual extinction probability: alpha/(1-alpha) below 1/2, else 1."""
-    if _validate_alpha(alpha) < 0.5:
+    if _check_probability("alpha", alpha) < 0.5:
         return alpha / (1.0 - alpha)
     return 1.0
 
@@ -164,10 +148,8 @@ def _grid_count(span: float, step: float) -> int:
 
     Every solver's grid rule; the slack keeps rounding in span/step from adding a step.
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"grid step must be finite and > 0, got {step}")
-    if not 0.0 < span < math.inf:
-        raise ValueError(f"grid span must be finite and > 0, got {span}")
+    _check_real("grid step", step, positive=True)
+    _check_real("grid span", span, positive=True)
     return max(1, math.ceil(span / step * (1.0 - 1e-12)))
 
 
@@ -210,9 +192,8 @@ def one_point_ode(
     steps that reach tau_max (``_grid_count``): its last node is at least
     tau_max (to 1e-12, relative) and less than tau_max + step.
     """
-    _validate_gamma(gamma)
-    if not 0.0 <= theta0 <= 1.0:
-        raise ValueError(f"theta0 must lie in [0, 1], got {theta0}")
+    _check_real("clock rate gamma", gamma, positive=True)
+    _check_probability("theta0", theta0)
     h, n = _curve_grid(gamma, tau_max, step)
     y = float(theta0)
     values = np.empty(n + 1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pring
-from .pring import PseudoComplex
+from .pring import PseudoComplex, _check_count, _check_real
 
 __all__ = [
     "NonPositiveTimeError",
@@ -63,11 +63,6 @@ def _validated_r2(x, y):
         raise DimensionMismatchError(f"dimension mismatch: {px.size} vs {py.shape[-1]}")
     r2 = np.sum((px - py) ** 2, axis=-1)
     return (r2 if py.ndim == 2 else float(r2)), px.size
-
-
-def _check_rate(gamma):
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError(f"clock rate gamma must be finite and >= 0, got {gamma}")
 
 
 def _clocked_density(t: float, r2, gamma: float, d: int):
@@ -129,15 +124,14 @@ class SampledFunction:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_real("grid step", self.step, positive=True)  # the grid first: a bad one makes sampled values NaN
+        if not math.isfinite(self.origin):
+            raise ValueError(f"grid origin must be finite, got {self.origin}")
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("values must be a 1-d array with at least 2 nodes")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sampled values must be finite")
-        if not 0 < self.step < math.inf:
-            raise ValueError(f"grid step must be finite and > 0, got {self.step}")
-        if not math.isfinite(self.origin):
-            raise ValueError(f"grid origin must be finite, got {self.origin}")
         nodes = float(self.origin) + float(self.step) * np.arange(vals.size)
         vals.flags.writeable = False
         nodes.flags.writeable = False
@@ -148,8 +142,9 @@ class SampledFunction:
 
     @classmethod
     def sample(cls, f, origin: float, step: float, count: int) -> "SampledFunction":
-        nodes = float(origin) + float(step) * np.arange(int(count))
-        return cls(origin, step, np.asarray(f(nodes), dtype=float))
+        """f at origin + step*arange(count); ValueError before f runs unless count is an integer >= 2 and the grid valid."""
+        grid = cls(origin, step, np.zeros(_check_count("count", count, least=2)))  # checks the grid too
+        return cls(origin, step, np.asarray(f(grid.nodes), dtype=float))
 
     def __call__(self, x):
         return np.interp(x, self.nodes, self.values)
@@ -268,7 +263,7 @@ def retarded_propagator_heat(x, y, gamma: float):
     checked as in ``heat_kernel`` whatever dt is.  Raises ValueError
     unless gamma is finite and >= 0, and as heat_kernel does for dt > 0.
     """
-    _check_rate(gamma)
+    _check_real("clock rate gamma", gamma)
     tx, sx = x
     ty, sy = y
     r2, d = _validated_r2(sx, sy)
@@ -284,7 +279,7 @@ def event_probability(gamma: float, dtau: float) -> float:
     Raises ValueError unless gamma is finite and >= 0 and dtau >= 0
     (dtau may be inf).
     """
-    _check_rate(gamma)
+    _check_real("clock rate gamma", gamma)
     if not dtau >= 0:
         raise ValueError(f"duration dtau must be >= 0, got {dtau}")
     return -math.expm1(-gamma * dtau) if gamma else 0.0  # 0 * inf is nan; a rate-0 clock never fires

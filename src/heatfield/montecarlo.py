@@ -76,8 +76,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyson import FertilityDistribution, _check_count, _validate_gamma
+from .dyson import FertilityDistribution
 from .kernels import SampledFunction
+from .pring import _check_count, _check_probability, _check_real, _check_seed
 
 __all__ = [
     "PopulationExplosionError",
@@ -113,13 +114,6 @@ def splitmix64(state: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def _check_seed(seed):
-    # A seed is any integer, taken mod 2**64; int() would run seed 1 for 1.7 or True.
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return int(seed)
 
 
 def derive_stream(seed: int, replica: int = 0) -> np.random.Generator:
@@ -214,11 +208,6 @@ def _replica_streams(seed, replicas):
         yield rng
 
 
-def _check_time(name, t, positive=False):
-    if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
-        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {t}")
-
-
 def _mean_stderr(values):
     # (mean, stderr) of per-replica values: floats, or per row entry each reduced as one contiguous
     # array (pairwise sum), so an entry's estimate does not depend on the others.
@@ -248,7 +237,7 @@ def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0
 def _path_start(x0, t, n_steps, name="x0", one=False):
     # x0 as a 1-d array, once t, n_steps and x0 are checked (in that order), x0 under ``name``:
     # with ``one``, that it is one position before that it is finite.
-    _check_time("t", t, positive=True)
+    _check_real("t", t, positive=True)
     _check_count("n_steps", n_steps)
     start = np.atleast_1d(np.asarray(x0, dtype=float))
     if one and start.size != 1:
@@ -331,7 +320,7 @@ class BranchingConfig:
     max_particles: int = 1_000_000
 
     def __post_init__(self):
-        _validate_gamma(self.gamma)
+        _check_real("clock rate gamma", self.gamma, positive=True)
         if not 1 <= _check_count("d", self.d) <= 3:
             raise ValueError(f"spatial dimension d must be 1..3, got {self.d}")
         start = tuple(float(c) for c in np.atleast_1d(np.asarray(self.x0, dtype=float)))
@@ -414,7 +403,7 @@ def simulate_branching(
     seed is an integer and replica an integer >= 0 (checked in that
     order).
     """
-    _check_time("horizon", horizon)
+    _check_real("horizon", horizon)
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size and not np.all((sample_times >= 0) & (sample_times <= horizon)):
         raise ValueError("sample_times must lie within [0, horizon]")
@@ -486,9 +475,9 @@ def sample_lifetimes(gamma: float, horizon: float, replicas: int, seed: int) -> 
     > 0, replicas is an integer >= 1, horizon is finite and >= 0 and seed
     is an integer (checked in that order).
     """
-    _validate_gamma(gamma)
+    _check_real("clock rate gamma", gamma, positive=True)
     replicas = _check_count("replicas", replicas)
-    _check_time("horizon", horizon)
+    _check_real("horizon", horizon)
     seed = _check_seed(seed)
     times = np.array([rng.standard_exponential() for rng in _replica_streams(seed, replicas)]) / gamma
     times[times > horizon] = math.inf  # the tree fires no event past its horizon
@@ -624,7 +613,7 @@ def sample_extinction_times(
     replicas is an integer >= 1 and seed is an integer (checked in that
     order).
     """
-    _check_time("horizon", horizon)
+    _check_real("horizon", horizon)
     replicas = _check_count("replicas", replicas)
     seed = _check_seed(seed)
     return _mass_walks(config.gamma, config.offspring_cdf, horizon, config.extinction_stop[0], replicas, seed)[0]
@@ -635,8 +624,8 @@ def _time_grid(name, t):
     grid = np.array(t, dtype=float, ndmin=1)
     if grid.ndim > 1 or not grid.size or np.any(grid[1:] < grid[:-1]):
         raise ValueError(f"{name} must be a time or a non-empty ascending 1-D array of times, got {t!r}")
-    _check_time(name, float(grid.min()))  # nan, negative and -inf times
-    _check_time(name, float(grid.max()))
+    _check_real(name, float(grid.min()))  # nan, negative and -inf times
+    _check_real(name, float(grid.max()))
     return grid
 
 
@@ -670,8 +659,7 @@ def estimate_generating_function(
     finite and >= 0 (an array: non-empty, ascending), replicas is an
     integer >= 2 and seed is an integer (checked in that order).
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    _check_probability("theta", theta)
     grid = _time_grid("t", t)
     horizon = float(grid.max())
     replicas = _check_count("replicas", replicas, least=2)
@@ -704,7 +692,7 @@ def estimate_mckean_product(
         raise ValueError("product functionals are supported in one spatial dimension only")
     if np.any(phi.values < 0.0) or np.any(phi.values > 1.0):
         raise ValueError("phi must take values in [0, 1]")
-    _check_time("t", t)
+    _check_real("t", t)
     replicas = _check_count("replicas", replicas, least=2)
     seed = _check_seed(seed)
     cdf = config.offspring_cdf.tolist()
@@ -729,7 +717,7 @@ def lifetime_ks(times, rate: float):
     ValueError unless rate is finite and > 0 and times holds one or
     more finite samples >= 0.
     """
-    _check_time("rate", rate, positive=True)
+    _check_real("rate", rate, positive=True)
     x = np.sort(np.asarray(times, dtype=float))
     n = x.size
     if n < 1 or not np.all(np.isfinite(x) & (x >= 0)):

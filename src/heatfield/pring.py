@@ -14,6 +14,8 @@ Components may also be float arrays of one shape: the value is then a
 batch of elements (a sampled ring-valued field), every operation acts
 elementwise by the scalar steps, so bit for bit as one element at a
 time, and equality, hashing and ``repr`` are for scalars only.
+
+Every module's argument checks: ``_check_count``, ``_check_seed``, ``_check_real``, ``_check_probability``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,31 @@ def _check_finite(value, name: str):
     if not (np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)):
         raise ValueError(f"{name} component must be finite, got {value!r}")
     return value
+
+
+def _check_count(name, n, least=1):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
+def _check_seed(seed):
+    # A seed is an integer (Python or numpy, not bool): int() would run seed 1 for 1.7 or True.
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
+
+
+def _check_real(name, x, positive=False):
+    # math.isfinite raises OverflowError for an int too large for a float.
+    if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {x}")
+
+
+def _check_probability(name, p):
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    return p
 
 
 # Values _per_element holds as Python floats at once (about 32 bytes each).
@@ -227,11 +254,11 @@ def self_check(cases: int = 10_000, seed: int = 0) -> dict:
     diagonal's ulp, so e.g. the unitarity defect of exp(-I*E*t)
     unavoidably grows like eps * cosh(E*t)**2 in absolute terms while
     staying at a few eps on this scale.  All entries should sit far
-    below 1e-12.  Raises ValueError unless cases is an integer >= 1.
+    below 1e-12.  Raises ValueError unless cases is an integer >= 1 and
+    seed an integer (not bool), and numpy's ValueError for a negative seed.
     """
-    if isinstance(cases, bool) or not isinstance(cases, (int, np.integer)) or cases < 1:
-        raise ValueError(f"cases must be an integer >= 1, got {cases!r}")
-    rng = np.random.default_rng(seed)
+    _check_count("cases", cases)
+    rng = np.random.default_rng(_check_seed(seed))
     errs = {}
     for done in range(0, cases, _BATCH):
         a, b, c, d, energy, t, s, t_u = rng.uniform(_DRAW_LO, _DRAW_HI, (min(_BATCH, cases - done), 8)).T

@@ -186,6 +186,25 @@ class TestSampledFunction:
         with pytest.raises(ValueError, match="origin" if step == 0.1 else "step"):
             SampledFunction(origin, step, [1.0, 2.0])
 
+    @pytest.mark.parametrize("count", [10.9, True, 1])
+    def test_sample_needs_an_integer_count_of_two_or_more(self, count):
+        # 10.9 used to sample 10 nodes, and True and 1 failed later on the values.
+        with pytest.raises(ValueError, match=f"^count must be an integer >= 2, got {count!r}$"):
+            SampledFunction.sample(pytest.fail, 0.0, 0.1, count)
+
+    def test_sample_takes_a_numpy_integer_count(self):
+        u = SampledFunction.sample(lambda x: 2.0 * x, 1.0, 0.5, np.int64(5))
+        np.testing.assert_array_equal(u.values, [2.0, 3.0, 4.0, 5.0, 6.0])
+
+    @pytest.mark.parametrize("origin, step", [(math.nan, 0.1), (0.0, math.nan), (math.inf, 0.1), (0.0, -math.inf)])
+    def test_bad_grid_is_blamed_before_its_nan_values(self, origin, step):
+        # A NaN node makes a NaN value: the grid's message, not "sampled values must be finite".
+        match = "^grid origin must be finite" if step == 0.1 else "^grid step must be finite and > 0"
+        with pytest.raises(ValueError, match=match):
+            SampledFunction(origin, step, [math.nan, math.nan])
+        with pytest.raises(ValueError, match=match):
+            SampledFunction.sample(pytest.fail, origin, step, 3)
+
     def test_immutability_and_interp(self):
         u = SampledFunction(0.0, 1.0, [0.0, 2.0, 4.0])
         assert not u.values.flags.writeable

@@ -151,6 +151,19 @@ def test_self_check_accepts_a_numpy_integer_case_count():
     assert pring.self_check(np.int64(3)) == pring.self_check(3)
 
 
+@pytest.mark.parametrize("seed", [True, None, 1.7, np.float64(3.0), "5"])
+def test_self_check_needs_an_integer_seed(seed):
+    # True used to run seed 1, None fresh OS entropy, and the others raised numpy's TypeError.
+    with pytest.raises(ValueError, match="^seed must be an integer, got "):
+        pring.self_check(5, seed)
+
+
+def test_self_check_seed_is_python_or_numpy_and_non_negative():
+    assert pring.self_check(5, np.int64(7)) == pring.self_check(5, 7)
+    with pytest.raises(ValueError):  # numpy's own
+        pring.self_check(5, -1)
+
+
 def self_check_oracle(cases: int = 10_000, seed: int = 0) -> dict:
     """The one-case-at-a-time self_check that the batched one replaced."""
     rng = np.random.default_rng(seed)

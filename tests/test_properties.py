@@ -8,17 +8,21 @@ The population cap is 64 so that every run stays short.  Every ladder
 solver's grid takes the fewest whole steps that reach its span.  On any
 grid the two-point solver accepts, its operator matches the direct lag
 sums and the free propagator, and the marched field's residual stays
-within the clamp bound.
+within the clamp bound.  Every argument that a shared check in
+``pring`` guards is rejected, at every public entry point that takes
+it, with a ValueError whose message starts with the argument's name.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatfield import dyson, kernels, montecarlo
+from heatfield import dyson, kernels, montecarlo, pring
 from heatfield.montecarlo import (
     BranchingConfig,
     PopulationExplosionError,
@@ -226,3 +230,77 @@ def test_two_point_operator(alpha, gamma, nt, t_step, x_ratio, width_ratio, seed
     np.testing.assert_array_equal(op.base, free)
     field = dyson.two_point_picard(alpha, gamma, nt * t_step, t_step, half * x_step, x_step)
     assert 0.0 <= dyson.two_point_residual(field, alpha, gamma) <= 4e-8  # two_point_picard's clamp bound
+
+
+FERTILITY = dyson.FertilityDistribution.binary(0.25)
+FIELD = dyson.two_point_picard(0.25, 1.0, 0.2, 0.1, 3.0, 0.25)
+# Bad values of each kind of shared argument check; counts also get one below their least value.
+BAD = {
+    "positive": [math.nan, math.inf, -math.inf, 0.0],
+    "nonnegative": [math.nan, math.inf, -math.inf, -1.0],
+    "probability": [math.nan, math.inf, -math.inf, -0.5, 1.5],
+    "seed": [True, 1.7, np.float64(3.0), "5"],
+}
+# (entry point, valid arguments, [(argument, kind or least count, name its message starts with)]).
+ENTRY_POINTS = [
+    (dyson.FertilityDistribution.binary, dict(alpha=0.25), [("alpha", "probability", "alpha")]),
+    (dyson.extinction_probability, dict(alpha=0.25), [("alpha", "probability", "alpha")]),
+    (dyson.one_point_closed_form, dict(alpha=0.25, gamma=1.0, tau=1.0),
+     [("alpha", "probability", "alpha"), ("gamma", "positive", "clock rate gamma")]),
+    (dyson.one_point_ode, dict(fertility=FERTILITY, gamma=1.0, theta0=0.0, tau_max=1.0, step=0.1),
+     [("gamma", "positive", "clock rate gamma"), ("theta0", "probability", "theta0"),
+      ("tau_max", "positive", "grid span"), ("step", "positive", "grid step")]),
+    (dyson.one_point_picard, dict(alpha=0.25, gamma=1.0, tau_max=1.0, order=2, step=0.1),
+     [("alpha", "probability", "alpha"), ("gamma", "positive", "clock rate gamma"), ("order", 1, "order"),
+      ("tau_max", "positive", "grid span"), ("step", "positive", "grid step")]),
+    (dyson.mass_curve, dict(alpha=0.25, gamma=1.0, t_max=1.0, step=0.1),
+     [("alpha", "probability", "alpha"), ("gamma", "positive", "clock rate gamma"),
+      ("t_max", "positive", "grid span"), ("step", "positive", "grid step")]),
+    (dyson.two_point_picard, dict(alpha=0.25, gamma=1.0, t_max=0.2, t_step=0.1, x_half_width=3.0, x_step=0.25),
+     [("alpha", "probability", "alpha"), ("gamma", "positive", "clock rate gamma"),
+      ("t_max", "positive", "grid span"), ("t_step", "positive", "grid step"),
+      ("x_half_width", "positive", "grid span"), ("x_step", "positive", "grid step")]),
+    (dyson.two_point_residual, dict(field=FIELD, alpha=0.25, gamma=1.0),
+     [("alpha", "probability", "alpha"), ("gamma", "positive", "clock rate gamma")]),
+    (kernels.SampledFunction, dict(origin=0.0, step=0.1, values=[0.0, 1.0]), [("step", "positive", "grid step")]),
+    (kernels.SampledFunction.sample, dict(f=np.sin, origin=0.0, step=0.1, count=5),
+     [("step", "positive", "grid step"), ("count", 2, "count")]),
+    (kernels.retarded_propagator_heat, dict(x=(0.0, 0.0), y=(1.0, 0.0), gamma=1.0),
+     [("gamma", "nonnegative", "clock rate gamma")]),
+    (kernels.event_probability, dict(gamma=1.0, dtau=1.0), [("gamma", "nonnegative", "clock rate gamma")]),
+    (montecarlo.derive_stream, dict(seed=0, replica=0), [("seed", "seed", "seed"), ("replica", 0, "replica")]),
+    (sample_brownian_path, dict(x0=0.0, t=1.0, n_steps=4, seed=0, replica=0),
+     [("t", "positive", "t"), ("n_steps", 1, "n_steps"), ("seed", "seed", "seed"), ("replica", 0, "replica")]),
+    (feynman_kac_estimate, dict(u=U, v=np.cos, t=1.0, x=0.0, replicas=2, n_steps=4, seed=0),
+     [("replicas", 2, "replicas"), ("t", "positive", "t"), ("n_steps", 1, "n_steps"), ("seed", "seed", "seed")]),
+    (BranchingConfig, dict(gamma=1.0, fertility=FERTILITY, d=1, max_particles=CAP),
+     [("gamma", "positive", "clock rate gamma"), ("d", 1, "d"), ("max_particles", 1, "max_particles")]),
+    (simulate_branching, dict(config=config(0.25), horizon=1.0, seed=0, replica=0),
+     [("horizon", "nonnegative", "horizon"), ("seed", "seed", "seed"), ("replica", 0, "replica")]),
+    (montecarlo.sample_lifetimes, dict(gamma=1.0, horizon=1.0, replicas=2, seed=0),
+     [("gamma", "positive", "clock rate gamma"), ("replicas", 1, "replicas"),
+      ("horizon", "nonnegative", "horizon"), ("seed", "seed", "seed")]),
+    (sample_extinction_times, dict(config=config(0.25), horizon=1.0, replicas=2, seed=0),
+     [("horizon", "nonnegative", "horizon"), ("replicas", 1, "replicas"), ("seed", "seed", "seed")]),
+    (estimate_extinction, dict(config=config(0.25), horizon=1.0, replicas=2, seed=0),
+     [("horizon", "nonnegative", "horizon"), ("replicas", 1, "replicas"), ("seed", "seed", "seed")]),
+    (estimate_generating_function, dict(config=config(0.25), theta=0.5, t=1.0, replicas=2, seed=0),
+     [("theta", "probability", "theta"), ("t", "nonnegative", "t"), ("replicas", 2, "replicas"),
+      ("seed", "seed", "seed")]),
+    (estimate_mckean_product, dict(config=config(0.25), phi=PHI, t=1.0, replicas=2, seed=0),
+     [("t", "nonnegative", "t"), ("replicas", 2, "replicas"), ("seed", "seed", "seed")]),
+    (lifetime_ks, dict(times=[1.0], rate=1.0), [("rate", "positive", "rate")]),
+    (pring.self_check, dict(cases=10, seed=0), [("cases", 1, "cases"), ("seed", "seed", "seed")]),
+]
+REJECTED = [
+    pytest.param(fn, {**valid, arg: bad}, name, id=f"{fn.__qualname__}-{arg}={bad!r}")
+    for fn, valid, checked in ENTRY_POINTS
+    for arg, kind, name in checked
+    for bad in (BAD[kind] if isinstance(kind, str) else [True, 2.5, kind - 1])
+]
+
+
+@pytest.mark.parametrize("fn, kwargs, name", REJECTED)
+def test_shared_checks_reject_and_name_the_argument(fn, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must "):
+        fn(**kwargs)
