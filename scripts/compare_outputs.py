@@ -45,17 +45,13 @@ one time or several) at 257 to 600 replicas, a sha256 of the exact
 float64 bytes of the benchmark's ``mass_curve(0.1, 1, 40)``, and the exact
 float of ``two_point_residual`` at alpha 0.25 on a seeded random field
 on the benchmark's fine two-point grid (80 x 401), where the defect is
-O(1), so that a rounding move in the ladder map shows on its own, and a
-sha256 of 600 replicas' lifetimes at gamma 2 to horizon 1.5 (seed 17) and
-gamma 0.5 to horizon 8 (seed 2**40), some of them past the horizon: from
-``sample_lifetimes`` in a tree that has it, else from the first events of
-pure-death ``simulate_branching`` trees, so that the two routes are
-compared bit for bit, a sha256 of ``heat_kernel`` and
-``retarded_propagator_heat`` values at (m, d) arrays of target points in
-d = 1, 2 and 3 (r = 0 among them, gamma 0 and dt <= 0 too), falling back
-to one call per target in a tree whose kernels take one point only, and
-the exact floats of ``estimate_extinction`` on an ascending grid of 41
-horizons, or of one scalar call per horizon in a tree without grids.
+O(1), so that a rounding move in the ladder map shows on its own, a
+sha256 of 600 replicas' ``sample_lifetimes`` at gamma 2 to horizon 1.5
+(seed 17) and gamma 0.5 to horizon 8 (seed 2**40), some of them past the
+horizon, a sha256 of ``heat_kernel`` and ``retarded_propagator_heat``
+values at (m, d) arrays of target points in d = 1, 2 and 3 (r = 0 among
+them, gamma 0 and dt <= 0 too), and the exact floats of
+``estimate_extinction`` on an ascending grid of 41 horizons.
 
 Where a CSV's sha256 differs, each column's largest relative deviation
 |change - parent| / |parent| is printed under the run (0 where both
@@ -168,12 +164,9 @@ def library_value(kind: str, params: dict):
         config = montecarlo.BranchingConfig(1.0, dyson.FertilityDistribution.binary(params["alpha"]), max_particles=10_000)
         if kind == "extinction":
             result = montecarlo.estimate_extinction(config, params["horizon"], params["replicas"], params["seed"])
-        elif kind == "extinction_curve":  # a grid of horizons, or one scalar call per horizon in a tree without grids
-            taus, replicas, seed = np.linspace(0.0, params["horizon"], 41), params["replicas"], params["seed"]
-            try:
-                result = montecarlo.estimate_extinction(config, taus, replicas, seed)
-            except TypeError:
-                result = list(zip(*(montecarlo.estimate_extinction(config, tau, replicas, seed) for tau in taus.tolist())))
+        elif kind == "extinction_curve":
+            taus = np.linspace(0.0, params["horizon"], 41)
+            result = montecarlo.estimate_extinction(config, taus, params["replicas"], params["seed"])
         else:
             result = montecarlo.estimate_generating_function(
                 config, params["theta"], np.array(params["t"]), params["replicas"], params["seed"]
@@ -185,16 +178,10 @@ def library_value(kind: str, params: dict):
     if kind == "residual":
         values = np.random.default_rng(params["seed"]).uniform(0.0, 0.4, size=(80, 401))
         return dyson.two_point_residual(dyson.SpaceTimeField(0.025, 0.05, values), params["alpha"], 1.0).hex()
-    if kind == "lifetimes":  # sample_lifetimes, or the first events of pure-death trees in a tree without it
-        gamma, horizon, seed = params["gamma"], params["horizon"], params["seed"]
-        if hasattr(montecarlo, "sample_lifetimes"):
-            times = montecarlo.sample_lifetimes(gamma, horizon, 600, seed)
-        else:
-            config = montecarlo.BranchingConfig(gamma, dyson.FertilityDistribution((1.0,)))
-            logs = [montecarlo.simulate_branching(config, horizon, (), seed, replica=r) for r in range(600)]
-            times = np.array([log.events[0].time if log.events else math.inf for log in logs])
+    if kind == "lifetimes":
+        times = montecarlo.sample_lifetimes(params["gamma"], params["horizon"], 600, params["seed"])
         return hashlib.sha256(np.asarray(times, dtype="<f8").tobytes()).hexdigest()
-    if kind == "kernel_rows":  # array targets, or one call per target in a tree without them
+    if kind == "kernel_rows":
         d, rng = params["d"], np.random.default_rng(params["seed"])
         x, rows = rng.normal(size=d), rng.normal(scale=2.0, size=(300, d))
         rows[0] = x  # r = 0
@@ -202,15 +189,9 @@ def library_value(kind: str, params: dict):
             lambda y, tx=tx, ty=ty, gamma=gamma: kernels.retarded_propagator_heat((tx, x), (ty, y), gamma)
             for tx, ty, gamma in ((0.0, 0.37, 0.0), (0.5, 2.0, 1.3), (1.0, 1.0, 0.7), (2.0, 1.0, 0.7))
         ]
-        try:
-            kernels.heat_kernel(1.0, 0.0, np.zeros((1, 1)))
-            arrays = True
-        except kernels.DimensionMismatchError:
-            arrays = False
         digest = hashlib.sha256()
         for call in calls:
-            values = call(rows) if arrays else [call(y) for y in rows]
-            digest.update(np.asarray(values, dtype="<f8").tobytes())
+            digest.update(np.asarray(call(rows), dtype="<f8").tobytes())
         return digest.hexdigest()
     if kind == "mckean":
         xs = np.arange(-40.0, 40.0 + 1e-9, 0.1)

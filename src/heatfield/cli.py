@@ -258,8 +258,8 @@ def _run_clock(p):
     dtau = np.linspace(0.0, p["dtau.max"], p["dtau.count"])
     columns = {"dtau": dtau, "event_probability": [kernels.event_probability(gamma, d) for d in dtau]}
     # Single-particle lifetimes to a horizon long enough that the no-event probability
-    # exp(-50) is negligible; sample_lifetimes refuses gamma 0, which has no such horizon.
-    times = montecarlo.sample_lifetimes(gamma, 50.0 / gamma if gamma else math.inf, replicas, seed)
+    # exp(-50) is negligible.
+    times = montecarlo.sample_lifetimes(gamma, 50.0 / gamma, replicas, seed)
     times = times[np.isfinite(times)]
     stat, pvalue = montecarlo.lifetime_ks(times, gamma)
     estimates = {

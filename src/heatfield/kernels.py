@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pring
-from .pring import PseudoComplex, _check_count, _check_real
+from .pring import _LOG_FLOAT_MAX, PseudoComplex, _check_count, _check_real
 
 __all__ = [
     "NonPositiveTimeError",
@@ -288,8 +288,12 @@ def event_probability(gamma: float, dtau: float) -> float:
 def time_evolution(energy: float, t: float) -> PseudoComplex:
     """Split-complex evolution element U(t) = exp(-I*energy*t).
 
-    Satisfies U(t)*U(s) = U(t+s) and U(t) * conj(U(t)) = 1.
+    Satisfies U(t)*U(s) = U(t+s) and U(t) * conj(U(t)) = 1.  Raises
+    ValueError unless energy is finite and >= 0 and |energy*t| is at most
+    log(sys.float_info.max), about 709.78, past which exp(|energy*t|) overflows.
     """
-    if energy < 0:
-        raise ValueError(f"energy must be >= 0, got {energy}")
-    return pring.exp(PseudoComplex(0.0, -float(energy) * float(t)))
+    _check_real("energy", energy)
+    et = float(energy) * float(t)
+    if not abs(et) <= _LOG_FLOAT_MAX:
+        raise ValueError(f"energy*t must be finite with |energy*t| <= {_LOG_FLOAT_MAX:.6g}, got {et!r}")
+    return pring.exp(PseudoComplex(0.0, -et))

@@ -15,12 +15,12 @@ are reproducible and replicas are independent work units:
   collect results in replica order, and numpy's pairwise sum reduces
   them, so estimates do not depend on replica scheduling;
 * all take their streams from ``_replica_streams``, which derives the
-  PCG64 states of up to 2048 replicas in one vectorised pass (numpy's
-  SeedSequence hashing and PCG64's 128-bit seeding step, mirrored in
-  uint32 and uint64 arrays) equal to ``derive_stream`` bit for bit, and
-  sets them in turn on one reused generator.  Each run checks replica 0
-  against ``derive_stream`` and falls back to calling it per replica if
-  numpy's PCG64 seeding or state layout differs.
+  SeedSequence words of up to 2048 replicas in one vectorised pass
+  (numpy's SeedSequence hashing, mirrored in uint32 arrays) and hands
+  each replica's words to PCG64's own seeding, so every replica gets its
+  own generator, equal to ``derive_stream``'s bit for bit.  Each run
+  checks replica 0 against ``derive_stream`` and falls back to calling
+  it per replica if numpy's SeedSequence or PCG64 seeding differs.
 * a seed is an integer (Python or numpy, not bool), taken mod 2**64, and
   a replica index an integer >= 0; anything else raises ValueError
   rather than running some other stream.
@@ -48,9 +48,8 @@ scalar calls they replace.  The mass-only walker draws uniforms, then
 exponentials, in blocks of 64, 256, 1024, 4096, 16384, then 65536
 repeating.  It walks each replica's chain once and keeps only its end
 and its counts at the requested times, so one walk serves every time
-read from it.  Replicas walk in lockstep, block by block, each from its
-own saved generator state, so every replica draws the numbers of a
-walk on its own.
+read from it.  Replicas walk in lockstep, block by block, each on its
+own generator, so every replica draws the numbers of a walk on its own.
 
 The extinction sampler stops a walk early, once extinction is out of
 reach.  A population of n dies out with probability q**n, where q is the
@@ -71,14 +70,13 @@ import heapq
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dyson import FertilityDistribution
 from .kernels import SampledFunction
-from .pring import _check_count, _check_probability, _check_real, _check_seed
+from .pring import _LOG_FLOAT_MAX, _check_count, _check_probability, _check_real, _check_seed
 
 __all__ = [
     "PopulationExplosionError",
@@ -100,7 +98,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -130,16 +127,12 @@ def derive_stream(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(mixed))
 
 
-# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905) as uint64 halves, the low half split again in 32-bit
-# halves: np.uint64 constants, so that no np.uint64 scalar meets a Python int (numpy 1.x promotes that to float64).
-_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_MULT_LO_HI, _MULT_LO_LO = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
 _MASK32 = (1 << 32) - 1
 # numpy SeedSequence's hash constants: the j-th hashmix call xors with
 # the j-th power-step of INIT and multiplies by the next (A: entropy mixing, B: output).
 _HASH_A = np.array([0x43B0D7E5 * 0x931E8875**j & _MASK32 for j in range(17)], dtype=np.uint32)[:, None]
 _HASH_B = np.array([0x8B51F9DD * 0x58F38DED**j & _MASK32 for j in range(9)], dtype=np.uint32)[:, None]
-_STREAM_CHUNK = 2048  # replicas whose states one array pass derives (bounds the memory it holds)
+_STREAM_CHUNK = 2048  # replicas whose seed words one array pass derives (bounds the memory it holds)
 _WALK_CELLS = 1 << 12  # cells of one lockstep pass of paths or jump chains, at most (one row for longer rows)
 
 
@@ -148,16 +141,14 @@ def _hashmix(values, j, consts):
     return values ^ (values >> 16)
 
 
-def _pcg64_states(seed, first, stop):
-    """PCG64 state dicts of derive_stream(seed, r), yielded for first <= r < stop, from one array pass.
+def _seed_words(seed, first, stop):
+    """The 4 uint64 seed words of derive_stream(seed, r), one row per first <= r < stop, from one array pass.
 
-    Mirrors numpy's SeedSequence with pool size 4 in uint32 arrays (the
-    one or two entropy words of the mixed seed hash alike, missing words
-    hashing as 0), its generate_state of 4 uint64 words, and PCG64's
-    set_seed: inc = 2 * seq + 1, state = ((inc + s) * MULT + inc) mod 2**128,
-    on (high, low) uint64 array pairs.  Python ints are built only for the
-    state dicts.  _replica_streams' replica-0 check against derive_stream
-    guards all of it.
+    Row r is SeedSequence(mixed).generate_state(4, np.uint64) for the
+    mixed seed of replica r: numpy's SeedSequence with pool size 4,
+    mirrored in uint32 arrays (the one or two entropy words of the mixed
+    seed hash alike, missing words hashing as 0).  _replica_streams'
+    replica-0 check against derive_stream guards it.
     """
     r = np.arange(first + 1, stop + 1, dtype=np.uint64)
     mixed = splitmix64(np.uint64(seed & _MASK64) + r * np.uint64(_GOLDEN))
@@ -170,42 +161,40 @@ def _pcg64_states(seed, first, stop):
         mix = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashed
         pool[dst] = mix ^ (mix >> 16)
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], 0, _HASH_B).astype(np.uint64)
-    s_hi, s_lo, seq_hi, seq_lo = words[0::2] | words[1::2] << 32
-    # 128-bit values as (high, low) pairs, wrapping mod 2**64; a sum's carry is low < addend.
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    lo = inc_lo + s_lo
-    hi = inc_hi + s_hi + (lo < inc_lo)
-    # (hi, lo) * MULT mod 2**128: the high word of lo * MULT_LO from 32-bit halves, plus the cross terms.
-    lo_lo, lo_hi = lo & _MASK32, lo >> 32
-    cross_lo, cross_hi = lo_hi * _MULT_LO_LO, lo_lo * _MULT_LO_HI
-    mid = (lo_lo * _MULT_LO_LO >> 32) + (cross_lo & _MASK32) + (cross_hi & _MASK32)  # below 2**34
-    carry = lo_hi * _MULT_LO_HI + (cross_lo >> 32) + (cross_hi >> 32) + (mid >> 32)
-    hi = carry + lo * _MULT_HI + hi * _MULT_LO
-    lo = lo * _MULT_LO + inc_lo
-    hi += inc_hi + (lo < inc_lo)
-    for a, b, c, d in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
-        state = {"state": a << 64 | b, "inc": c << 64 | d}
-        yield {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+
+
+@functools.cache
+def _seed_words_type():
+    # The seed sequence whose state is given words: PCG64(_seed_words_type()(row)) runs numpy's seeding on a row.
+    # Built on first use: numpy 2 loads numpy.random lazily, and a CLI run that draws nothing skips its import.
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 def _replica_streams(seed, replicas):
-    """The streams derive_stream(seed, r), r = 0 .. replicas-1, each valid until the next is drawn.
+    """Independent generators equal to derive_stream(seed, r), r = 0 .. replicas-1, in order.
 
-    One generator, set to each array-derived state in turn, unless replica
-    0's state differs from derive_stream's: then derive_stream per replica.
+    PCG64 seeded from the array-derived words, unless replica 0's state
+    differs from derive_stream's: then derive_stream per replica.
     """
-    states = itertools.chain.from_iterable(
-        _pcg64_states(seed, first, min(first + _STREAM_CHUNK, replicas))
-        for first in range(0, replicas, _STREAM_CHUNK)
+    rows = itertools.chain.from_iterable(
+        _seed_words(seed, first, min(first + _STREAM_CHUNK, replicas)) for first in range(0, replicas, _STREAM_CHUNK)
     )
-    rng = derive_stream(seed, 0)
-    if rng.bit_generator.state != next(states):
+    seed_words = _seed_words_type()
+    streams = (np.random.Generator(np.random.PCG64(seed_words(row))) for row in rows)
+    rng = next(streams)
+    if rng.bit_generator.state != derive_stream(seed, 0).bit_generator.state:
         yield from (derive_stream(seed, r) for r in range(replicas))
         return
     yield rng
-    for state in states:
-        rng.bit_generator.state = state
-        yield rng
+    yield from streams
 
 
 def _mean_stderr(values):
@@ -504,12 +493,12 @@ def _mass_walks(gamma, cdf, horizon, cap, replicas, seed, grid=(), halt=False):
     ends the run: replicas after the first such one are not walked.
 
     Each chunk of _STREAM_CHUNK (2048) replicas, the replicas of one
-    stream pass, walks in lockstep: for block b, every replica still
-    walking sets its generator state, draws block b and saves the state;
-    the counts, times and stops of a pass are array operations on
-    (rows, block) arrays of at most _WALK_CELLS cells.  Each replica's
-    numbers and floating-point operations are those of a walk on its own,
-    so no drawn number depends on the others or on the chunk size.
+    stream pass, walks in lockstep on its own generators: for block b,
+    every replica still walking draws block b; the counts, times and
+    stops of a pass are array operations on (rows, block) arrays of at
+    most _WALK_CELLS cells.  Each replica's numbers and floating-point
+    operations are those of a walk on its own, so no drawn number depends
+    on the others or on the chunk size.
     """
     grid = np.asarray(grid, dtype=float)
     ends, finals, t = np.full(replicas, math.inf), np.ones(replicas, dtype=np.int64), np.zeros(replicas)
@@ -517,8 +506,9 @@ def _mass_walks(gamma, cdf, horizon, cap, replicas, seed, grid=(), halt=False):
     streams = _replica_streams(seed, replicas)
     limit = replicas  # with halt: one past the first replica found past the cap
     for first in range(0, replicas, _STREAM_CHUNK):
-        walking, states = np.arange(first, min(first + _STREAM_CHUNK, limit)), {}
-        for b, block in enumerate(itertools.chain(_BLOCK_SCHEDULE, itertools.repeat(_BLOCK_SCHEDULE[-1]))):
+        walking = np.arange(first, min(first + _STREAM_CHUNK, limit))
+        rngs = list(itertools.islice(streams, walking.size))  # rngs[i] is replica first + i's stream
+        for block in itertools.chain(_BLOCK_SCHEDULE, itertools.repeat(_BLOCK_SCHEDULE[-1])):
             if not walking.size:
                 break
             per_pass = max(1, _WALK_CELLS // block)
@@ -527,13 +517,8 @@ def _mass_walks(gamma, cdf, horizon, cap, replicas, seed, grid=(), halt=False):
                 rows = rows[rows < limit]  # limit may have fallen in this block
                 uniforms, spacings = np.empty((rows.size, block)), np.empty((rows.size, block))
                 for i, r in enumerate(rows.tolist()):
-                    if b == 0:
-                        rng = next(streams)
-                    else:
-                        rng.bit_generator.state = states[r]
-                    rng.random(out=uniforms[i])
-                    rng.standard_exponential(out=spacings[i])
-                    states[r] = rng.bit_generator.state
+                    rngs[r - first].random(out=uniforms[i])
+                    rngs[r - first].standard_exponential(out=spacings[i])
                 ks = np.searchsorted(cdf, uniforms, side="right")  # < len(cdf): cdf[-1] is 1
                 # counts[:, i] is the live count before event i of the block; the last column, after its last event.
                 counts = np.cumsum(np.concatenate((finals[rows, None], ks - 1), axis=1), axis=1)
@@ -696,7 +681,7 @@ def estimate_mckean_product(
     replicas = _check_count("replicas", replicas, least=2)
     seed = _check_seed(seed)
     cdf = config.offspring_cdf.tolist()
-    # One tree per replica stream, in replica order (each stream is valid until the next is drawn).
+    # One tree per replica stream, in replica order.
     streams = _replica_streams(seed, replicas)
     survivors = [_branching_tree(config, cdf, t, rng, record=False)[2][:, 0] for rng in streams]
     # One phi call on every survivor; numpy's multiply reduction runs left to right, so each replica's

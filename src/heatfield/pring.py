@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,7 @@ def _check_probability(name, p):
 
 # Values _per_element holds as Python floats at once (about 32 bytes each).
 _PER_ELEMENT_CHUNK = 4096
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
 
 
 def _per_element(fn, x):
@@ -206,6 +208,8 @@ def exp(p: PseudoComplex) -> PseudoComplex:
 
     Computed branchwise as zd_compose(exp(a+b), exp(a-b)), one libm
     ``math.exp`` per element, so that gamma_plus(exp(p)) == exp(gamma_plus(p)).
+    Raises OverflowError ("math range error") when a + |b| passes
+    log(sys.float_info.max), about 709.78, on any element.
     """
     return zd_compose(_per_element(math.exp, gamma_plus(p)), _per_element(math.exp, gamma_minus(p)))
 

@@ -544,15 +544,16 @@ class TestMain:
         assert estimates["lifetime_mean_stderr"] == float(np.std(times, ddof=1) / math.sqrt(times.size))
         assert estimates["ks_statistic"] == montecarlo.lifetime_ks(times, 2.0)[0]
 
-    def test_clock_runner_check_order(self):
+    def test_clock_runner_check_order(self, tmp_path):
         # replicas before the horizon 50 / gamma, which overflows for a subnormal gamma.
         params = {"gamma": 1e-310, "dtau.max": 1.0, "dtau.count": 2, "replicas": 0, "seed": 0}
         with pytest.raises(ValueError, match="^replicas must"):
             cli._run_clock(params)
         with pytest.raises(ValueError, match="^horizon must"):
             cli._run_clock(dict(params, replicas=2))
-        with pytest.raises(ValueError, match="gamma"):
-            cli._run_clock(dict(params, gamma=0.0))
+        # gamma 0, which has no such horizon, stops at the schema before the runner.
+        with pytest.raises(ValidationError, match="^gamma: must satisfy gamma > 0"):
+            parse_config(write(tmp_path / "run.cfg", "gamma = 0.0\ndtau.max = 1.0\n"), "clock")
 
     VALID = {
         "kernel": "t.min = 0.5\nt.max = 1.0\nt.count = 2\nr.max = 1.0\nr.count = 2\n",

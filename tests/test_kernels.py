@@ -507,6 +507,16 @@ class TestTimeEvolution:
         with pytest.raises(ValueError):
             time_evolution(-1.0, 1.0)
 
+    def test_overflow_names_energy_times_t(self):
+        # exp(|energy*t|) overflows past log(float max): a ValueError naming energy*t, not libm's OverflowError.
+        edge = math.log(sys.float_info.max)
+        assert math.isfinite(pring.magnitude(time_evolution(1.0, -edge)))
+        for energy, t in ((1.0, -1000.0), (1.0, 1000.0), (1e308, 10.0), (1.0, math.nan), (0.0, math.inf)):
+            with pytest.raises(ValueError, match=r"^energy\*t must be finite"):
+                time_evolution(energy, t)
+        with pytest.raises(ValueError, match="^energy must be finite"):
+            time_evolution(math.nan, 1.0)
+
 
 def test_grid_densities_take_libm_exp_per_cell():
     # Whole rows of the clocked density (the two-point operator's build)

@@ -2,7 +2,10 @@ import bisect
 import hashlib
 import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +152,12 @@ def unsplitmix64(z):
     return (unxorshift(z, 30) - GOLDEN) & MASK64
 
 
+def seed_word_states(seed, first, stop):
+    """PCG64 states seeded by numpy from the array-derived words of replicas first .. stop-1."""
+    seed_words = montecarlo._seed_words_type()
+    return [np.random.PCG64(seed_words(row)).state for row in montecarlo._seed_words(seed, first, stop)]
+
+
 class TestFastStreams:
     """The replica loops' array-derived streams equal PCG64(splitmix64(...)) bit for bit."""
 
@@ -168,7 +177,7 @@ class TestFastStreams:
         for r in (0, 3, 1500):
             seed = (unsplitmix64(mixed) - (r + 1) * GOLDEN) & MASK64
             assert splitmix64((seed + (r + 1) * GOLDEN) & MASK64) == mixed
-            states = list(montecarlo._pcg64_states(seed, r, r + 2))
+            states = seed_word_states(seed, r, r + 2)
             assert states[0] == np.random.PCG64(mixed).state
             assert states[1] == derive_stream(seed, r + 1).bit_generator.state
 
@@ -181,7 +190,7 @@ class TestFastStreams:
         spans = ((9, 10), (0, 255), (1, 257), (300, 557), (0, 600), (0, size - 1), (5, size + 5), (1, size + 2),
                  (0, 2 * size + 3))
         for first, stop in spans:
-            states = list(montecarlo._pcg64_states(seed, first, stop))
+            states = seed_word_states(seed, first, stop)
             assert len(states) == stop - first
             for r, state in enumerate(states, first):
                 assert state == derive_stream(seed, r).bit_generator.state
@@ -194,9 +203,27 @@ class TestFastStreams:
                 carries.add(("* MULT + inc", product_low + (inc & MASK64) > MASK64))
         assert carries == {(step, carry) for step in ("inc + s", "* MULT + inc") for carry in (False, True)}
 
-    def test_one_generator_is_reused(self):
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy 2 loads numpy.random on first use (numpy 1.x with numpy itself); heatfield defers it to a draw.
+        script = (
+            "import sys, numpy\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "import heatfield.cli\n"
+            "print(before or 'numpy.random' not in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(montecarlo.__file__)),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
+    def test_each_replica_gets_its_own_generator(self):
+        # No stream is invalidated by the next: drawing them in reverse order gives derive_stream's numbers.
         streams = list(montecarlo._replica_streams(5, 3))
-        assert streams[0] is streams[1] is streams[2]
+        assert len({id(rng) for rng in streams}) == 3
+        for r in reversed(range(3)):
+            assert streams[r].random(4).tolist() == derive_stream(5, r).random(4).tolist()
 
 
 class TestBrownianPath:
@@ -882,8 +909,8 @@ class TestReplicaContractWithoutFastStreams:
 
     @pytest.fixture(autouse=True)
     def broken_fast_path(self, monkeypatch):
-        pcg64_states = montecarlo._pcg64_states
-        monkeypatch.setattr(montecarlo, "_pcg64_states", lambda seed, *span: pcg64_states(seed + 1, *span))
+        seed_words = montecarlo._seed_words
+        monkeypatch.setattr(montecarlo, "_seed_words", lambda seed, *span: seed_words(seed + 1, *span))
 
     def test_fallback_is_taken(self):
         streams = list(montecarlo._replica_streams(5, 3))

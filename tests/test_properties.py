@@ -168,11 +168,10 @@ def test_lifetime_ks(times, rate):
 @PROPERTY
 @given(st.integers(-(2**70), 2**70), st.integers(0, 2**32))
 def test_array_derived_stream_equals_derive_stream(seed, replica):
-    (state,) = montecarlo._pcg64_states(seed, replica, replica + 1)
-    assert state == montecarlo.derive_stream(seed, replica).bit_generator.state
-    other = montecarlo.derive_stream(seed + 1, replica)
-    other.bit_generator.state = state
-    assert other.random(3).tolist() == montecarlo.derive_stream(seed, replica).random(3).tolist()
+    (words,) = montecarlo._seed_words(seed, replica, replica + 1)
+    rng = np.random.Generator(np.random.PCG64(montecarlo._seed_words_type()(words)))
+    assert rng.bit_generator.state == montecarlo.derive_stream(seed, replica).bit_generator.state
+    assert rng.random(3).tolist() == montecarlo.derive_stream(seed, replica).random(3).tolist()
 
 
 GRID_STEPS = st.floats(0.01, 1.0)
@@ -268,6 +267,7 @@ ENTRY_POINTS = [
     (kernels.retarded_propagator_heat, dict(x=(0.0, 0.0), y=(1.0, 0.0), gamma=1.0),
      [("gamma", "nonnegative", "clock rate gamma")]),
     (kernels.event_probability, dict(gamma=1.0, dtau=1.0), [("gamma", "nonnegative", "clock rate gamma")]),
+    (kernels.time_evolution, dict(energy=1.0, t=1.0), [("energy", "nonnegative", "energy")]),
     (montecarlo.derive_stream, dict(seed=0, replica=0), [("seed", "seed", "seed"), ("replica", 0, "replica")]),
     (sample_brownian_path, dict(x0=0.0, t=1.0, n_steps=4, seed=0, replica=0),
      [("t", "positive", "t"), ("n_steps", 1, "n_steps"), ("seed", "seed", "seed"), ("replica", 0, "replica")]),
