@@ -45,7 +45,9 @@ one time or several) at 257 to 600 replicas, a sha256 of the exact
 float64 bytes of the benchmark's ``mass_curve(0.1, 1, 40)``, and the exact
 float of ``two_point_residual`` at alpha 0.25 on a seeded random field
 on the benchmark's fine two-point grid (80 x 401), where the defect is
-O(1), so that a rounding move in the ladder map shows on its own, a
+O(1), so that a rounding move in the ladder map shows on its own (once
+alone and once after a solve at alpha 0.25 on that grid, whose kept
+operator the hand-made field's residual then reuses), a
 sha256 of 600 replicas' ``sample_lifetimes`` at gamma 2 to horizon 1.5
 (seed 17) and gamma 0.5 to horizon 8 (seed 2**40), some of them past the
 horizon, a sha256 of ``heat_kernel`` and ``retarded_propagator_heat``
@@ -145,7 +147,7 @@ LIBRARY_RUNS = (
        for alpha, theta, t, replicas, seed in ((0.25, 0.5, 1.0, 600, 6), (0.25, 0.0, [0.5, 1.0, 2.0], 257, 7),
                                                (0.4, 0.9, [0.25, 3.0], 300, 8))]
     + [("mass_curve", {"alpha": 0.1, "gamma": 1.0, "t_max": 40.0})]
-    + [("residual", {"alpha": 0.25, "seed": 19})]
+    + [("residual", {"alpha": 0.25, "seed": 19}), ("residual", {"alpha": 0.25, "seed": 23, "solved": True})]
     + [("lifetimes", {"gamma": gamma, "horizon": horizon, "seed": seed})
        for gamma, horizon, seed in ((2.0, 1.5, 17), (0.5, 8.0, 2**40))]
     + [("kernel_rows", {"d": d, "seed": 40 + d}) for d in (1, 2, 3)]
@@ -176,6 +178,8 @@ def library_value(kind: str, params: dict):
         values = dyson.mass_curve(params["alpha"], params["gamma"], params["t_max"]).values
         return [values.size, hashlib.sha256(values.astype("<f8").tobytes()).hexdigest(), values.tolist()]
     if kind == "residual":
+        if params.get("solved"):
+            dyson.two_point_picard(params["alpha"], 1.0, 2.0, 0.025, 10.0, 0.05)
         values = np.random.default_rng(params["seed"]).uniform(0.0, 0.4, size=(80, 401))
         return dyson.two_point_residual(dyson.SpaceTimeField(0.025, 0.05, values), params["alpha"], 1.0).hex()
     if kind == "lifetimes":

@@ -51,7 +51,7 @@ tau, and at tau = 0, 2*s/expm1(0) = inf gives A = 0 exactly.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,6 +112,7 @@ class FertilityDistribution:
 def _validate_alpha_gamma(alpha, gamma):
     _check_probability("alpha", alpha)
     _check_real("clock rate gamma", gamma, positive=True)
+    return float(alpha), float(gamma)
 
 
 def one_point_closed_form(alpha: float, gamma: float, tau):
@@ -357,8 +358,6 @@ class SpaceTimeField:
     t_step: float
     x_step: float
     values: np.ndarray
-    # The ladder map two_point_picard solved for this field, which two_point_residual reuses.
-    _operator: _TwoPointOperator | None = dataclasses.field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -394,32 +393,27 @@ class _TwoPointOperator:
     """Trapezoid ladder map, on nt rows and 2*half + 1 nodes, whose fixed point is the dressed two-point field."""
 
     def __init__(self, alpha, gamma, nt, t_step, half, x_step):
-        _validate_alpha_gamma(alpha, gamma)
-        self.args = (alpha, gamma, nt, t_step, half, x_step)
-        self.nt = nt
-        self.k = float(t_step)
-        self.h = float(x_step)
-        if not self.h <= math.sqrt(self.k):
-            raise ValueError(f"x_step {self.h:g} must be <= sqrt(t_step) = {math.sqrt(self.k):g}")
-        self.xs = self.h * np.arange(-half, half + 1)
-        t_top = self.nt * self.k
-        if half * self.h < 6.0 * math.sqrt(t_top):
+        self.nt, self.k, self.h = nt, t_step, x_step
+        if not x_step <= math.sqrt(t_step):
+            raise ValueError(f"x_step {x_step:g} must be <= sqrt(t_step) = {math.sqrt(t_step):g}")
+        self.xs = x_step * np.arange(-half, half + 1)
+        t_top = nt * t_step
+        if half * x_step < 6.0 * math.sqrt(t_top):
             raise GridTooNarrowError(
-                f"spatial half-width {half * self.h:g} must be >= 6*sqrt({t_top:g}) = "
+                f"spatial half-width {half * x_step:g} must be >= 6*sqrt({t_top:g}) = "
                 f"{6.0 * math.sqrt(t_top):g}, {t_top:g} being the grid's last time"
             )
-        self.gamma = float(gamma)
-        self.coeff = self.gamma * (1.0 - float(alpha)) * self.k
-        times = self.k * np.arange(1, self.nt + 1)
+        self.coeff = gamma * (1.0 - alpha) * t_step
+        times = t_step * np.arange(1, nt + 1)
         # Clock-dressed free propagator from the origin, one row per time through
         # the scalar expression, so that it equals retarded_propagator_heat bit for bit;
         # each row is computed for x >= 0 and mirrored, since xs[-i] = -xs[i] exactly.
-        rows = (_clocked_density(t, self.xs[half:] ** 2, self.gamma, 1) for t in times.tolist())
+        rows = (_clocked_density(t, self.xs[half:] ** 2, gamma, 1) for t in times.tolist())
         self.base = np.array([np.concatenate((row[:0:-1], row)) for row in rows])
         self.a = one_point_closed_form(alpha, gamma, times)  # a[m-1] = A(m*k)
-        self.div = _march_divisors(alpha, gamma, self.k, self.a)
-        xi = 2.0 * math.pi * np.fft.rfftfreq(self.xs.size, self.h)
-        self.rate = self.gamma + 0.5 * xi**2
+        self.div = _march_divisors(alpha, gamma, t_step, self.a)
+        xi = 2.0 * math.pi * np.fft.rfftfreq(self.xs.size, x_step)
+        self.rate = gamma + 0.5 * xi**2
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         """The ladder map T(field), by the causal FFT convolution that ``two_point_residual`` describes."""
@@ -441,6 +435,10 @@ class _TwoPointOperator:
         field += self.base
         field /= self.div[:, None]
         return np.maximum(field, 0.0, out=field)
+
+
+# The last operator built, keyed by its checked float arguments; march and apply only make new arrays, so it is shared.
+_two_point_operator = functools.lru_cache(maxsize=1)(_TwoPointOperator)
 
 
 def two_point_picard(
@@ -470,10 +468,8 @@ def two_point_picard(
     reaches 1 raises ValueError.
     """
     nt, half = _grid_count(t_max, t_step), _grid_count(x_half_width, x_step)
-    op = _TwoPointOperator(alpha, gamma, nt, t_step, half, x_step)
-    solved = SpaceTimeField(op.k, op.h, op.march())
-    object.__setattr__(solved, "_operator", op)
-    return solved
+    op = _two_point_operator(*_validate_alpha_gamma(alpha, gamma), nt, float(t_step), half, float(x_step))
+    return SpaceTimeField(op.k, op.h, op.march())
 
 
 def two_point_residual(field: SpaceTimeField, alpha: float, gamma: float) -> float:
@@ -484,13 +480,11 @@ def two_point_residual(field: SpaceTimeField, alpha: float, gamma: float) -> flo
     exp(-(gamma + xi**2/2)*l*t_step), evaluated directly, done by FFT over 2*nt rows
     (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), so it costs
     O(nt*log(nt)*nx) and shares no recursion with the march.  Raises the ValueError and
-    GridTooNarrowError of ``two_point_picard`` for the same alpha, gamma and grid.  A field
-    that ``two_point_picard`` returned carries its operator, which is reused when alpha,
-    gamma and the grid are the ones it was solved for.
+    GridTooNarrowError of ``two_point_picard`` for the same alpha, gamma and grid.  The
+    operator last built, by a solve or a residual, is reused when alpha, gamma and the
+    grid are the same, whichever field is passed: a hand-made field on a grid just
+    solved reuses it too.
     """
     nt, nx = field.values.shape
-    args = (alpha, gamma, nt, field.t_step, nx // 2, field.x_step)
-    op = field._operator
-    if op is None or op.args != args:  # a hand-made field, or another alpha or gamma
-        op = _TwoPointOperator(*args)
+    op = _two_point_operator(*_validate_alpha_gamma(alpha, gamma), nt, field.t_step, nx // 2, field.x_step)
     return float(np.max(np.abs(op.apply(field.values) - field.values)))

@@ -66,9 +66,9 @@ def _validated_r2(x, y):
 
 
 def _clocked_density(t: float, r2, gamma: float, d: int):
-    # exp(-gamma*t) * p_t at squared distance(s) r2, checking t only; gamma 0 gives p_t itself
-    # (1.0 * p is p).  Grid builds that must match retarded_propagator_heat bit for bit call
-    # this same expression: np.exp differs from math.exp in the last bits.
+    # exp(-gamma*t) * p_t at squared distance(s) r2, checking t only; gamma 0 gives p_t itself, with no
+    # clock factor (exp(-0.0 * inf) is NaN).  Grid builds that must match retarded_propagator_heat bit
+    # for bit call this same expression: np.exp differs from math.exp in the last bits.
     if not t > 0:
         raise NonPositiveTimeError(f"duration must be > 0, got {t}")
     try:
@@ -76,7 +76,7 @@ def _clocked_density(t: float, r2, gamma: float, d: int):
     except OverflowError:
         raise ValueError(f"duration {t} is too short: (2*pi*t)**(-{d}/2) overflows") from None
     density = norm * pring._per_element(math.exp, -r2 / (2.0 * t))
-    return math.exp(-gamma * t) * density
+    return math.exp(-gamma * t) * density if gamma else density
 
 
 def heat_kernel(t: float, x, y):
@@ -89,7 +89,7 @@ def heat_kernel(t: float, x, y):
     DimensionMismatchError on unequal or unsupported dimensions or shapes,
     and ValueError on a coordinate that is not finite or on a t so short
     that (2*pi*t)**(-d/2) overflows (below about 5e-207 in d = 3 and
-    8.9e-310 in d = 2).
+    8.9e-310 in d = 2).  An infinite t gives 0.
     """
     r2, d = _validated_r2(x, y)
     return _clocked_density(t, r2, 0.0, d)
@@ -260,8 +260,9 @@ def retarded_propagator_heat(x, y, gamma: float):
     not-yet-propagated) and otherwise
     exp(-gamma*dt) * heat_kernel(dt, x_space, y_space), one value per row
     of an (m, d) y_space (m zeros when dt <= 0).  The space points are
-    checked as in ``heat_kernel`` whatever dt is.  Raises ValueError
-    unless gamma is finite and >= 0, and as heat_kernel does for dt > 0.
+    checked as in ``heat_kernel`` whatever dt is.  An infinite dt gives 0
+    for every gamma.  Raises ValueError unless gamma is finite and >= 0,
+    and as heat_kernel does for dt > 0.
     """
     _check_real("clock rate gamma", gamma)
     tx, sx = x

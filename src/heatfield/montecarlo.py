@@ -211,7 +211,7 @@ def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0
 
     Returns an array of shape (n_steps + 1, d) whose first row is x0;
     increments are i.i.d. Gaussian with variance t/n_steps per
-    coordinate.  Raises ValueError unless x0 is finite, t is finite
+    coordinate.  Raises ValueError unless x0 is a finite point, t is finite
     and > 0 and n_steps is an integer >= 1, and then, as derive_stream,
     unless seed is an integer and replica an integer >= 0.
     """
@@ -223,12 +223,19 @@ def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0
     return path
 
 
+def _point(x0, name):  # x0 as a 1-d float array; a scalar is a point in d = 1
+    point = np.atleast_1d(np.asarray(x0, dtype=float))
+    if point.ndim > 1:
+        raise ValueError(f"{name} must be a scalar or 1-d, got {point.ndim} dimensions")
+    return point
+
+
 def _path_start(x0, t, n_steps, name="x0", one=False):
     # x0 as a 1-d array, once t, n_steps and x0 are checked (in that order), x0 under ``name``:
     # with ``one``, that it is one position before that it is finite.
     _check_real("t", t, positive=True)
     _check_count("n_steps", n_steps)
-    start = np.atleast_1d(np.asarray(x0, dtype=float))
+    start = _point(x0, name)
     if one and start.size != 1:
         raise ValueError(f"{name} must be one position, got {start.size} values")
     if not all(map(math.isfinite, start)):
@@ -312,7 +319,7 @@ class BranchingConfig:
         _check_real("clock rate gamma", self.gamma, positive=True)
         if not 1 <= _check_count("d", self.d) <= 3:
             raise ValueError(f"spatial dimension d must be 1..3, got {self.d}")
-        start = tuple(float(c) for c in np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        start = tuple(_point(self.x0, "x0").tolist())
         if len(start) != self.d:
             raise ValueError(f"x0 has dimension {len(start)}, expected {self.d}")
         if not all(math.isfinite(c) for c in start):

@@ -185,11 +185,9 @@ def gamma_minus(p: PseudoComplex) -> float:
 
 
 def gamma_project(p: PseudoComplex, sign: int) -> float:
-    """Project onto one diagonal; ``sign`` is +1 or -1."""
-    if sign == 1:
-        return gamma_plus(p)
-    if sign == -1:
-        return gamma_minus(p)
+    """Project onto one diagonal; ``sign`` is the integer +1 or -1 (Python or numpy, not bool)."""
+    if isinstance(sign, (int, np.integer)) and not isinstance(sign, bool) and sign in (1, -1):
+        return gamma_plus(p) if sign == 1 else gamma_minus(p)
     raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 

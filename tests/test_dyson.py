@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import hashlib
 import math
+import pickle
 import re
 import warnings
 from itertools import accumulate
@@ -601,24 +602,35 @@ class TestGridRule:
         want = float(np.max(np.abs(op.apply(field.values) - field.values)))
         assert two_point_residual(field, 0.5, 1.0) == want
 
-    def test_residual_reuses_the_solved_operator(self, monkeypatch):
-        # A solved field carries its operator: the residual builds none for the same
-        # alpha and gamma and equals that of a hand-made copy of the field, bit for bit.
+    def test_residual_reuses_the_solved_operator(self):
+        # The operator is memoised by its arguments: a solve and its residual build one, the
+        # residual of a hand-made copy of the field builds none and equals it bit for bit.
+        build = dyson._two_point_operator
+        build.cache_clear()
         field = two_point_picard(0.25, 1.0, 2.0, 0.05, 10.0, 0.1)
         copy = dyson.SpaceTimeField(field.t_step, field.x_step, field.values)
-        assert repr(copy) == repr(field) and copy._operator is None
-        assert dataclasses.replace(field)._operator is None
-        builds = []
-        build = dyson._TwoPointOperator
-        monkeypatch.setattr(dyson, "_TwoPointOperator", lambda *args: builds.append(args) or build(*args))
-        assert two_point_residual(field, 0.25, 1.0) == two_point_residual(copy, 0.25, 1.0)
-        assert len(builds) == 1
-        # Another alpha or gamma gets its own operator, as a hand-made field does.
+        assert repr(copy) == repr(field)
+        residual = two_point_residual(field, 0.25, 1.0)
+        assert build.cache_info().misses == 1
+        assert two_point_residual(copy, 0.25, 1.0) == residual
+        assert build.cache_info().misses == 1
+        # Another alpha or gamma gets its own operator, once for both fields.
         for alpha, gamma in ((0.5, 1.0), (0.25, 1.5)):
             assert two_point_residual(field, alpha, gamma) == two_point_residual(copy, alpha, gamma)
-        assert len(builds) == 5
+        assert build.cache_info().misses == 3
+        # A numpy scalar or a 0-d array is the key of the equal float.
+        assert two_point_residual(copy, np.float64(0.25), np.array(1.5)) == two_point_residual(copy, 0.25, 1.5)
+        assert build.cache_info().misses == 3
         with pytest.raises(ValueError, match="alpha"):
             two_point_residual(field, math.nan, 1.0)
+
+    def test_field_is_a_plain_value(self):
+        # A solved field carries no operator: it has only its three fields, and pickles
+        # as a hand-made field with the same values does.
+        assert [f.name for f in dataclasses.fields(dyson.SpaceTimeField)] == ["t_step", "x_step", "values"]
+        field = two_point_picard(0.25, 1.0, 2.0, 0.025, 10.0, 0.05)
+        copy = dyson.SpaceTimeField(field.t_step, field.x_step, field.values.copy())
+        assert abs(len(pickle.dumps(field)) - len(pickle.dumps(copy))) <= 1024
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.75, 1.0])
     def test_apply_equals_direct_lags(self, alpha):

@@ -99,6 +99,15 @@ class TestHeatKernel:
         assert heat_kernel(1e-206, [0.0] * 3, [1.0] * 3) == 0.0  # the normalisation is finite
         assert heat_kernel(1e-310, 0.0, 0.0) == (2.0 * math.pi * 1e-310) ** -0.5
 
+    def test_infinite_duration_gives_zero(self):
+        # The density of an endless walk is 0; the gamma-0 clock factor exp(-0.0 * inf) was NaN.
+        for d in (1, 2, 3):
+            assert heat_kernel(math.inf, [0.0] * d, [1.0] * d) == 0.0
+            assert heat_kernel(math.inf, [0.0] * d, np.zeros((3, d))).tolist() == [0.0] * 3
+            for gamma in (0.0, 0.5):
+                assert retarded_propagator_heat((0.0, [0.0] * d), (math.inf, [1.0] * d), gamma) == 0.0
+        assert heat_kernel(math.inf, 0.0, 0.0) == 0.0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected(self, bad):
         with pytest.raises(ValueError, match="^point coordinates must be finite$"):

@@ -42,7 +42,7 @@ def horizon_walk_oracle(gamma, cdf, horizon, cap, rng):
     Returns (extinction_time, n_final, exploded): extinction_time is inf
     unless the walk hit 0 within the horizon, n_final is the population
     at the horizon (or at the cap crossing) and exploded flags a cap
-    crossing.  Same draws as montecarlo._total_mass_run: per block of
+    crossing.  Same draws as montecarlo._mass_walks: per block of
     64, 256, 1024, 4096, 16384, then 65536 repeating, uniforms for the
     offspring counts first, then exponential spacings.
     """
@@ -831,7 +831,8 @@ class TestMassWalks:
     """The lockstep walker equals one oracle walk per replica, bit for bit."""
 
     def test_replica_counts_across_chunks(self):
-        # 256 replicas form one chunk; a pass holds 64 rows of the first block.
+        # A pass holds 64 rows of the first block, so 255 to 600 replicas take several; all fit one
+        # 2048-replica stream chunk (test_small_chunks_walk_the_same crosses chunks).
         cdf = binary_config(0.25).offspring_cdf
         for cap in (40, 10_000):
             want = oracle_walks(cdf, 3.0, cap, 600, seed=19)
@@ -885,6 +886,22 @@ class TestMassWalks:
             with pytest.raises(PopulationExplosionError, match="^replica 3 exceeded max_particles=100 before t=20$"):
                 estimate_generating_function(config, 0.5, 20.0, replicas, seed=152)
 
+    @pytest.mark.parametrize("chunk", [3, 5])
+    def test_small_chunks_walk_the_same(self, monkeypatch, chunk):
+        # Stream chunks of 3 or 5 replicas: later chunks index their own generators, and a
+        # cap passed in one chunk (replica 3, the second chunk of 3) stops the chunks after it.
+        monkeypatch.setattr(montecarlo, "_STREAM_CHUNK", chunk)
+        cdf = binary_config(0.25).offspring_cdf
+        for cap in (40, 10_000):
+            want = oracle_walks(cdf, 3.0, cap, 20, seed=19)
+            for replicas in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 20):
+                ends, finals, _ = montecarlo._mass_walks(1.0, cdf, 3.0, cap, replicas, 19)
+                np.testing.assert_array_equal(ends, want[0][:replicas])
+                np.testing.assert_array_equal(finals, want[1][:replicas])
+        self.test_gf_explosion_names_the_first_replica()
+        _, finals, _ = montecarlo._mass_walks(1.0, binary_config(0.4).offspring_cdf, 20.0, 100, 20, 152, halt=True)
+        assert finals[3] > 100 and set(finals[(3 // chunk + 1) * chunk :].tolist()) == {1}  # 7 is not walked
+
 
 class TestReplicaContractWithoutFastStreams:
     """The replica-loop oracles above when the array-derived replica 0 state disagrees with derive_stream."""
@@ -906,6 +923,7 @@ class TestReplicaContractWithoutFastStreams:
     test_replica_counts_across_chunks = TestMassWalks.test_replica_counts_across_chunks
     test_gf_equals_per_replica_oracle = TestMassWalks.test_gf_equals_per_replica_oracle
     test_gf_explosion_names_the_first_replica = TestMassWalks.test_gf_explosion_names_the_first_replica
+    test_small_chunks_walk_the_same = TestMassWalks.test_small_chunks_walk_the_same
 
     @pytest.fixture(autouse=True)
     def broken_fast_path(self, monkeypatch):
@@ -1016,6 +1034,9 @@ class TestArgumentChecks:
         for x0 in ((math.nan,), (0.0, math.inf)):
             with pytest.raises(ValueError, match="^x0 must be finite$"):
                 BranchingConfig(1.0, BINARY_QUARTER, d=len(x0), x0=x0)
+        for d, x0 in ((2, [[0.0], [1.0]]), (1, [[0.0]]), (2, [[0.0, 1.0]])):
+            with pytest.raises(ValueError, match="^x0 must be a scalar or 1-d, got 2 dimensions$"):
+                BranchingConfig(1.0, BINARY_QUARTER, d=d, x0=x0)
 
     def test_horizons(self):
         with pytest.raises(ValueError, match="^horizon must"):
@@ -1057,6 +1078,11 @@ class TestArgumentChecks:
             feynman_kac_estimate(self.U, self.zero, 1.0, [math.nan, 0.2], 10, 4, seed=1)
         with pytest.raises(ValueError, match="^x0 must be finite$"):
             sample_brownian_path(math.nan, 1.0, 4, seed=1)
+        for x0 in ([[0.0, 1.0], [2.0, 3.0]], [[0.0]], np.zeros((1, 1, 1))):
+            with pytest.raises(ValueError, match=f"^x0 must be a scalar or 1-d, got {np.ndim(x0)} dimensions$"):
+                sample_brownian_path(x0, 1.0, 4, seed=1)
+        with pytest.raises(ValueError, match="^x must be a scalar or 1-d, got 2 dimensions$"):
+            feynman_kac_estimate(self.U, self.zero, 1.0, [[0.1]], 10, 4, seed=1)
 
     @pytest.mark.parametrize("replicas", [0, 1, -2, 1.5, True])
     def test_replica_counts(self, replicas):

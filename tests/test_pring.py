@@ -64,8 +64,17 @@ def test_gamma_projections():
     assert gamma_project(p, +1) == 5.0
     assert gamma_project(p, -1) == -1.0
     assert gamma_plus(SIGMA_MINUS) == 0.0
+    assert gamma_project(p, np.int8(1)) == 5.0
+    assert gamma_project(p, np.int64(-1)) == -1.0
     with pytest.raises(ValueError):
         gamma_project(p, 0)
+
+
+@pytest.mark.parametrize("sign", [True, False, np.True_, 1.0, -1.0, np.float64(1.0), 1 + 0j, "1", None, 2, -2])
+def test_gamma_project_takes_only_an_integer_sign(sign):
+    # A bool is not an integer sign: gamma_project(p, True) used to return gamma_plus(p).
+    with pytest.raises(ValueError, match="^sign must be \\+1 or -1, got "):
+        gamma_project(PseudoComplex(2.0, 3.0), sign)
 
 
 def test_zd_compose_round_trips():
