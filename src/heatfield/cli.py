@@ -310,7 +310,11 @@ def _run_gf(p):
     fertility = dyson.FertilityDistribution.binary(p["alpha"])
     config = montecarlo.BranchingConfig(p["gamma"], fertility, max_particles=p["max.particles"])
     ts = np.linspace(0.0, p["t.max"], p["t.count"])
-    analytic = dyson.one_point_ode(fertility, p["gamma"], theta, p["t.max"])(ts)
+    # The ODE on the fewest whole sub-steps of the output spacing with gamma*step <= 0.01, read on its
+    # nodes: every output time is a node, so no interpolation error enters the column.
+    spacing = p["t.max"] / (p["t.count"] - 1)
+    sub = math.ceil(spacing * p["gamma"] / 0.01)
+    analytic = dyson.one_point_ode(fertility, p["gamma"], theta, p["t.max"], spacing / sub).values[::sub]
     est, err = montecarlo.estimate_generating_function(config, theta, ts[1:], replicas, seed)
     est, err = np.append(theta, est), np.append(0.0, err)  # N_0 = 1 exactly: no replica mean at t = 0
     seen = err > 0  # theta = 1 (and t = 0) gives stderr 0, which measures no deviation
@@ -321,7 +325,9 @@ def _run_gf(p):
 def _run_twopoint(p):
     field = dyson.two_point_picard(p["alpha"], p["gamma"], p["t.max"], p["t.step"], p["x.halfwidth"], p["x.step"])
     residual = dyson.two_point_residual(field, p["alpha"], p["gamma"])
-    mass = dyson.mass_curve(p["alpha"], p["gamma"], field.times[-1])(field.times)
+    # The mass curve on the fewest whole sub-steps of t.step with gamma*step <= 1e-3, read on the field's times.
+    sub = math.ceil(field.t_step * p["gamma"] / 1e-3)
+    mass = dyson.mass_curve(p["alpha"], p["gamma"], field.times[-1], field.t_step / sub).values[sub::sub]
     slice_mass = field.spatial_mass()
     nx = field.xs.size
     columns = {

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import pring
 from .kernels import GridTooNarrowError, SampledFunction, _clocked_density
-from .pring import _check_count, _check_probability, _check_real
+from .pring import _check_count, _check_probability, _check_real, _check_scalar
 
 __all__ = [
     "FertilityDistribution",
@@ -98,7 +98,7 @@ class FertilityDistribution:
     @classmethod
     def binary(cls, alpha: float) -> "FertilityDistribution":
         """Law (alpha, 0, 1 - alpha): a dying particle leaves 0 or 2 children."""
-        alpha = _check_probability("alpha", float(alpha))
+        alpha = _check_probability("alpha", float(_check_scalar("alpha", alpha)))
         return cls((alpha, 0.0, 1.0 - alpha))
 
     def pgf(self, phi):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pring
-from .pring import _LOG_FLOAT_MAX, PseudoComplex, _check_count, _check_real
+from .pring import _LOG_FLOAT_MAX, PseudoComplex, _check_count, _check_real, _check_scalar
 
 __all__ = [
     "NonPositiveTimeError",
@@ -89,8 +89,10 @@ def heat_kernel(t: float, x, y):
     DimensionMismatchError on unequal or unsupported dimensions or shapes,
     and ValueError on a coordinate that is not finite or on a t so short
     that (2*pi*t)**(-d/2) overflows (below about 5e-207 in d = 3 and
-    8.9e-310 in d = 2).  An infinite t gives 0.
+    8.9e-310 in d = 2), or on a t that is not a single number (checked
+    first).  An infinite t gives 0.
     """
+    _check_scalar("t", t)
     r2, d = _validated_r2(x, y)
     return _clocked_density(t, r2, 0.0, d)
 

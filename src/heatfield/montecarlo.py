@@ -36,20 +36,24 @@ simulate_branching builds the Event/EventLog dataclasses from them.
 Within one replica the draw order is fixed and documented by the
 implementations: a Feynman-Kac path draws its n_steps standard normals,
 the numbers of standard_normal((n_steps, 1)), into its row of a
-lockstep pass; the tree simulator draws, per event in time order, the
-parent displacement (d scalar standard normals, the numbers of
-standard_normal(d)), then the offspring count, then the children's
-lifetimes in id order, and finally one endpoint displacement per
-survivor in id order.  A branching's k lifetimes are one
-standard_exponential(k) and the survivors' displacements one
-standard_normal((n, d)): numpy fills an array by calling the scalar
-routine once per element, in order, so these draw the numbers of the
-scalar calls they replace.  The mass-only walker draws uniforms, then
-exponentials, in blocks of 64, 256, 1024, 4096, 16384, then 65536
-repeating.  It walks each replica's chain once and keeps only its end
-and its counts at the requested times, so one walk serves every time
-read from it.  Replicas walk in lockstep, block by block, each on its
-own generator, so every replica draws the numbers of a walk on its own.
+lockstep pass.  The tree simulator reads each draw kind from its own
+reader of blocks of 64, 256, 1024, 4096, 16384, then 65536 repeating
+(_BLOCK_SCHEDULE), each block one array call (standard_exponential(n),
+standard_normal(n) or random(n)) drawn when the walk first reads past
+the last one: lifetimes, root first and then each branching's children
+in id order; displacements, d per event in time order; offspring
+uniforms, one per event.  The root's lifetime draws the first
+exponential block, the first event the first normal block and then the
+first uniform block.  numpy fills an array by calling the scalar routine
+once per element, in order, so the root's lifetime is the number of a
+first scalar standard_exponential() (sample_lifetimes').  After the
+walk the survivors, in id order, draw their endpoint displacements as
+one standard_normal((n, d)).  The mass-only walker draws uniforms, then
+exponentials, in blocks of the same schedule.  It walks each replica's
+chain once and keeps only its end and its counts at the requested times,
+so one walk serves every time read from it.  Replicas walk in lockstep,
+block by block, each on its own generator, so every replica draws the
+numbers of a walk on its own.
 
 The extinction sampler stops a walk early, once extinction is out of
 reach.  A population of n dies out with probability q**n, where q is the
@@ -211,9 +215,9 @@ def sample_brownian_path(x0, t: float, n_steps: int, seed: int, replica: int = 0
 
     Returns an array of shape (n_steps + 1, d) whose first row is x0;
     increments are i.i.d. Gaussian with variance t/n_steps per
-    coordinate.  Raises ValueError unless x0 is a finite point, t is finite
-    and > 0 and n_steps is an integer >= 1, and then, as derive_stream,
-    unless seed is an integer and replica an integer >= 0.
+    coordinate.  Raises ValueError unless x0 is a finite point of dimension
+    d >= 1, t is finite and > 0 and n_steps is an integer >= 1, and then,
+    as derive_stream, unless seed is an integer and replica an integer >= 0.
     """
     start = _path_start(x0, t, n_steps)
     steps = derive_stream(seed, replica).standard_normal((n_steps, start.size)) * math.sqrt(t / n_steps)
@@ -232,12 +236,14 @@ def _point(x0, name):  # x0 as a 1-d float array; a scalar is a point in d = 1
 
 def _path_start(x0, t, n_steps, name="x0", one=False):
     # x0 as a 1-d array, once t, n_steps and x0 are checked (in that order), x0 under ``name``:
-    # with ``one``, that it is one position before that it is finite.
+    # with ``one``, that it is one position (else that it is not empty) before that it is finite.
     _check_real("t", t, positive=True)
     _check_count("n_steps", n_steps)
     start = _point(x0, name)
     if one and start.size != 1:
         raise ValueError(f"{name} must be one position, got {start.size} values")
+    if not start.size:
+        raise ValueError(f"{name} has dimension 0")
     if not all(map(math.isfinite, start)):
         raise ValueError(f"{name} must be finite")
     return start
@@ -421,14 +427,32 @@ def simulate_branching(
     )
 
 
+# Fixed block schedule of the tree walk's draws and of the mass-only walker's; part of the
+# reproducibility contract (changing it changes the draw sequence).
+_BLOCK_SCHEDULE = (64, 256, 1024, 4096, 16384, 65536)
+
+
+def _block_sizes():
+    # _BLOCK_SCHEDULE, then its last size repeating.
+    return itertools.chain(_BLOCK_SCHEDULE, itertools.repeat(_BLOCK_SCHEDULE[-1]))
+
+
+def _block_draws(draw):
+    # The numbers of draw(64), draw(256), ... (_block_sizes) as one reader of Python floats;
+    # a block is drawn when its first number is read.
+    return itertools.chain.from_iterable(map(np.ndarray.tolist, map(draw, _block_sizes()))).__next__
+
+
 def _branching_tree(config, cdf, horizon, rng, record=True):
     # simulate_branching's walk once its arguments are checked; cdf is config.offspring_cdf as a list.
     # Returns events (time, parent, first_child_id, k, position tuple; none unless record), the survivor
-    # ids and their (len(ids), d) positions.  d scalar normals are the numbers (and stream use) of
-    # standard_normal(d).  Heap records are (death_time, id, birth_time, birth_pos); ids are unique, so
-    # no comparison reaches birth_time.
+    # ids and their (len(ids), d) positions.  Lifetimes, displacements and offspring uniforms are read
+    # from one block reader each (the root's lifetime draws the first exponential block, so it comes
+    # first); the survivors' endpoints are one standard_normal((n, d)) after the walk.  Heap records are
+    # (death_time, id, birth_time, birth_pos); ids are unique, so no comparison reaches birth_time.
     gamma, d, cap = config.gamma, config.d, config.max_particles
-    normal, exponential, uniform = rng.standard_normal, rng.standard_exponential, rng.random
+    exponential = _block_draws(rng.standard_exponential)
+    normal, uniform = _block_draws(rng.standard_normal), _block_draws(rng.random)
     heappop, heappush, bisect_right, sqrt = heapq.heappop, heapq.heappush, bisect.bisect_right, math.sqrt
     heap = [(exponential() / gamma, 0, 0.0, config.x0)]
     next_id = 1
@@ -444,8 +468,8 @@ def _branching_tree(config, cdf, horizon, rng, record=True):
         if record:
             events.append((death_time, pid, next_id, k, pos))
         if k:  # only a birth can pass the cap
-            for cid, lifetime in enumerate(exponential(k).tolist(), next_id):  # the numbers of k scalar calls
-                heappush(heap, (death_time + lifetime / gamma, cid, death_time, pos))
+            for cid in range(next_id, next_id + k):
+                heappush(heap, (death_time + exponential() / gamma, cid, death_time, pos))
             next_id += k
             live += k - 1
             if live > cap:
@@ -458,7 +482,8 @@ def _branching_tree(config, cdf, horizon, rng, record=True):
     heap.sort(key=operator.itemgetter(1))  # the survivors in id order
     _, ids, births, starts = zip(*heap) if heap else ((),) * 4
     scales = np.sqrt(horizon - np.array(births, dtype=float))[:, None]
-    return events, ids, normal((len(ids), d)) * scales + np.array(starts, dtype=float).reshape(len(ids), d)
+    ends = rng.standard_normal((len(ids), d)) * scales + np.array(starts, dtype=float).reshape(len(ids), d)
+    return events, ids, ends
 
 
 def sample_lifetimes(gamma: float, horizon: float, replicas: int, seed: int) -> np.ndarray:
@@ -478,11 +503,6 @@ def sample_lifetimes(gamma: float, horizon: float, replicas: int, seed: int) -> 
     times = np.array([rng.standard_exponential() for rng in _replica_streams(seed, replicas)]) / gamma
     times[times > horizon] = math.inf  # the tree fires no event past its horizon
     return times
-
-
-# Fixed block schedule for the mass-only simulator; part of the
-# reproducibility contract (changing it changes the draw sequence).
-_BLOCK_SCHEDULE = (64, 256, 1024, 4096, 16384, 65536)
 
 
 def _mass_walks(gamma, cdf, horizon, cap, replicas, seed, grid=(), halt=False):
@@ -515,7 +535,7 @@ def _mass_walks(gamma, cdf, horizon, cap, replicas, seed, grid=(), halt=False):
     for first in range(0, replicas, _STREAM_CHUNK):
         walking = np.arange(first, min(first + _STREAM_CHUNK, limit))
         rngs = list(itertools.islice(streams, walking.size))  # rngs[i] is replica first + i's stream
-        for block in itertools.chain(_BLOCK_SCHEDULE, itertools.repeat(_BLOCK_SCHEDULE[-1])):
+        for block in _block_sizes():
             if not walking.size:
                 break
             per_pass = max(1, _WALK_CELLS // block)

@@ -15,7 +15,8 @@ batch of elements (a sampled ring-valued field), every operation acts
 elementwise by the scalar steps, so bit for bit as one element at a
 time, and equality, hashing and ``repr`` are for scalars only.
 
-Every module's argument checks: ``_check_count``, ``_check_seed``, ``_check_real``, ``_check_probability``.
+Every module's argument checks: ``_check_count``, ``_check_seed``, ``_check_scalar``, ``_check_real``,
+``_check_probability``.
 """
 
 from __future__ import annotations
@@ -70,13 +71,22 @@ def _check_seed(seed):
     return int(seed)
 
 
+def _check_scalar(name, x):
+    # One number, not an array of one, whose float() numpy 2.4 refuses with a TypeError (older numpy converts it).
+    if np.ndim(x) != 0:
+        raise ValueError(f"{name} must be a single number, got an array of shape {np.shape(x)}")
+    return x
+
+
 def _check_real(name, x, positive=False):
     # math.isfinite raises OverflowError for an int too large for a float.
+    _check_scalar(name, x)
     if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {x}")
 
 
 def _check_probability(name, p):
+    _check_scalar(name, p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
     return p

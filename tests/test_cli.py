@@ -350,23 +350,47 @@ class TestMain:
         p = {"alpha": 0.5, "gamma": 1.0, "t.max": 2.0, "t.step": 0.3, "x.halfwidth": 10.0, "x.step": 0.1}
         columns, estimates = cli._run_twopoint(p)
         assert columns["t"][-1] == 0.3 * 7
-        assert columns["mass_curve"][-1] == dyson.mass_curve(0.5, 1.0, 0.3 * 7)(0.3 * 7)
+        assert columns["mass_curve"][-1] == dyson.mass_curve(0.5, 1.0, 0.3 * 7, 0.3 / 300).values[-1]
         assert abs(columns["mass_curve"][-1] - columns["slice_mass"][-1]) < 2e-4
         assert estimates["max_mass_mismatch"] < 1e-3
         # Where whole steps reach t.max, the curve is the one solved to t.max, bit for bit.
         columns, _ = cli._run_twopoint(dict(p, **{"t.step": 0.05}))
-        np.testing.assert_array_equal(columns["mass_curve"], dyson.mass_curve(0.5, 1.0, 2.0)(columns["t"]))
+        nx = np.count_nonzero(columns["t"] == columns["t"][0])
+        want = dyson.mass_curve(0.5, 1.0, 2.0, 0.05 / 50).values[50::50]
+        np.testing.assert_array_equal(columns["mass_curve"], np.repeat(want, nx))
+
+    @pytest.mark.parametrize("t_step, sub", [(0.0125, 13), (0.05, 50), (0.007, 7)])
+    def test_twopoint_mass_column_is_mass_curve_on_its_nodes(self, t_step, sub):
+        # The curve is solved at t.step / sub, sub = ceil(t.step * gamma / 1e-3), and read at every sub-th
+        # node: at t.step .0125 the default 1e-3 grid would put each field time between two nodes.
+        p = {"alpha": 0.25, "gamma": 1.0, "t.max": 0.5, "t.step": t_step, "x.halfwidth": 5.0, "x.step": 0.05}
+        columns, _ = cli._run_twopoint(p)
+        times = np.unique(columns["t"])
+        curve = dyson.mass_curve(0.25, 1.0, times[-1], t_step / sub)
+        assert curve.values.size == sub * times.size + 1
+        nx = columns["t"].size // times.size
+        np.testing.assert_array_equal(columns["mass_curve"], np.repeat(curve.values[sub::sub], nx))
 
     def test_gf_ode_column_reaches_t_max(self):
         law = dyson.FertilityDistribution.binary(0.25)
         p = {"alpha": 0.25, "gamma": 1.2345, "theta": 0.5, "t.max": 1.0, "t.count": 11, "replicas": 2,
              "seed": 0, "max.particles": 10**6}
         columns, _ = cli._run_gf(p)
-        # 1000 * gamma * t.max is not whole: the default grid takes 1235 steps, to 1.00040.
-        assert abs(columns["ode"][-1] - dyson.one_point_ode(law, 1.2345, 0.5, 1.0, 1e-6)(1.0)) < 1e-8
-        # Where it is whole, the column is the default solve read at each t, bit for bit.
+        # gamma * spacing is .12345: the ODE takes 13 sub-steps per output spacing .1, and t.max is its last node.
+        assert abs(columns["ode"][-1] - dyson.one_point_ode(law, 1.2345, 0.5, 1.0, 1e-6)(1.0)) < 1e-12
+        np.testing.assert_array_equal(columns["ode"], dyson.one_point_ode(law, 1.2345, 0.5, 1.0, 0.1 / 13).values[::13])
+        # At gamma 1 the spacing takes 10 sub-steps of 0.01.
         columns, _ = cli._run_gf(dict(p, gamma=1.0))
-        np.testing.assert_array_equal(columns["ode"], dyson.one_point_ode(law, 1.0, 0.5, 1.0)(columns["t"]))
+        np.testing.assert_array_equal(columns["ode"], dyson.one_point_ode(law, 1.0, 0.5, 1.0, 0.01).values[::10])
+
+    @pytest.mark.parametrize("t_max, count", [(1.2345, 11), (1.0, 11), (3.7, 8)])
+    def test_gf_ode_column_matches_the_closed_form(self, t_max, count):
+        # theta 0 integrates the extinction probability, whose closed form is one_point_closed_form, at times
+        # that are not nodes of the default 1e-3/gamma grid (gamma 1.2345).
+        p = {"alpha": 0.25, "gamma": 1.2345, "theta": 0.0, "t.max": t_max, "t.count": count, "replicas": 2,
+             "seed": 0, "max.particles": 10**6}
+        columns, _ = cli._run_gf(p)
+        assert np.max(np.abs(columns["ode"] - dyson.one_point_closed_form(0.25, 1.2345, columns["t"]))) < 1e-10
 
     def test_manifest_hash_matches_csv_file(self, tmp_path):
         # A twopoint CSV of several 64 KiB blocks.

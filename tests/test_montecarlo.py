@@ -100,6 +100,57 @@ def inline_feynman_kac(u, v, t, x0, replicas, n_steps, seed):
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(replicas))
 
 
+class BlockReplay:
+    """One draw kind of a tree's stream: blocks of 64, 256, 1024, 4096, 16384, then 65536 repeating,
+    each drawn from ``draw`` on the first read past the last block; ``refills`` counts the blocks drawn."""
+
+    def __init__(self, draw):
+        self.draw, self.sizes = draw, itertools.chain((64, 256, 1024, 4096, 16384), itertools.repeat(65536))
+        self.buffer, self.read, self.refills = [], 0, 0
+
+    def __call__(self):
+        if self.read == len(self.buffer):
+            self.buffer, self.read, self.refills = self.draw(next(self.sizes)), 0, self.refills + 1
+        self.read += 1
+        return float(self.buffer[self.read - 1])
+
+
+def reference_tree(config, horizon, seed, replica):
+    """simulate_branching's tree replayed from derive_stream(seed, replica), one particle at a time.
+
+    Returns (events, ids, positions, readers): events as (time, parent, children, position tuple), the
+    survivors' ids and (n, d) positions, and the exponential, normal and uniform readers.  The walk
+    reads lifetimes, displacements and offspring uniforms from one BlockReplay each, the exponential
+    one read first; after the walk each survivor, in id order, draws its d endpoint normals.
+    """
+    rng = derive_stream(seed, replica)
+    draws = (rng.standard_exponential, rng.standard_normal, rng.random)
+    exponential, normal, uniform = (BlockReplay(draw) for draw in draws)
+    cdf = config.offspring_cdf.tolist()
+    alive = {0: (exponential() / config.gamma, 0.0, config.x0)}  # id: (death time, birth time, birth position)
+    events = []
+    while alive:
+        pid = min(alive, key=lambda i: (alive[i][0], i))
+        death, birth, start = alive[pid]
+        if death > horizon:
+            break
+        del alive[pid]
+        position = tuple(c + normal() * math.sqrt(death - birth) for c in start)
+        u = uniform()
+        k = sum(c <= u for c in cdf)
+        first = 1 + sum(len(e[2]) for e in events)
+        events.append((death, pid, tuple(range(first, first + k)), position))
+        for cid in range(first, first + k):
+            alive[cid] = (death + exponential() / config.gamma, death, position)
+        if len(alive) > config.max_particles:
+            raise PopulationExplosionError("cap")
+    ids = tuple(sorted(alive))
+    positions = np.array(
+        [[c + rng.standard_normal() * math.sqrt(horizon - alive[i][1]) for c in alive[i][2]] for i in ids]
+    ).reshape(len(ids), config.d)
+    return events, ids, positions, (exponential, normal, uniform)
+
+
 def tree_digest(law, d, replicas=12, horizon=2.5, gamma=1.0):
     """sha256 over simulate_branching replicas 0 .. replicas-1 (seed 31, six sample times to the horizon)."""
     config = BranchingConfig(gamma, dyson.FertilityDistribution(law), d=d, x0=(0.5, -1.25, 2.0)[:d])
@@ -334,15 +385,17 @@ class TestSimulateBranching:
 
     def test_branch_event_structure(self):
         config = binary_config(0.0, gamma=3.0)  # every event branches
-        log = simulate_branching(config, 1.0, (), seed=15)
+        log = simulate_branching(config, 1.0, (), seed=17)
         assert log.events[0].parent == 0 and log.events[0].children == (1, 2)
-        # Child order: the first event's draws replayed from its stream.  The children
-        # draw their lifetimes in id order, although child 2 dies first here.
-        rng = derive_stream(15, 0)
-        death = rng.standard_exponential() / 3.0
-        position = 0.0 + rng.standard_normal() * math.sqrt(death)
-        assert bisect.bisect_right(config.offspring_cdf.tolist(), rng.random()) == 2
-        lifetimes = [death + rng.standard_exponential() / 3.0 for _ in range(2)]
+        # Child order: the first event's draws replayed from its stream, one block of each kind in the
+        # order the walk first reads them: lifetimes, displacements, offspring uniforms.  The children
+        # read their lifetimes in id order, although child 2 dies first here.
+        rng = derive_stream(17, 0)
+        exponentials, normals, uniforms = rng.standard_exponential(64), rng.standard_normal(64), rng.random(64)
+        death = float(exponentials[0]) / 3.0
+        position = 0.0 + float(normals[0]) * math.sqrt(death)
+        assert bisect.bisect_right(config.offspring_cdf.tolist(), float(uniforms[0])) == 2
+        lifetimes = [death + float(e) / 3.0 for e in exponentials[1:3]]
         assert log.events[0].time == death and log.events[0].position.tolist() == [position]
         deaths = {event.parent: event.time for event in log.events}
         assert [deaths[1], deaths[2]] == lifetimes and deaths[2] < deaths[1]
@@ -361,9 +414,10 @@ class TestSimulateBranching:
             assert not np.array_equal(event.position, birth_positions[event.parent])
 
     def test_offspring_count_on_a_cdf_value(self):
-        # The first uniform is made a CDF value: bisect_right and searchsorted(side="right") agree on the tie.
+        # The first uniform (read after the first exponential and normal blocks) is made a CDF value:
+        # bisect_right and searchsorted(side="right") agree on the tie.
         rng = derive_stream(17, 2)
-        death, _, u = rng.standard_exponential(), rng.standard_normal(1), rng.random()
+        death, _, u = float(rng.standard_exponential(64)[0]), rng.standard_normal(64), float(rng.random(64)[0])
         config = BranchingConfig(1.0, dyson.FertilityDistribution((u, 0.0, 1.0 - u)))
         cdf = config.offspring_cdf
         assert cdf[0] == cdf[1] == u
@@ -374,22 +428,37 @@ class TestSimulateBranching:
         _, _, first_child, count, _ = montecarlo._branching_tree(config, cdf.tolist(), death, derive_stream(17, 2))[0][0]
         assert tuple(range(first_child, first_child + count)) == log.events[0].children
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_block_replay(self, d):
+        # Binary .1 to t 6: trees of hundreds of events, so each kind reads past its first 64-number block.
+        config = BranchingConfig(1.0, dyson.FertilityDistribution.binary(0.1), d=d, x0=(0.5, -1.25, 2.0)[:d])
+        refills = []
+        for r in range(6):
+            log = simulate_branching(config, 6.0, (), seed=41, replica=r)
+            events, ids, positions, readers = reference_tree(config, 6.0, 41, r)
+            assert [(e.time, e.parent, e.children, tuple(e.position.tolist())) for e in log.events] == events
+            assert log.final.ids == ids
+            assert log.final.positions.tolist() == positions.tolist()
+            refills.append([reader.refills for reader in readers])
+        assert np.all(np.max(refills, axis=0) >= 2)  # some tree read past the first block of every kind
+        assert np.max(refills) >= 3  # and some tree drew a third block (past 64 + 256 numbers)
+
     @pytest.mark.parametrize(
         "law, d, digest",
         [
-            ((0.25, 0.0, 0.75), 1, "6b6c37fd765ae42a0c49a59c09b28d5c7960a64d10f1b13c127a579c54f6149b"),
-            ((0.25, 0.0, 0.75), 2, "ea45f0429490d01059a146de1d7b47bdd54174fc4940d249a205c479126cdb59"),
-            ((0.25, 0.0, 0.75), 3, "359637df4352bfaf06722a126d0a468dc7d4484824f91809bb63592b95f1f295"),
-            ((0.3, 0.2, 0.1, 0.4), 1, "c3dc4d2ed96e63f2255017cd6ce50aa6450826db81f5d101132779c88433e8d0"),
-            ((0.3, 0.2, 0.1, 0.4), 2, "e5fa93037dc1f876179cafae18bcfa0956b51be92d6c505bdf30cf0de60ba080"),
-            ((0.3, 0.2, 0.1, 0.4), 3, "36f7596a58c7a3fa4a5f6b9191cbb96aa5ecbc812ec6bda8685a48438c997795"),
-            ((1.0,), 1, "08666ab2a276c3488dafc30e2c6b33c6804b6c1f6faecc616812c0513cade1b7"),
-            ((1.0,), 2, "d6661596d9924ed15373f2fd960fba97360e239a5d59e9dfa9dc8bf0dd6dcb99"),
-            ((1.0,), 3, "94a4463a7f3dae36e80a2ee06ceb0fb150bf680ee3d8a3759cd6761dcc87ff78"),
+            ((0.25, 0.0, 0.75), 1, "60af6723246d8b2beb7abccf15dd63b4a652b04da3de845b684dd5950278daba"),
+            ((0.25, 0.0, 0.75), 2, "3bc8689ae95c632c02931899fe89f3de35f2f43818610c4b4ca91f45cc4848dc"),
+            ((0.25, 0.0, 0.75), 3, "1d0bd61e04af0a618118ed0e8cda1677c24cd5e86b36e0880068329911dbd798"),
+            ((0.3, 0.2, 0.1, 0.4), 1, "929ef2d259e3a34db1ee2060f50e18fc73e97c3d322b147946c7b138ce00f245"),
+            ((0.3, 0.2, 0.1, 0.4), 2, "3ad6be3239c0675b5dc0cd34adeee22f9399fd744a06fed7258bb192bf88f4b1"),
+            ((0.3, 0.2, 0.1, 0.4), 3, "ea9aada48c85aaad74950b6b829998ee9b53ca7908fb489d067ae15d2005a235"),
+            ((1.0,), 1, "7f23b6544400e6158256e9af1cfc1f0db6318f1dec00ade9c2c996b2465c076a"),
+            ((1.0,), 2, "afc0670f198881db0c4b8db083e619fbbd05e0590f5d2dba63a79ae02257d398"),
+            ((1.0,), 3, "942da763908216620ef943c11244c359bda8c50ee266bdcdb5e3debdfab4fe22"),
         ],
     )
     def test_drawn_numbers_pinned(self, law, d, digest):
-        # sha256 of 12 trees' events, survivors, counts and extinction times, as v0.3.0 drew them.
+        # sha256 of 12 trees' events, survivors, counts and extinction times, as v0.4.0 draws them.
         assert tree_digest(law, d) == digest
 
     @pytest.mark.parametrize(
@@ -398,17 +467,17 @@ class TestSimulateBranching:
             ((0.25, 0.0, 0.75), 1, 0.0, "7089efe90e4a7d037233868cbe1c3bc00203afcd36209e2c307788b725cb38d8"),
             ((0.25, 0.0, 0.75), 2, 0.0, "f1250ffd77cb921b9154e34b1cc01a2a59e5f67a9a521c8dbced97240948fb51"),
             ((0.25, 0.0, 0.75), 3, 0.0, "099583b9b74dc7487da56726d5f2cc457c35a5d3f3f9b3dec5d385a8a5064765"),
-            ((0.7, 0.0, 0.3), 1, 40.0, "8cc3a1cf4ed77918c30e60a5c48e24379824998208834c5b351028b773b066bb"),
-            ((0.7, 0.0, 0.3), 2, 40.0, "2e088457db046345cca6609a492e492b6d560f39a10ebdd6aeb144ddf629efc3"),
-            ((0.7, 0.0, 0.3), 3, 40.0, "b26b27cef7f48d259b17f8f268f8946dbd84c0df8774b3d33b50f14a5bb98d5a"),
-            ((0.2, 0.3, 0.1, 0.4), 1, 2.5, "f3bf0144cbf97e577be55b2045b3dc3eed470ed8de7134f67df89dd725d57bfc"),
-            ((0.2, 0.3, 0.1, 0.4), 2, 2.5, "51606b6876f26f38bb6489a7be8bdebc27680633ccec5511e34251b2c536f0c0"),
-            ((0.2, 0.3, 0.1, 0.4), 3, 2.5, "41a9ac3512b16dcba1adfb4d8b8a7a79b3e80234c0c448b53196e810fd4d4b06"),
+            ((0.7, 0.0, 0.3), 1, 40.0, "f7d79f5a22f04cd782872840b2948385dd8fbbe29037f239cdf5a34590774940"),
+            ((0.7, 0.0, 0.3), 2, 40.0, "669e5296fc394e28626394fcf3e43497c9fbb39d8f58397fa2a0d9a9912d589c"),
+            ((0.7, 0.0, 0.3), 3, 40.0, "28e66c951d3ac449dbc07ddacfae0ad1c15fa8341e5c79d3733f7a0b4d728d25"),
+            ((0.2, 0.3, 0.1, 0.4), 1, 2.5, "804625090e4b18ed169b3edc77b55e0ab3ab02ab5528b09893cad979b5040d0e"),
+            ((0.2, 0.3, 0.1, 0.4), 2, 2.5, "74a5a5726277f07ab035a39a5a639c711bb7b504773aa701de316a82a978b1bf"),
+            ((0.2, 0.3, 0.1, 0.4), 3, 2.5, "19a3a4c0802925fc25bdafbe1c5c80dd3d34846091b20f8394f66240e7fe3f56"),
         ],
     )
     def test_edge_trees_pinned(self, law, d, horizon, digest):
         # Trees with no event (horizon 0), trees that all die out, and branchings of up to 3 children,
-        # each as v0.3.5 drew them.
+        # each as v0.4.0 draws them.
         config = BranchingConfig(1.0, dyson.FertilityDistribution(law), d=d, x0=(0.5, -1.25, 2.0)[:d])
         logs = [simulate_branching(config, horizon, (), seed=31, replica=r) for r in range(12)]
         if horizon == 0.0:
@@ -422,7 +491,7 @@ class TestSimulateBranching:
     def test_clock_rate_pinned(self):
         # At gamma 1.7 a lifetime's division by gamma is not exact, so its rounding shows in the digest.
         digest = tree_digest((0.2, 0.3, 0.1, 0.4), 2, gamma=1.7)
-        assert digest == "3c3e10ab443b3055177c346f51946bd0d09bd5270b842fcc7a6436a94b5d3763"
+        assert digest == "6c3516cf363dd734865be6ad093491ec2142775134c3ea47b926fb788543d110"
 
     def test_sample_times_validated(self):
         with pytest.raises(ValueError):
@@ -595,23 +664,23 @@ class TestMcKeanProduct:
     @pytest.mark.parametrize(
         "seed, estimate, stderr",
         [
-            (1, "0x1.5a3a8d88a93a7p-1", "0x1.9d2fd129ee389p-5"),
-            (7, "0x1.3ada940bee953p-1", "0x1.ca19a522ca628p-5"),
-            (123456, "0x1.2efa1f50f364dp-1", "0x1.a69d208430c73p-5"),
+            (1, "0x1.607d2ce9d9235p-1", "0x1.b510880bc4d5bp-5"),
+            (7, "0x1.30013833a8aa3p-1", "0x1.b26942df1684cp-5"),
+            (123456, "0x1.51c7fdb949c22p-1", "0x1.90d51713b39dep-5"),
         ],
     )
     def test_estimates_pinned(self, seed, estimate, stderr):
-        # The exact floats of v0.3.0 (40 replicas, binary .25, t 1.5).
+        # The exact floats of v0.4.0 (40 replicas, binary .25, t 1.5).
         phi = kernels.SampledFunction.sample(lambda x: 1.0 - 0.5 * np.exp(-(x**2)), -6.0, 0.05, 241)
         result = estimate_mckean_product(binary_config(0.25), phi, 1.5, 40, seed)
         assert result == (float.fromhex(estimate), float.fromhex(stderr))
 
     def test_benchmark_shaped_estimate_pinned(self):
-        # Binary .25, t 6, 150 replicas, phi = 0.5 + 0.1 sin(1.1 x + 2) on [-40, 40]: the exact floats of v0.3.5.
+        # Binary .25, t 6, 150 replicas, phi = 0.5 + 0.1 sin(1.1 x + 2) on [-40, 40]: the exact floats of v0.4.0.
         xs = np.arange(-40.0, 40.0 + 1e-9, 0.1)
         phi = kernels.SampledFunction(-40.0, 0.1, 0.5 + 0.1 * np.sin(1.1 * xs + 2.0))
         result = estimate_mckean_product(binary_config(0.25), phi, 6.0, 150, seed=5)
-        assert result == (float.fromhex("0x1.78bab63dc857dp-2"), float.fromhex("0x1.37da356212ffdp-5"))
+        assert result == (float.fromhex("0x1.42ddb7a0d9f73p-2"), float.fromhex("0x1.3068b6684b798p-5"))
 
     @pytest.mark.parametrize(
         "alpha, t, replicas, seed",
@@ -1078,6 +1147,9 @@ class TestArgumentChecks:
             feynman_kac_estimate(self.U, self.zero, 1.0, [math.nan, 0.2], 10, 4, seed=1)
         with pytest.raises(ValueError, match="^x0 must be finite$"):
             sample_brownian_path(math.nan, 1.0, 4, seed=1)
+        for x0 in ([], np.zeros(0)):
+            with pytest.raises(ValueError, match="^x0 has dimension 0$"):
+                sample_brownian_path(x0, 1.0, 4, seed=1)
         for x0 in ([[0.0, 1.0], [2.0, 3.0]], [[0.0]], np.zeros((1, 1, 1))):
             with pytest.raises(ValueError, match=f"^x0 must be a scalar or 1-d, got {np.ndim(x0)} dimensions$"):
                 sample_brownian_path(x0, 1.0, 4, seed=1)

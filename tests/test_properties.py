@@ -299,6 +299,21 @@ REJECTED = [
     for bad in (BAD[kind] if isinstance(kind, str) else [True, 2.5, kind - 1])
 ]
 
+# A one-element array is not a number: the checks name the argument instead of numpy's TypeError.
+ONE_ELEMENT = np.array([1.0])
+REJECTED += [
+    pytest.param(dyson.two_point_picard, dict(alpha=0.25, gamma=ONE_ELEMENT, t_max=0.2, t_step=0.1, x_half_width=3.0,
+                                              x_step=0.25), "clock rate gamma", id="two_point_picard-gamma=array"),
+    pytest.param(dyson.mass_curve, dict(alpha=0.25, gamma=ONE_ELEMENT, t_max=1.0), "clock rate gamma",
+                 id="mass_curve-gamma=array"),
+    pytest.param(sample_extinction_times, dict(config=config(0.25), horizon=ONE_ELEMENT, replicas=2, seed=0),
+                 "horizon", id="sample_extinction_times-horizon=array"),
+    pytest.param(kernels.heat_kernel, dict(t=ONE_ELEMENT, x=0.0, y=0.0), "t", id="heat_kernel-t=array"),
+    pytest.param(dyson.FertilityDistribution.binary, dict(alpha=np.array([0.25])), "alpha", id="binary-alpha=array"),
+    pytest.param(estimate_generating_function, dict(config=config(0.25), theta=np.array([0.5]), t=1.0, replicas=2,
+                                                    seed=0), "theta", id="estimate_generating_function-theta=array"),
+]
+
 
 @pytest.mark.parametrize("fn, kwargs, name", REJECTED)
 def test_shared_checks_reject_and_name_the_argument(fn, kwargs, name):
