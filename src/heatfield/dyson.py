@@ -86,7 +86,7 @@ class FertilityDistribution:
     p: tuple
 
     def __post_init__(self):
-        probs = tuple(float(v) for v in self.p)
+        probs = tuple(float(_check_scalar("offspring probability", v)) for v in self.p)
         if len(probs) == 0:
             raise ValueError("offspring law needs at least p_0")
         if not all(0.0 <= v <= 1.0 for v in probs):
@@ -110,9 +110,7 @@ class FertilityDistribution:
 
 
 def _validate_alpha_gamma(alpha, gamma):
-    _check_probability("alpha", alpha)
-    _check_real("clock rate gamma", gamma, positive=True)
-    return float(alpha), float(gamma)
+    return _check_probability("alpha", alpha), _check_real("clock rate gamma", gamma, positive=True)
 
 
 def one_point_closed_form(alpha: float, gamma: float, tau):
@@ -122,11 +120,10 @@ def one_point_closed_form(alpha: float, gamma: float, tau):
     the one expression of the module docstring with libm's ``math.expm1`` per
     element; its denominator is a sum of terms >= 0, so it does not cancel.
     """
-    _validate_alpha_gamma(alpha, gamma)
+    alpha, gamma = _validate_alpha_gamma(alpha, gamma)
     tau_arr = np.asarray(tau, dtype=float)
     if not np.all(tau_arr >= 0):
         raise ValueError("tau must be >= 0 and not NaN")
-    alpha = float(alpha)
     s = abs(1.0 - 2.0 * alpha)
     with np.errstate(divide="ignore"):  # tau = 0 gives numpy's 2*s/0 = inf (arrays, 0-d too), so A = 0
         if s == 0.0:
@@ -144,20 +141,21 @@ def extinction_probability(alpha: float) -> float:
     return 1.0
 
 
-def _grid_count(span: float, step: float) -> int:
-    """Fewest whole steps of size ``step`` that reach ``span`` to 1e-12 (relative), at least 1.
+def _grid_count(span: float, step: float) -> tuple:
+    """The checked step and the fewest whole steps of that size that reach ``span`` to 1e-12 (relative), at least 1.
 
     Every solver's grid rule; the slack keeps rounding in span/step from adding a step.
     """
-    _check_real("grid step", step, positive=True)
-    _check_real("grid span", span, positive=True)
-    return max(1, math.ceil(span / step * (1.0 - 1e-12)))
+    step = _check_real("grid step", step, positive=True)
+    return step, max(1, math.ceil(_check_real("grid span", span, positive=True) / step * (1.0 - 1e-12)))
 
 
 def _curve_grid(gamma, span, step):
-    """Step (default 1e-3/gamma) and step count of a curve solved from 0 to ``span``."""
-    step = 1e-3 / gamma if step is None else step
-    return float(step), _grid_count(span, step)
+    """Checked step (default 1e-3/gamma) and step count of a curve from 0 to ``span``; ValueError past 2**24 steps."""
+    h, n = _grid_count(span, 1e-3 / gamma if step is None else step)
+    if n > 2**24:  # Picard and mass_curve hold about eight float64 arrays of n + 1 nodes: 1 GB at the bound
+        raise ValueError(f"grid span must take at most 2**24 steps, got span {span:g} at step {h:g} ({n:.3g} steps)")
+    return h, n
 
 
 def _march_divisors(alpha, gamma, h, a):
@@ -193,10 +191,9 @@ def one_point_ode(
     steps that reach tau_max (``_grid_count``): its last node is at least
     tau_max (to 1e-12, relative) and less than tau_max + step.
     """
-    _check_real("clock rate gamma", gamma, positive=True)
-    _check_probability("theta0", theta0)
+    gamma = _check_real("clock rate gamma", gamma, positive=True)
+    y = _check_probability("theta0", theta0)
     h, n = _curve_grid(gamma, tau_max, step)
-    y = float(theta0)
     values = np.empty(n + 1)
     values[0] = y
     pgf = fertility.pgf
@@ -242,7 +239,7 @@ def one_point_picard(
     iterate outside [-1e-9, 1 + 1e-9] (NaN too), as a coarse step can
     give, raises StabilityViolationError after the sweep that made it.
     """
-    _validate_alpha_gamma(alpha, gamma)
+    alpha, gamma = _validate_alpha_gamma(alpha, gamma)
     _check_count("order", order)
     h, n = _curve_grid(gamma, tau_max, step)
     survival = pring._per_element(math.exp, -gamma * (h * np.arange(n + 1)))  # np.exp bits follow the SIMD level
@@ -283,7 +280,7 @@ def mass_curve(
     ``step`` is so coarse that the march's diagonal weight reaches 1.  The
     grid takes the fewest whole steps that reach t_max, as in ``one_point_ode``.
     """
-    _validate_alpha_gamma(alpha, gamma)
+    alpha, gamma = _validate_alpha_gamma(alpha, gamma)
     h, n = _curve_grid(gamma, t_max, step)
     times = h * np.arange(n + 1)
     a_curve = one_point_closed_form(alpha, gamma, times)
@@ -367,11 +364,9 @@ class SpaceTimeField:
             raise ValueError("spatial grid must be symmetric about 0 (odd node count)")
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
-        if not (0.0 < self.t_step < math.inf and 0.0 < self.x_step < math.inf):
-            raise ValueError(f"grid steps must be finite and > 0, got {self.t_step}, {self.x_step}")
         vals.flags.writeable = False
-        object.__setattr__(self, "t_step", float(self.t_step))
-        object.__setattr__(self, "x_step", float(self.x_step))
+        object.__setattr__(self, "t_step", _check_real("t_step", self.t_step, positive=True))
+        object.__setattr__(self, "x_step", _check_real("x_step", self.x_step, positive=True))
         object.__setattr__(self, "values", vals)
 
     @property
@@ -467,8 +462,8 @@ def two_point_picard(
     ``two_point_residual``.  A time step so coarse that the diagonal weight
     reaches 1 raises ValueError.
     """
-    nt, half = _grid_count(t_max, t_step), _grid_count(x_half_width, x_step)
-    op = _two_point_operator(*_validate_alpha_gamma(alpha, gamma), nt, float(t_step), half, float(x_step))
+    (k, nt), (h, half) = _grid_count(t_max, t_step), _grid_count(x_half_width, x_step)
+    op = _two_point_operator(*_validate_alpha_gamma(alpha, gamma), nt, k, half, h)
     return SpaceTimeField(op.k, op.h, op.march())
 
 

@@ -65,17 +65,24 @@ def _validated_r2(x, y):
     return (r2 if py.ndim == 2 else float(r2)), px.size
 
 
+def _check_duration(name, t) -> float:
+    # One number > 0 (inf too) as a float, whose ** raises OverflowError where a numpy scalar's gives inf.
+    if not _check_scalar(name, t) > 0:
+        raise NonPositiveTimeError(f"duration must be > 0, got {t}")
+    return float(t)
+
+
 def _clocked_density(t: float, r2, gamma: float, d: int):
     # exp(-gamma*t) * p_t at squared distance(s) r2, checking t only; gamma 0 gives p_t itself, with no
     # clock factor (exp(-0.0 * inf) is NaN).  Grid builds that must match retarded_propagator_heat bit
     # for bit call this same expression: np.exp differs from math.exp in the last bits.
-    if not t > 0:
-        raise NonPositiveTimeError(f"duration must be > 0, got {t}")
+    t = _check_duration("t", t)
     try:
-        norm = (2.0 * math.pi * float(t)) ** (-0.5 * d)  # a numpy scalar would overflow to inf, not raise
+        norm = (2.0 * math.pi * t) ** (-0.5 * d)
     except OverflowError:
         raise ValueError(f"duration {t} is too short: (2*pi*t)**(-{d}/2) overflows") from None
-    density = norm * pring._per_element(math.exp, -r2 / (2.0 * t))
+    with np.errstate(over="ignore"):  # -r2/(2t) past the float range is -inf, whose exp is the correct 0
+        density = norm * pring._per_element(math.exp, -r2 / (2.0 * t))
     return math.exp(-gamma * t) * density if gamma else density
 
 
@@ -87,12 +94,11 @@ def heat_kernel(t: float, x, y):
     points, giving m densities equal bit for bit to the one-point calls
     (a 1-d ``y`` is one point).  Raises NonPositiveTimeError for t <= 0,
     DimensionMismatchError on unequal or unsupported dimensions or shapes,
-    and ValueError on a coordinate that is not finite or on a t so short
-    that (2*pi*t)**(-d/2) overflows (below about 5e-207 in d = 3 and
-    8.9e-310 in d = 2), or on a t that is not a single number (checked
-    first).  An infinite t gives 0.
+    and ValueError on a coordinate that is not finite, on a t that is not
+    a single number or on a t so short that (2*pi*t)**(-d/2) overflows
+    (below about 5e-207 in d = 3 and 8.9e-310 in d = 2).  An infinite t
+    gives 0.
     """
-    _check_scalar("t", t)
     r2, d = _validated_r2(x, y)
     return _clocked_density(t, r2, 0.0, d)
 
@@ -126,19 +132,20 @@ class SampledFunction:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_real("grid step", self.step, positive=True)  # the grid first: a bad one makes sampled values NaN
-        if not math.isfinite(self.origin):
+        step = _check_real("grid step", self.step, positive=True)  # the grid first: a bad one makes values NaN
+        if not math.isfinite(_check_scalar("grid origin", self.origin)):
             raise ValueError(f"grid origin must be finite, got {self.origin}")
+        origin = float(self.origin)
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("values must be a 1-d array with at least 2 nodes")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sampled values must be finite")
-        nodes = float(self.origin) + float(self.step) * np.arange(vals.size)
+        nodes = origin + step * np.arange(vals.size)
         vals.flags.writeable = False
         nodes.flags.writeable = False
-        object.__setattr__(self, "origin", float(self.origin))
-        object.__setattr__(self, "step", float(self.step))
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "step", step)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "nodes", nodes)
 
@@ -189,8 +196,7 @@ def apply_semigroup(u: SampledFunction, t: float) -> SampledFunction:
     both sides, which keeps the Gaussian mass lost beyond the grid under
     1e-8; otherwise GridTooNarrowError is raised.
     """
-    if not t > 0:
-        raise NonPositiveTimeError(f"duration must be > 0, got {t}")
+    t = _check_duration("t", t)
     support = _support_bounds(u)
     if support is None:
         return SampledFunction(u.origin, u.step, np.zeros_like(u.values))
@@ -244,8 +250,7 @@ def ck_residual(t: float, s: float, x: float, y: float) -> float:
     of the transition density.  Raises NonPositiveTimeError unless t and
     s are > 0, and ValueError as heat_kernel does.
     """
-    if not (t > 0 and s > 0):
-        raise NonPositiveTimeError(f"durations must be > 0, got t={t}, s={s}")
+    t, s = _check_duration("t", t), _check_duration("s", s)
     x = float(np.asarray(x, dtype=float).reshape(()))
     y = float(np.asarray(y, dtype=float).reshape(()))
     step = math.sqrt(t * s / (t + s)) / 8.0
@@ -266,11 +271,11 @@ def retarded_propagator_heat(x, y, gamma: float):
     for every gamma.  Raises ValueError unless gamma is finite and >= 0,
     and as heat_kernel does for dt > 0.
     """
-    _check_real("clock rate gamma", gamma)
+    gamma = _check_real("clock rate gamma", gamma)
     tx, sx = x
     ty, sy = y
     r2, d = _validated_r2(sx, sy)
-    dt = float(ty) - float(tx)
+    dt = float(_check_scalar("y time", ty)) - float(_check_scalar("x time", tx))
     if dt <= 0.0:
         return np.zeros(len(sy)) if np.ndim(sy) == 2 else 0.0
     return _clocked_density(dt, r2, gamma, d)  # a NaN dt raises there
@@ -283,7 +288,7 @@ def event_probability(gamma: float, dtau: float) -> float:
     (dtau may be inf).
     """
     _check_real("clock rate gamma", gamma)
-    if not dtau >= 0:
+    if not _check_scalar("duration dtau", dtau) >= 0:
         raise ValueError(f"duration dtau must be >= 0, got {dtau}")
     return -math.expm1(-gamma * dtau) if gamma else 0.0  # 0 * inf is nan; a rate-0 clock never fires
 
@@ -295,8 +300,7 @@ def time_evolution(energy: float, t: float) -> PseudoComplex:
     ValueError unless energy is finite and >= 0 and |energy*t| is at most
     log(sys.float_info.max), about 709.78, past which exp(|energy*t|) overflows.
     """
-    _check_real("energy", energy)
-    et = float(energy) * float(t)
+    et = _check_real("energy", energy) * float(_check_scalar("t", t))
     if not abs(et) <= _LOG_FLOAT_MAX:
         raise ValueError(f"energy*t must be finite with |energy*t| <= {_LOG_FLOAT_MAX:.6g}, got {et!r}")
     return pring.exp(PseudoComplex(0.0, -et))

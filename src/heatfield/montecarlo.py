@@ -405,7 +405,7 @@ def simulate_branching(
     seed is an integer and replica an integer >= 0 (checked in that
     order).
     """
-    _check_real("horizon", horizon)
+    horizon = _check_real("horizon", horizon)
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size and not np.all((sample_times >= 0) & (sample_times <= horizon)):
         raise ValueError("sample_times must lie within [0, horizon]")
@@ -420,7 +420,7 @@ def simulate_branching(
         counts = live[np.searchsorted([e.time for e in events], sample_times, side="right")]
     return EventLog(
         events=events,
-        final=PopulationSnapshot(float(horizon), ids, positions),
+        final=PopulationSnapshot(horizon, ids, positions),
         sample_times=sample_times,
         counts=counts,
         extinction_time=float("inf") if ids else events[-1].time,
@@ -636,8 +636,8 @@ def _time_grid(name, t):
     grid = np.array(t, dtype=float, ndmin=1)
     if grid.ndim > 1 or not grid.size or np.any(grid[1:] < grid[:-1]):
         raise ValueError(f"{name} must be a time or a non-empty ascending 1-D array of times, got {t!r}")
-    _check_real(name, float(grid.min()))  # nan, negative and -inf times
-    _check_real(name, float(grid.max()))
+    _check_real(name, grid.min())  # nan, negative and -inf times
+    _check_real(name, grid.max())
     return grid
 
 
@@ -671,7 +671,7 @@ def estimate_generating_function(
     finite and >= 0 (an array: non-empty, ascending), replicas is an
     integer >= 2 and seed is an integer (checked in that order).
     """
-    _check_probability("theta", theta)
+    theta = _check_probability("theta", theta)
     grid = _time_grid("t", t)
     horizon = float(grid.max())
     replicas = _check_count("replicas", replicas, least=2)
@@ -683,7 +683,7 @@ def estimate_generating_function(
             f"replica {int(np.argmax(finals > cap))} exceeded max_particles={cap} before t={horizon:g}"
         )
     distinct, where = np.unique(at_grid, return_inverse=True)
-    powers = np.array([float(theta) ** n for n in distinct.tolist()])[where.reshape(at_grid.shape)]  # 0.0**0 == 1.0
+    powers = np.array([theta ** n for n in distinct.tolist()])[where.reshape(at_grid.shape)]  # 0.0**0 == 1.0
     return _mean_stderr(powers if np.ndim(t) else powers[:, 0])
 
 
@@ -704,7 +704,7 @@ def estimate_mckean_product(
         raise ValueError("product functionals are supported in one spatial dimension only")
     if np.any(phi.values < 0.0) or np.any(phi.values > 1.0):
         raise ValueError("phi must take values in [0, 1]")
-    _check_real("t", t)
+    t = _check_real("t", t)
     replicas = _check_count("replicas", replicas, least=2)
     seed = _check_seed(seed)
     cdf = config.offspring_cdf.tolist()

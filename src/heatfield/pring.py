@@ -15,8 +15,8 @@ batch of elements (a sampled ring-valued field), every operation acts
 elementwise by the scalar steps, so bit for bit as one element at a
 time, and equality, hashing and ``repr`` are for scalars only.
 
-Every module's argument checks: ``_check_count``, ``_check_seed``, ``_check_scalar``, ``_check_real``,
-``_check_probability``.
+Every module's argument checks: ``_check_count`` and ``_check_seed`` return the int,
+``_check_real`` and ``_check_probability`` the float they accept, ``_check_scalar`` its argument.
 """
 
 from __future__ import annotations
@@ -83,13 +83,14 @@ def _check_real(name, x, positive=False):
     _check_scalar(name, x)
     if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {x}")
+    return float(x)
 
 
 def _check_probability(name, p):
     _check_scalar(name, p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    return p
+    return float(p)
 
 
 # Values _per_element holds as Python floats at once (about 32 bytes each).

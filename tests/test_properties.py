@@ -210,7 +210,7 @@ def test_whole_span_takes_exactly_its_steps(k, step):
 @PROPERTY
 @given(st.integers(1, 10**9), st.floats(1e-6, 1e3))
 def test_grid_count_of_whole_span(k, step):
-    assert dyson._grid_count(k * step, step) == k
+    assert dyson._grid_count(k * step, step) == (step, k)
 
 
 @PROPERTY
@@ -261,6 +261,8 @@ ENTRY_POINTS = [
       ("x_half_width", "positive", "grid span"), ("x_step", "positive", "grid step")]),
     (dyson.two_point_residual, dict(field=FIELD, alpha=0.25, gamma=1.0),
      [("alpha", "probability", "alpha"), ("gamma", "positive", "clock rate gamma")]),
+    (dyson.SpaceTimeField, dict(t_step=0.1, x_step=0.1, values=np.ones((2, 3))),
+     [("t_step", "positive", "t_step"), ("x_step", "positive", "x_step")]),
     (kernels.SampledFunction, dict(origin=0.0, step=0.1, values=[0.0, 1.0]), [("step", "positive", "grid step")]),
     (kernels.SampledFunction.sample, dict(f=np.sin, origin=0.0, step=0.1, count=5),
      [("step", "positive", "grid step"), ("count", 2, "count")]),
@@ -312,6 +314,35 @@ REJECTED += [
     pytest.param(dyson.FertilityDistribution.binary, dict(alpha=np.array([0.25])), "alpha", id="binary-alpha=array"),
     pytest.param(estimate_generating_function, dict(config=config(0.25), theta=np.array([0.5]), t=1.0, replicas=2,
                                                     seed=0), "theta", id="estimate_generating_function-theta=array"),
+    pytest.param(kernels.retarded_propagator_heat, dict(x=(ONE_ELEMENT, 0.0), y=(2.0, 0.0), gamma=1.0), "x time",
+                 id="retarded_propagator_heat-x_time=array"),
+    pytest.param(kernels.retarded_propagator_heat, dict(x=(0.0, 0.0), y=(ONE_ELEMENT, 0.0), gamma=1.0), "y time",
+                 id="retarded_propagator_heat-y_time=array"),
+]
+REJECTED += [
+    pytest.param(fn, {**valid, arg: ONE_ELEMENT}, name, id=f"{fn.__qualname__}-{arg}=array")
+    for fn, valid, arg, name in [
+        (kernels.apply_semigroup, dict(u=U), "t", "t"),
+        (kernels.ck_residual, dict(t=1.0, s=1.0, x=0.0, y=0.0), "t", "t"),
+        (kernels.ck_residual, dict(t=1.0, s=1.0, x=0.0, y=0.0), "s", "s"),
+        (kernels.event_probability, dict(gamma=1.0), "dtau", "duration dtau"),
+        (kernels.time_evolution, dict(energy=1.0), "t", "t"),
+        (kernels.SampledFunction, dict(step=0.1, values=[0.0, 1.0]), "origin", "grid origin"),
+        (dyson.SpaceTimeField, dict(t_step=0.1, x_step=0.1, values=np.ones((2, 3))), "t_step", "t_step"),
+        (dyson.SpaceTimeField, dict(t_step=0.1, x_step=0.1, values=np.ones((2, 3))), "x_step", "x_step"),
+        (dyson.one_point_ode, dict(fertility=FERTILITY, gamma=1.0, theta0=0.0, tau_max=1.0), "step", "grid step"),
+        (dyson.one_point_picard, dict(alpha=0.25, gamma=1.0, tau_max=1.0, order=2), "step", "grid step"),
+        (dyson.mass_curve, dict(alpha=0.25, gamma=1.0, t_max=1.0), "step", "grid step"),
+    ]
+]
+# A law that is not 1-d, and curve grids past 2**24 steps (the default step 1e-3/gamma; nothing is allocated).
+REJECTED += [
+    pytest.param(dyson.FertilityDistribution, dict(p=np.array([[0.5, 0.5]])), "offspring probability", id="law=2-d"),
+    pytest.param(dyson.mass_curve, dict(alpha=0.25, gamma=1e300, t_max=1.0), "grid span", id="mass_curve-2**24"),
+    pytest.param(dyson.one_point_picard, dict(alpha=0.25, gamma=1e300, tau_max=1.0, order=2), "grid span",
+                 id="one_point_picard-2**24"),
+    pytest.param(dyson.one_point_ode, dict(fertility=FERTILITY, gamma=1e300, theta0=0.0, tau_max=1.0), "grid span",
+                 id="one_point_ode-2**24"),
 ]
 
 
