@@ -17,9 +17,11 @@ and one over a stream pass), ``kernel`` runs in
 d = 1, 2 and 3 and at gamma 0, at r.min > 0 and on a one-cell grid, the
 benchmark's ``onepoint`` runs (alpha 0.25, 0.5 and 0.75, tau.max 5) and
 ``twopoint`` runs (four alphas on its coarse and
-fine grids), ``gf`` at gamma 1.2345, whose t.max is not a whole
-number of solver steps, the benchmark's ``semigroup`` shape (a Gaussian
-on 9601 nodes from -48 at step 0.01, t 1) at two centres and sigmas and
+fine grids, and alpha 0.25 at t.step 0.0125 and x.step 0.025, whose
+128,160 rows fill 63 CSV blocks of several pieces each), ``gf`` at
+gamma 1.2345, whose t.max is not a whole number of solver steps, the
+benchmark's ``semigroup`` shape (a Gaussian on 9601 nodes from -48 at
+step 0.01, t 1) at two centres and sigmas and
 an ``indicator`` run on the same grid, whose CSVs hold zeros,
 subnormals and doubles of every size that the CSV writer formats with
 numpy or with ``%``, ``ring-check`` at 10k cases with seeds 0 and
@@ -116,6 +118,8 @@ RUNS = (
     + [("twopoint", {"alpha": alpha, "gamma": 1.0, "t.max": 2.0, "t.step": t_step, "x.halfwidth": 10.0,
                      "x.step": x_step})
        for alpha in (0.1, 0.25, 0.5, 0.75) for t_step, x_step in ((0.05, 0.1), (0.025, 0.05))]
+    + [("twopoint", {"alpha": 0.25, "gamma": 1.0, "t.max": 2.0, "t.step": 0.0125, "x.halfwidth": 10.0,
+                     "x.step": 0.025})]  # 128,160 rows: 63 CSV blocks, each written in several pieces
     + [("gf", {"alpha": 0.25, "gamma": 1.2345, "theta": 0.5, "t.max": 1.0, "replicas": 150, "seed": 14})]
     + [("semigroup", dict(SEMIGROUP, **{"u.center": center, "u.sigma": sigma}))
        for center, sigma in ((-0.7, 0.3), (0.45, 0.65))]

@@ -35,7 +35,6 @@ import argparse
 import ctypes
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -372,19 +371,20 @@ _RUNNERS = {
 
 
 _CSV_BLOCK = 2048
+# Bytes of cells per write: each piece's tobytes and translate copies stay below glibc's
+# 128 KiB mmap threshold, so they reuse freed heap rather than fault in fresh pages.
+_CSV_PIECE = 65536
 _CELL_WIDTH = 25  # the longest %.17g text, -2.2250738585072014e-308, and its separator
 _CELL_FORMATS = {"i": "%d", "b": "%d", "U": "%s"}  # floats: "%.17g"
 
 
-def _csv_block(cols: list) -> bytes:
-    # The bytes of one block of rows.  Each distinct cell is formatted once (two-point t, x
-    # and mass columns repeat most): the float columns share one np.unique on their int64
-    # view, which compares bit patterns, so -0.0 and 0.0 and NaN payloads stay apart, and
-    # float_cells (_digits) left-justifies every value in a field of one width with the bytes
-    # of "%.17g" and NUL padding; other columns' cells are NUL-padded UTF-8.
-    # That makes one table of fixed-width rows, each ending in ','.  Each cell takes its row
-    # by its inverse index, the last byte of every CSV row becomes '\n', and dropping the
-    # NULs leaves the text.
+def _csv_block(cols: list):
+    # The cells of one block of rows, as a table of distinct cells and every row's indices
+    # into it.  Each distinct cell is formatted once (two-point t, x and mass columns repeat
+    # most): the float columns share one np.unique on their int64 view, which compares bit
+    # patterns, so -0.0 and 0.0 and NaN payloads stay apart, and float_cells (_digits)
+    # left-justifies every value in a field of one width with the bytes of "%.17g" and NUL
+    # padding; other columns' cells are NUL-padded UTF-8.  Every table cell ends in ','.
     kinds = [col.dtype.kind for col in cols]
     floats = [j for j, kind in enumerate(kinds) if kind == "f"]
     index = np.empty((len(cols[0]), len(cols)), dtype=np.intp)
@@ -403,22 +403,37 @@ def _csv_block(cols: list) -> bytes:
     float_cells(distinct.view(np.float64), table[: distinct.size])
     text = b"".join(w.ljust(width - 1, b"\0") + b"," for w in words)
     table[distinct.size :] = np.frombuffer(text, np.uint8).reshape(len(words), width)
-    cells = np.take(table.view(f"V{width}").ravel(), index).view(np.uint8).reshape(len(index), -1)
-    cells[:, -1] = ord("\n")
-    return cells.tobytes().translate(None, b"\0")
+    return table.view(f"V{width}").ravel(), index
 
 
 def _write_csv(path: str, columns: dict) -> str:
-    # Rows go out _CSV_BLOCK at a time, one write per block (_csv_block); returns the sha256 of the bytes.
+    # Rows are formatted _CSV_BLOCK at a time (_csv_block) and written in pieces of at most
+    # _CSV_PIECE bytes of cells: each piece gathers its cells into one buffer kept for the
+    # file (grown only for a row longer than a piece), the last byte of every CSV row
+    # becomes '\n', and dropping the NULs leaves the text.  Returns the sha256 of the bytes.
     cols = [np.asarray(col) for col in columns.values()]
     rows = min(map(len, cols), default=0)
     if any(len(col) != rows for col in cols):
         raise ValueError(f"CSV columns differ in length: {dict(zip(columns, map(len, cols)))}")
     header = (",".join(columns) + "\n").encode("utf-8")
-    blocks = (_csv_block([col[lo : lo + _CSV_BLOCK] for col in cols]) for lo in range(0, rows, _CSV_BLOCK))
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:  # writelines drops each block once written: no two are alive at once
-        fh.writelines(map(lambda data: digest.update(data) or data, itertools.chain([header], blocks)))
+    digest = hashlib.sha256(header)
+    buffer = np.empty(_CSV_PIECE, np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for lo in range(0, rows, _CSV_BLOCK):
+            table, index = _csv_block([col[lo : lo + _CSV_BLOCK] for col in cols])
+            row_bytes = index.shape[1] * table.itemsize
+            step = max(1, _CSV_PIECE // row_bytes)
+            if buffer.size < row_bytes:
+                buffer = np.empty(row_bytes, np.uint8)
+            for start in range(0, len(index), step):
+                part = index[start : start + step]
+                cells = buffer[: len(part) * row_bytes]
+                np.take(table, part, out=cells.view(table.dtype).reshape(part.shape))
+                cells[row_bytes - 1 :: row_bytes] = ord("\n")
+                data = cells.tobytes().translate(None, b"\0")
+                digest.update(data)
+                fh.write(data)
     return digest.hexdigest()
 
 

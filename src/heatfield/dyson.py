@@ -145,9 +145,14 @@ def _grid_count(span: float, step: float) -> tuple:
     """The checked step and the fewest whole steps of that size that reach ``span`` to 1e-12 (relative), at least 1.
 
     Every solver's grid rule; the slack keeps rounding in span/step from adding a step.
+    A span/step that overflows to inf is a ValueError naming both.
     """
     step = _check_real("grid step", step, positive=True)
-    return step, max(1, math.ceil(_check_real("grid span", span, positive=True) / step * (1.0 - 1e-12)))
+    span = _check_real("grid span", span, positive=True)
+    steps = span / step * (1.0 - 1e-12)
+    if steps == math.inf:
+        raise ValueError(f"grid span must take a finite number of steps, got span {span:g} at step {step:g}")
+    return step, max(1, math.ceil(steps))
 
 
 def _curve_grid(gamma, span, step):

@@ -633,6 +633,8 @@ def sample_extinction_times(
 
 def _time_grid(name, t):
     # t as a non-empty ascending 1-D float array of finite times >= 0, errors naming ``name``.
+    if np.asarray(t).dtype.kind in "US":  # np.array(t, dtype=float) would parse numeric strings
+        raise ValueError(f"{name} must be a time or an array of times, not text, got {t!r}")
     grid = np.array(t, dtype=float, ndmin=1)
     if grid.ndim > 1 or not grid.size or np.any(grid[1:] < grid[:-1]):
         raise ValueError(f"{name} must be a time or a non-empty ascending 1-D array of times, got {t!r}")

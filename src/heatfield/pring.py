@@ -52,7 +52,10 @@ class ZeroDivisorError(ArithmeticError):
 
 
 def _check_finite(value, name: str):
-    value = np.asarray(value, dtype=float) if isinstance(value, np.ndarray) and value.ndim else float(value)
+    if isinstance(value, np.ndarray) and value.ndim:
+        value = np.asarray(value, dtype=float)
+    else:
+        value = float(_check_scalar(f"{name} component", value))
     if not (np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)):
         raise ValueError(f"{name} component must be finite, got {value!r}")
     return value
@@ -72,7 +75,10 @@ def _check_seed(seed):
 
 
 def _check_scalar(name, x):
-    # One number, not an array of one, whose float() numpy 2.4 refuses with a TypeError (older numpy converts it).
+    # One number, not an array of one, whose float() numpy 2.4 refuses with a TypeError (older numpy converts it),
+    # nor a string, which float() would parse in some checks and comparisons would refuse in others.
+    if isinstance(x, (str, bytes)):
+        raise ValueError(f"{name} must be a number, got {type(x).__name__} {x!r}")
     if np.ndim(x) != 0:
         raise ValueError(f"{name} must be a single number, got an array of shape {np.shape(x)}")
     return x

@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -746,7 +747,12 @@ class TestBlockWriter:
         columns = {"name": ["p", "q r"], "count": np.array([3, -4])}
         assert _written(tmp_path, columns) == _csv_oracle(columns) == b"name,count\np,3\nq r,-4\n"
 
-    @pytest.mark.parametrize("rows", [0, 1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1, 2 * cli._CSV_BLOCK + 1])
+    PIECE = cli._CSV_PIECE // (6 * cli._CELL_WIDTH)  # rows of one piece of test_row_counts' six columns
+
+    @pytest.mark.parametrize("rows", [
+        0, 1, PIECE - 1, PIECE, PIECE + 1, 2 * PIECE + PIECE // 2,
+        cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1, 2 * cli._CSV_BLOCK + 1,
+    ])
     def test_row_counts(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         columns = {
@@ -760,6 +766,38 @@ class TestBlockWriter:
         data = _written(tmp_path, columns)
         assert data == _csv_oracle(columns)
         assert data.count(b"\n") == rows + 1
+
+    def test_wide_strings(self, tmp_path):
+        # Cells wider than _CELL_WIDTH take fewer rows a piece, and the width changes from
+        # block to block: 300-byte names, then none wider than the floats, then one row
+        # longer than a whole piece.
+        rows = 3 * cli._CSV_BLOCK
+        names = np.array(["n%d" % (i % 50) for i in range(rows)], dtype=object)
+        names[: cli._CSV_BLOCK : 7] = "w" * 299
+        names[-1] = "z" * (cli._CSV_PIECE + 10)
+        columns = {"v": np.random.default_rng(4).standard_normal(rows), "name": names.astype(str)}
+        data = _written(tmp_path, columns)
+        assert data == _csv_oracle(columns)
+        assert data.count(b"\n") == rows + 1
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        # Blocks are written in pieces through one buffer, so the traced peak of a write is
+        # that of one block: no array or bytes object the size of the file.
+        rng = np.random.default_rng(6)
+        cli._write_csv(str(tmp_path / "peak.csv"), {"v": rng.random(cli._CSV_BLOCK)})  # builds _digits' cached tables
+        peaks = []
+        for blocks in (4, 16, 64):
+            rows = blocks * cli._CSV_BLOCK
+            columns = {"t": np.repeat(rng.random(rows // 401 + 1), 401)[:rows],
+                       "x": np.tile(rng.standard_normal(401), rows // 401 + 1)[:rows],
+                       "field": rng.standard_normal(rows), "mass": rng.random(rows)}
+            tracemalloc.start()
+            try:
+                cli._write_csv(str(tmp_path / "peak.csv"), columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.1 * min(peaks), peaks
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300), st.integers(1, 4))

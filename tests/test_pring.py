@@ -334,6 +334,14 @@ def test_non_finite_array_component_is_rejected():
             _batch([1.0, 2.0], [bad, 0.0])
 
 
+def test_text_component_is_rejected():
+    # float() would parse it; every other scalar check refuses text too.
+    with pytest.raises(ValueError, match="^re component must be a number"):
+        PseudoComplex("0.5", 0.0)
+    with pytest.raises(ValueError, match="^im component must be a number"):
+        PseudoComplex(0.5, b"1")
+
+
 def test_scalar_components_stay_python_floats():
     p = PseudoComplex(np.float64(1.5), np.int64(2))
     for value in (p, p * I, exp(p), inverse(p), p / 3, p.conj()):

@@ -235,9 +235,9 @@ FERTILITY = dyson.FertilityDistribution.binary(0.25)
 FIELD = dyson.two_point_picard(0.25, 1.0, 0.2, 0.1, 3.0, 0.25)
 # Bad values of each kind of shared argument check; counts also get one below their least value.
 BAD = {
-    "positive": [math.nan, math.inf, -math.inf, 0.0],
-    "nonnegative": [math.nan, math.inf, -math.inf, -1.0],
-    "probability": [math.nan, math.inf, -math.inf, -0.5, 1.5],
+    "positive": [math.nan, math.inf, -math.inf, 0.0, "1.0"],
+    "nonnegative": [math.nan, math.inf, -math.inf, -1.0, "1.0"],
+    "probability": [math.nan, math.inf, -math.inf, -0.5, 1.5, "0.5"],
     "seed": [True, 1.7, np.float64(3.0), "5"],
 }
 # (entry point, valid arguments, [(argument, kind or least count, name its message starts with)]).
@@ -343,6 +343,33 @@ REJECTED += [
                  id="one_point_picard-2**24"),
     pytest.param(dyson.one_point_ode, dict(fertility=FERTILITY, gamma=1e300, theta0=0.0, tau_max=1.0), "grid span",
                  id="one_point_ode-2**24"),
+]
+# Grids whose span/step overflows to inf: a ValueError naming span and step, not math.ceil's OverflowError.
+REJECTED += [
+    pytest.param(dyson.mass_curve, dict(alpha=0.25, gamma=1.0, t_max=1e300, step=1e-10), "grid span",
+                 id="mass_curve-overflow"),
+    pytest.param(dyson.one_point_ode, dict(fertility=FERTILITY, gamma=1.0, theta0=0.0, tau_max=1e300, step=1e-10),
+                 "grid span", id="one_point_ode-overflow"),
+    pytest.param(dyson.one_point_picard, dict(alpha=0.25, gamma=1.0, tau_max=1e300, order=2, step=1e-10),
+                 "grid span", id="one_point_picard-overflow"),
+    pytest.param(dyson.two_point_picard, dict(alpha=0.25, gamma=1.0, t_max=1e300, t_step=1e-10, x_half_width=3.0,
+                                              x_step=0.25), "grid span", id="two_point_picard-t-overflow"),
+    pytest.param(dyson.two_point_picard, dict(alpha=0.25, gamma=1.0, t_max=0.2, t_step=0.1, x_half_width=1e300,
+                                              x_step=1e-10), "grid span", id="two_point_picard-x-overflow"),
+]
+# A numeric string is no number: every check refuses it by one rule (besides the "1.0" and "0.5" of BAD), where
+# float() used to parse it in some checks and a comparison raised TypeError in others.
+REJECTED += [
+    pytest.param(dyson.FertilityDistribution, dict(p=("0.5", 0, "0.5")), "offspring probability", id="law=strings"),
+    pytest.param(kernels.time_evolution, dict(energy=1.0, t="1.0"), "t", id="time_evolution-t=str"),
+    pytest.param(kernels.retarded_propagator_heat, dict(x=("0.5", 0.0), y=(2.0, 0.0), gamma=1.0), "x time",
+                 id="retarded_propagator_heat-x_time=str"),
+    pytest.param(kernels.retarded_propagator_heat, dict(x=(0.0, 0.0), y=("2.0", 0.0), gamma=1.0), "y time",
+                 id="retarded_propagator_heat-y_time=str"),
+    pytest.param(dyson.mass_curve, dict(alpha=0.25, gamma=b"1.0", t_max=1.0), "clock rate gamma",
+                 id="mass_curve-gamma=bytes"),
+    pytest.param(estimate_extinction, dict(config=config(0.25), horizon=[0.5, "1.0"], replicas=2, seed=0), "horizon",
+                 id="estimate_extinction-horizon=list_with_str"),
 ]
 
 
