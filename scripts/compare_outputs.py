@@ -14,7 +14,8 @@ the benchmark's ``clock`` runs (gamma 2, dtau.max 3, 2000 replicas,
 seeds 0, 5, 2**31 - 1 and 40,000) and ``clock`` at 2 replicas, at gamma
 1e-3 and 1e3, at seed 2**40 and at 2047 and 2049 replicas (one under
 and one over a stream pass), ``kernel`` runs in
-d = 1, 2 and 3 and at gamma 0, at r.min > 0 and on a one-cell grid, the
+d = 1, 2 and 3 and at gamma 0, at r.min > 0, on a one-cell grid and on a
+120 x 401 grid in d = 1 (48,120 rows, 24 CSV blocks), the
 benchmark's ``onepoint`` runs (alpha 0.25, 0.5 and 0.75, tau.max 5) and
 ``twopoint`` runs (four alphas on its coarse and
 fine grids, and alpha 0.25 at t.step 0.0125 and x.step 0.025, whose
@@ -114,6 +115,8 @@ RUNS = (
        for extra in ({"gamma": 0.0}, {"gamma": 0.3, "r.min": 0.75})]
     + [("kernel", {"gamma": 1.5, "d": 3, "t.min": 0.4, "t.max": 0.4, "t.count": 1, "r.min": 2.5, "r.max": 2.5,
                    "r.count": 1})]
+    + [("kernel", {"gamma": 0.3, "d": 1, "t.min": 0.05, "t.max": 3.0, "t.count": 120, "r.max": 6.0,
+                   "r.count": 401})]  # 48,120 rows: 24 CSV blocks, each starting at another r
     + [("onepoint", {"alpha": alpha, "gamma": 1.0, "tau.max": 5.0, "picard.order": 20}) for alpha in (0.25, 0.5, 0.75)]
     + [("twopoint", {"alpha": alpha, "gamma": 1.0, "t.max": 2.0, "t.step": t_step, "x.halfwidth": 10.0,
                      "x.step": x_step})

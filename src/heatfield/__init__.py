@@ -62,6 +62,7 @@ from .dyson import (
     one_point_picard,
     two_point_picard,
     two_point_residual,
+    two_point_shape,
 )
 
 __version__ = "0.4.0"

@@ -43,6 +43,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,6 +187,18 @@ def _convert(key, text, target):
         raise ValidationError(f"{key}: expected {target.__name__}, got {text!r}") from err
 
 
+# The grid CSVs' row counts, checked before anything runs: a grid of at most 2**24 rows, the curve solvers' bound.
+_MAX_CSV_ROWS = 2**24
+_CSV_ROWS = {
+    "kernel": ("t.count, r.count", lambda p: p["t.count"] * p["r.count"]),
+    "semigroup": ("grid.count", lambda p: p["grid.count"]),
+    "twopoint": (
+        "t.max, t.step, x.halfwidth, x.step",
+        lambda p: math.prod(dyson.two_point_shape(p["t.max"], p["t.step"], p["x.halfwidth"], p["x.step"])),
+    ),
+}
+
+
 def parse_config(path: str, kind: str) -> ExperimentConfig:
     """Read, type, and validate a config file against one subcommand."""
     if kind not in _SCHEMAS:
@@ -218,6 +231,14 @@ def parse_config(path: str, kind: str) -> ExperimentConfig:
             raise ValidationError("r.max: must be >= r.min")
     if kind == "semigroup" and params["u.kind"] == "indicator" and params["u.hi"] < params["u.lo"]:
         raise ValidationError("u.hi: must be >= u.lo")
+    if kind in _CSV_ROWS:
+        keys, count = _CSV_ROWS[kind]
+        try:
+            rows = count(params)
+        except ValueError as err:  # a twopoint span/step past the float range
+            raise ValidationError(f"{keys}: {err}") from None
+        if rows > _MAX_CSV_ROWS:
+            raise ValidationError(f"{keys}: the CSV must have at most 2**24 rows, got {rows}")
     return ExperimentConfig(kind=kind, params=params, out=out)
 
 
@@ -230,8 +251,8 @@ def _run_kernel(p):
     targets[:, 0] = r_grid
     rows = t_grid.tolist()
     columns = {
-        "t": np.repeat(t_grid, r_grid.size),
-        "r": np.tile(r_grid, t_grid.size),
+        "t": _Levels(t_grid, np.repeat(np.arange(t_grid.size), r_grid.size)),
+        "r": _Levels(r_grid, np.tile(np.arange(r_grid.size), t_grid.size)),
         "heat_kernel": np.concatenate([kernels.heat_kernel(t, origin, targets) for t in rows]),
         "retarded_propagator": np.concatenate(
             [kernels.retarded_propagator_heat((0.0, origin), (t, targets), gamma) for t in rows]
@@ -241,15 +262,15 @@ def _run_kernel(p):
 
 
 def _run_semigroup(p):
-    nodes = p["grid.origin"] + p["grid.step"] * np.arange(p["grid.count"])
-    if p["u.kind"] == "gaussian":
-        sig = p["u.sigma"]
-        u0 = np.exp(-((nodes - p["u.center"]) ** 2) / (2 * sig * sig)) / math.sqrt(2 * math.pi * sig * sig)
-    else:
-        u0 = ((nodes >= p["u.lo"]) & (nodes <= p["u.hi"])).astype(float)
-    u = kernels.SampledFunction(p["grid.origin"], p["grid.step"], u0)
+    def u0(nodes):
+        if p["u.kind"] == "gaussian":
+            sig = p["u.sigma"]
+            return np.exp(-((nodes - p["u.center"]) ** 2) / (2 * sig * sig)) / math.sqrt(2 * math.pi * sig * sig)
+        return ((nodes >= p["u.lo"]) & (nodes <= p["u.hi"])).astype(float)
+
+    u = kernels.SampledFunction.sample(u0, p["grid.origin"], p["grid.step"], p["grid.count"])  # checks the grid first
     evolved = kernels.apply_semigroup(u, p["t"])
-    return {"x": nodes, "u": u.values, "evolved": evolved.values}, {}
+    return {"x": u.nodes, "u": u.values, "evolved": evolved.values}, {}
 
 
 def _run_clock(p):
@@ -328,13 +349,14 @@ def _run_twopoint(p):
     sub = math.ceil(field.t_step * p["gamma"] / 1e-3)
     mass = dyson.mass_curve(p["alpha"], p["gamma"], field.times[-1], field.t_step / sub).values[sub::sub]
     slice_mass = field.spatial_mass()
-    nx = field.xs.size
+    nt, nx = field.values.shape
+    per_time = np.repeat(np.arange(nt), nx)
     columns = {
-        "t": np.repeat(field.times, nx),
-        "x": np.tile(field.xs, field.times.size),
+        "t": _Levels(field.times, per_time),
+        "x": _Levels(field.xs, np.tile(np.arange(nx), nt)),
         "dtilde": field.values.ravel(),
-        "slice_mass": np.repeat(slice_mass, nx),
-        "mass_curve": np.repeat(mass, nx),
+        "slice_mass": _Levels(slice_mass, per_time),
+        "mass_curve": _Levels(mass, per_time),
     }
     estimates = {
         "residual": residual,
@@ -378,60 +400,93 @@ _CELL_WIDTH = 25  # the longest %.17g text, -2.2250738585072014e-308, and its se
 _CELL_FORMATS = {"i": "%d", "b": "%d", "U": "%s"}  # floats: "%.17g"
 
 
-def _csv_block(cols: list):
-    # The cells of one block of rows, as a table of distinct cells and every row's indices
-    # into it.  Each distinct cell is formatted once (two-point t, x and mass columns repeat
-    # most): the float columns share one np.unique on their int64 view, which compares bit
-    # patterns, so -0.0 and 0.0 and NaN payloads stay apart, and float_cells (_digits)
-    # left-justifies every value in a field of one width with the bytes of "%.17g" and NUL
-    # padding; other columns' cells are NUL-padded UTF-8.  Every table cell ends in ','.
-    kinds = [col.dtype.kind for col in cols]
+class _Levels(NamedTuple):
+    """A float CSV column whose cell i is ``levels[codes[i]]``: _write_csv formats each level once per file."""
+
+    levels: np.ndarray
+    codes: np.ndarray
+
+
+def _level_column(name, col: _Levels) -> _Levels:
+    levels, codes = np.asarray(col.levels), np.asarray(col.codes)
+    if levels.ndim != 1 or levels.dtype.kind != "f" or codes.ndim != 1 or codes.dtype.kind not in "iu":
+        raise ValueError(f"CSV column {name!r}: levels must be a 1-d float array and codes a 1-d integer array")
+    if codes.size and not (codes.min() >= 0 and codes.max() < levels.size):
+        raise ValueError(f"CSV column {name!r}: codes must lie in [0, {levels.size}), got {codes.min()} to {codes.max()}")
+    return _Levels(levels.astype(np.float64, copy=False), codes.astype(np.intp, copy=False))
+
+
+def _csv_block(cols: list, slots: list, levels, table):
+    # The cells of one block of rows, as every row's indices into ``table``, a table of
+    # fixed-width cells kept for the file.  Its first rows are the file's levels, formatted
+    # when the table is made: a level column's block holds its codes, and slots[j] is the
+    # row of its first level.  Every other column is a level column whose levels are its
+    # distinct cells in this block, formatted once and placed after the file's levels: the
+    # float columns share one np.unique on their int64 view, which compares bit patterns, so
+    # -0.0 and 0.0 and NaN payloads stay apart, and float_cells (_digits) left-justifies every
+    # value in a field of one width with the bytes of "%.17g" and NUL padding; other columns'
+    # cells are NUL-padded UTF-8.  Every table cell ends in ','.  The table is made anew when
+    # the widest text cell of a block changes its width.
+    kinds = [col.dtype.kind if slot is None else None for col, slot in zip(cols, slots)]
     floats = [j for j, kind in enumerate(kinds) if kind == "f"]
     index = np.empty((len(cols[0]), len(cols)), dtype=np.intp)
+    for j in (j for j, slot in enumerate(slots) if slot is not None):
+        np.add(cols[j], slots[j], out=index[:, j])
     keys = np.empty((len(index), len(floats)))
     for i, j in enumerate(floats):
         keys[:, i] = cols[j]
     distinct, inverse = np.unique(keys.view(np.int64), return_inverse=True)
+    inverse += levels.size
     index[:, floats] = inverse.reshape(keys.shape)
-    words = []
-    for j in (j for j, kind in enumerate(kinds) if kind != "f"):
+    words, head = [], levels.size + distinct.size
+    for j in (j for j, kind in enumerate(kinds) if kind not in ("f", None)):
         values, inverse = np.unique(cols[j], return_inverse=True)
-        index[:, j] = inverse + (distinct.size + len(words))
+        index[:, j] = inverse + (head + len(words))
         words += [(_CELL_FORMATS[kinds[j]] % v).encode("utf-8") for v in values.tolist()]
     width = max([_CELL_WIDTH] + [len(word) + 1 for word in words])
-    table = np.empty((distinct.size + len(words), width), np.uint8)
-    float_cells(distinct.view(np.float64), table[: distinct.size])
+    if table.shape[1] != width:  # room for every cell of a block as long as this one: only the last is shorter
+        table = np.empty((levels.size + len(index) * (len(kinds) - kinds.count(None)), width), np.uint8)
+        float_cells(levels, table[: levels.size])
+    float_cells(distinct.view(np.float64), table[levels.size : head])
     text = b"".join(w.ljust(width - 1, b"\0") + b"," for w in words)
-    table[distinct.size :] = np.frombuffer(text, np.uint8).reshape(len(words), width)
-    return table.view(f"V{width}").ravel(), index
+    table[head : head + len(words)] = np.frombuffer(text, np.uint8).reshape(len(words), width)
+    return table, index
 
 
 def _write_csv(path: str, columns: dict) -> str:
     # Rows are formatted _CSV_BLOCK at a time (_csv_block) and written in pieces of at most
     # _CSV_PIECE bytes of cells: each piece gathers its cells into one buffer kept for the
     # file (grown only for a row longer than a piece), the last byte of every CSV row
-    # becomes '\n', and dropping the NULs leaves the text.  Returns the sha256 of the bytes.
-    cols = [np.asarray(col) for col in columns.values()]
-    rows = min(map(len, cols), default=0)
-    if any(len(col) != rows for col in cols):
-        raise ValueError(f"CSV columns differ in length: {dict(zip(columns, map(len, cols)))}")
+    # becomes '\n', and dropping the NULs leaves the text.  A _Levels column's levels are
+    # formatted once, for the first block.  Returns the sha256 of the bytes.
+    cols = [_level_column(name, col) if isinstance(col, _Levels) else np.asarray(col) for name, col in columns.items()]
+    lengths = [len(col.codes if isinstance(col, _Levels) else col) for col in cols]
+    rows = min(lengths, default=0)
+    if any(n != rows for n in lengths):
+        raise ValueError(f"CSV columns differ in length: {dict(zip(columns, lengths))}")
+    levels = [col.levels for col in cols if isinstance(col, _Levels)]
+    starts = iter(np.cumsum([0] + [v.size for v in levels]).tolist())
+    slots = [next(starts) if isinstance(col, _Levels) else None for col in cols]
+    levels = np.concatenate([np.empty(0)] + levels)
     header = (",".join(columns) + "\n").encode("utf-8")
     digest = hashlib.sha256(header)
-    buffer = np.empty(_CSV_PIECE, np.uint8)
+    buffer, table = np.empty(_CSV_PIECE, np.uint8), np.empty((0, 0), np.uint8)
     with open(path, "wb") as fh:
         fh.write(header)
         for lo in range(0, rows, _CSV_BLOCK):
-            table, index = _csv_block([col[lo : lo + _CSV_BLOCK] for col in cols])
-            row_bytes = index.shape[1] * table.itemsize
+            block = [(col.codes if isinstance(col, _Levels) else col)[lo : lo + _CSV_BLOCK] for col in cols]
+            table, index = _csv_block(block, slots, levels, table)
+            cells = table.view(f"V{table.shape[1]}").ravel()
+            row_bytes = index.shape[1] * cells.itemsize
             step = max(1, _CSV_PIECE // row_bytes)
             if buffer.size < row_bytes:
                 buffer = np.empty(row_bytes, np.uint8)
             for start in range(0, len(index), step):
                 part = index[start : start + step]
-                cells = buffer[: len(part) * row_bytes]
-                np.take(table, part, out=cells.view(table.dtype).reshape(part.shape))
-                cells[row_bytes - 1 :: row_bytes] = ord("\n")
-                data = cells.tobytes().translate(None, b"\0")
+                piece = buffer[: len(part) * row_bytes]
+                np.take(cells, part, out=piece.view(cells.dtype).reshape(part.shape))
+                piece[row_bytes - 1 :: row_bytes] = ord("\n")
+                data = piece.tobytes().translate(None, b"\0")
                 digest.update(data)
                 fh.write(data)
     return digest.hexdigest()

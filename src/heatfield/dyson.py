@@ -72,6 +72,7 @@ __all__ = [
     "mass_curve",
     "two_point_picard",
     "two_point_residual",
+    "two_point_shape",
 ]
 
 
@@ -470,6 +471,16 @@ def two_point_picard(
     (k, nt), (h, half) = _grid_count(t_max, t_step), _grid_count(x_half_width, x_step)
     op = _two_point_operator(*_validate_alpha_gamma(alpha, gamma), nt, k, half, h)
     return SpaceTimeField(op.k, op.h, op.march())
+
+
+def two_point_shape(t_max: float, t_step: float, x_half_width: float, x_step: float) -> tuple:
+    """(times, nodes) of the grid ``two_point_picard`` solves on, counted as it counts them, allocating nothing.
+
+    Raises ValueError as ``two_point_picard`` does for a step or span that is not finite and > 0, or a
+    span/step past the float range.
+    """
+    (_, nt), (_, half) = _grid_count(t_max, t_step), _grid_count(x_half_width, x_step)
+    return nt, 2 * half + 1
 
 
 def two_point_residual(field: SpaceTimeField, alpha: float, gamma: float) -> float:

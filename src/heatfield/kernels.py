@@ -121,7 +121,8 @@ class SampledFunction:
 
     ``origin`` is the first node (finite), ``step`` the spacing (finite
     and > 0), ``values`` the node values and ``nodes`` the read-only grid
-    ``origin + step*arange(n)``, computed once.  Instances are immutable;
+    ``origin + step*arange(n)``, computed once, whose last node must be
+    finite too (ValueError naming the grid).  Instances are immutable;
     evaluation between nodes is by linear interpolation, clamped to the
     edge values outside the grid.
     """
@@ -139,6 +140,8 @@ class SampledFunction:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("values must be a 1-d array with at least 2 nodes")
+        if not math.isfinite(origin + step * (vals.size - 1)):  # float arithmetic: inf, where numpy would warn
+            raise ValueError(f"grid last node origin + step*(n - 1) = {origin} + {step}*{vals.size - 1} must be finite")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sampled values must be finite")
         nodes = origin + step * np.arange(vals.size)
@@ -287,10 +290,10 @@ def event_probability(gamma: float, dtau: float) -> float:
     Raises ValueError unless gamma is finite and >= 0 and dtau >= 0
     (dtau may be inf).
     """
-    _check_real("clock rate gamma", gamma)
+    gamma = _check_real("clock rate gamma", gamma)
     if not _check_scalar("duration dtau", dtau) >= 0:
         raise ValueError(f"duration dtau must be >= 0, got {dtau}")
-    return -math.expm1(-gamma * dtau) if gamma else 0.0  # 0 * inf is nan; a rate-0 clock never fires
+    return -math.expm1(-gamma * float(dtau)) if gamma else 0.0  # 0 * inf is nan; a rate-0 clock never fires
 
 
 def time_evolution(energy: float, t: float) -> PseudoComplex:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,12 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:] if line]
     return header, rows
+
+
+def expanded(columns) -> dict:
+    # Every CSV column as its cells: a level column's levels[codes].
+    return {name: np.asarray(col.levels)[np.asarray(col.codes)] if isinstance(col, cli._Levels) else col
+            for name, col in columns.items()}
 
 
 EXTINCTION_CFG = """\
@@ -131,6 +138,46 @@ class TestParseConfig:
         assert cli.main([kind, "--config", path, "--out", str(out)]) == 1
         assert f"heatfield {kind}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("kernel", "t.min = 0.5\nt.max = 1.0\nt.count = 4097\nr.max = 1.0\nr.count = 4096\n",
+             f"t.count, r.count: the CSV must have at most 2**24 rows, got {4097 * 4096}"),
+            ("semigroup", "t = 0.25\ngrid.origin = -8.0\ngrid.step = 0.02\ngrid.count = 16777217\n",
+             "grid.count: the CSV must have at most 2**24 rows, got 16777217"),
+            # 20,000 times by 2,001 nodes: 320 MB as one float64 field.
+            ("twopoint", "alpha = 0.5\ngamma = 1.0\nt.max = 2\nt.step = 1e-4\nx.halfwidth = 10\nx.step = 1e-2\n",
+             "t.max, t.step, x.halfwidth, x.step: the CSV must have at most 2**24 rows, got 40020000"),
+            ("twopoint", "alpha = 0.5\ngamma = 1.0\nt.max = 1e300\nt.step = 1e-300\nx.halfwidth = 10\nx.step = 1e-2\n",
+             "t.max, t.step, x.halfwidth, x.step: grid span must take a finite number of steps, "
+             "got span 1e+300 at step 1e-300"),
+        ],
+    )
+    def test_grid_csvs_past_2_24_rows_exit_1_before_anything_runs(self, tmp_path, capsys, monkeypatch, kind, text,
+                                                                    message):
+        monkeypatch.setitem(cli._RUNNERS, kind, pytest.fail)
+        path = write(tmp_path / "big.cfg", text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                parse_config(path, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak  # no grid allocated
+        out = tmp_path / "big.csv"
+        assert cli.main([kind, "--config", path, "--out", str(out)]) == 1
+        assert f"heatfield {kind}: {message}\n" == capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "big.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("kind, text", [
+        ("kernel", "t.min = 0.5\nt.max = 1.0\nt.count = 4096\nr.max = 1.0\nr.count = 4096\n"),
+        ("semigroup", "t = 0.25\ngrid.origin = -8.0\ngrid.step = 0.02\ngrid.count = 16777216\n"),
+        ("twopoint", "alpha = 0.5\ngamma = 1.0\nt.max = 2\nt.step = 2.5e-4\nx.halfwidth = 10\nx.step = 1e-2\n"),
+    ])
+    def test_grid_csvs_of_2_24_rows_or_fewer_pass(self, tmp_path, kind, text):
+        assert parse_config(write(tmp_path / "ok.cfg", text), kind).kind == kind
 
     def test_kind_declaration_must_match(self, tmp_path):
         path = write(tmp_path / "run.cfg", "experiment = gf\ncases = 1\n")
@@ -350,12 +397,13 @@ class TestMain:
         # t.max 2 is not a whole number of t.step .3 steps, so the field runs to t = 2.1.
         p = {"alpha": 0.5, "gamma": 1.0, "t.max": 2.0, "t.step": 0.3, "x.halfwidth": 10.0, "x.step": 0.1}
         columns, estimates = cli._run_twopoint(p)
+        columns = expanded(columns)
         assert columns["t"][-1] == 0.3 * 7
         assert columns["mass_curve"][-1] == dyson.mass_curve(0.5, 1.0, 0.3 * 7, 0.3 / 300).values[-1]
         assert abs(columns["mass_curve"][-1] - columns["slice_mass"][-1]) < 2e-4
         assert estimates["max_mass_mismatch"] < 1e-3
         # Where whole steps reach t.max, the curve is the one solved to t.max, bit for bit.
-        columns, _ = cli._run_twopoint(dict(p, **{"t.step": 0.05}))
+        columns = expanded(cli._run_twopoint(dict(p, **{"t.step": 0.05}))[0])
         nx = np.count_nonzero(columns["t"] == columns["t"][0])
         want = dyson.mass_curve(0.5, 1.0, 2.0, 0.05 / 50).values[50::50]
         np.testing.assert_array_equal(columns["mass_curve"], np.repeat(want, nx))
@@ -365,7 +413,7 @@ class TestMain:
         # The curve is solved at t.step / sub, sub = ceil(t.step * gamma / 1e-3), and read at every sub-th
         # node: at t.step .0125 the default 1e-3 grid would put each field time between two nodes.
         p = {"alpha": 0.25, "gamma": 1.0, "t.max": 0.5, "t.step": t_step, "x.halfwidth": 5.0, "x.step": 0.05}
-        columns, _ = cli._run_twopoint(p)
+        columns = expanded(cli._run_twopoint(p)[0])
         times = np.unique(columns["t"])
         curve = dyson.mass_curve(0.25, 1.0, times[-1], t_step / sub)
         assert curve.values.size == sub * times.size + 1
@@ -425,6 +473,29 @@ class TestMain:
         assert "ValueError: CSV columns differ in length" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "rc.csv.manifest.json").read_text())
         assert manifest["status"] == "error" and "csv_sha256" not in manifest
+
+    def test_semigroup_grid_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # The nodes used to be [1e308, inf, inf], written as "inf" rows with status "ok".
+        cfg = write(tmp_path / "sg.cfg", "t = 0.25\ngrid.origin = 1e308\ngrid.step = 1e308\ngrid.count = 3\n")
+        out = tmp_path / "sg.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["semigroup", "--config", cfg, "--out", str(out)]) == 2
+        message = "ValueError: grid last node origin + step*(n - 1) = 1e+308 + 1e+308*2 must be finite"
+        assert capsys.readouterr().err == f"heatfield semigroup: {message}\n"
+        manifest = json.loads((tmp_path / "sg.csv.manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["error"] == message
+        assert not out.exists()
+
+    def test_clock_at_a_huge_rate_and_span_warns_nothing(self, tmp_path):
+        # gamma * dtau overflows to inf, and the probability is 1: numpy used to print its overflow warning.
+        cfg = write(tmp_path / "clock.cfg", "gamma = 1e300\ndtau.max = 1e300\nreplicas = 100\n")
+        out = tmp_path / "clock.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["clock", "--config", cfg, "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert [row[1] for row in rows] == ["0"] + ["1"] * (len(rows) - 1)
 
     def test_indicator_semigroup_run(self, tmp_path):
         # u = 1 on [lo, hi], both ends on grid nodes, evolves to Phi((hi - x)/sqrt(t)) - Phi((lo - x)/sqrt(t)).
@@ -697,7 +768,7 @@ def _cells(col: np.ndarray):
 
 
 def _csv_oracle(columns) -> bytes:
-    cols = [np.asarray(col) for col in columns.values()]
+    cols = [np.asarray(col) for col in expanded(columns).values()]
     rows = min(map(len, cols), default=0)
     cells = [_cells(col[:rows]) for col in cols]
     lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
@@ -782,22 +853,28 @@ class TestBlockWriter:
 
     def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
         # Blocks are written in pieces through one buffer, so the traced peak of a write is
-        # that of one block: no array or bytes object the size of the file.
+        # that of one block: no array or bytes object the size of the file.  A twopoint-shaped
+        # CSV whose t and x are level columns peaks no higher than the same cells as plain
+        # columns: its table holds the levels and one column's distinct cells, not four.
         rng = np.random.default_rng(6)
         cli._write_csv(str(tmp_path / "peak.csv"), {"v": rng.random(cli._CSV_BLOCK)})  # builds _digits' cached tables
-        peaks = []
+        peaks = {"plain": [], "levels": []}
         for blocks in (4, 16, 64):
             rows = blocks * cli._CSV_BLOCK
-            columns = {"t": np.repeat(rng.random(rows // 401 + 1), 401)[:rows],
-                       "x": np.tile(rng.standard_normal(401), rows // 401 + 1)[:rows],
+            nt = rows // 401 + 1
+            columns = {"t": cli._Levels(rng.random(nt), np.repeat(np.arange(nt), 401)[:rows]),
+                       "x": cli._Levels(rng.standard_normal(401), np.tile(np.arange(401), nt)[:rows]),
                        "field": rng.standard_normal(rows), "mass": rng.random(rows)}
-            tracemalloc.start()
-            try:
-                cli._write_csv(str(tmp_path / "peak.csv"), columns)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) <= 1.1 * min(peaks), peaks
+            for form, written in (("plain", expanded(columns)), ("levels", columns)):
+                tracemalloc.start()
+                try:
+                    cli._write_csv(str(tmp_path / "peak.csv"), written)
+                    peaks[form].append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        for form, values in peaks.items():
+            assert max(values) <= 1.1 * min(values), (form, values)
+        assert all(level <= plain for level, plain in zip(peaks["levels"], peaks["plain"])), peaks
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300), st.integers(1, 4))
@@ -866,6 +943,90 @@ class TestBlockWriter:
         assert _written(tmp_path, columns) == _csv_oracle(columns)
         assert set(fallback.view(np.int64).tolist()) <= set(seen)
         assert len(seen) == fallback.size
+
+
+    # Levels the fast path cannot format, among ordinary ones: -0.0 beside 0.0, NaNs of both
+    # signs and with a payload, subnormals and both infinities.
+    LEVEL_SPECIALS = np.concatenate([
+        [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, math.inf, -math.inf, math.nan, -math.nan],
+        np.array([0x7FF8000000000123, 0xFFF0000000000001], dtype=np.uint64).view(np.float64),
+    ])
+
+    def _levels(self, rng, n):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        values[rng.choice(n, self.LEVEL_SPECIALS.size, replace=False)] = self.LEVEL_SPECIALS
+        return values
+
+    @pytest.mark.parametrize("nt, nx", [(37, 401), (6, 333), (1, 3001)])
+    def test_twopoint_shaped_level_columns(self, tmp_path, nt, nx):
+        # nx does not divide 2048, so every block starts at another x; three columns share one codes array.
+        rng = np.random.default_rng(nx)
+        per_time = np.repeat(np.arange(nt), nx)
+        dtilde = rng.random(nt * nx)
+        dtilde[:: nx + 1] = np.resize(self.LEVEL_SPECIALS, dtilde[:: nx + 1].size)
+        columns = {
+            "t": cli._Levels(self._levels(rng, max(nt, 11)), per_time),
+            "x": cli._Levels(self._levels(rng, nx), np.tile(np.arange(nx), nt)),
+            "dtilde": dtilde,
+            "slice_mass": cli._Levels(self._levels(rng, max(nt, 11)), per_time),
+            "mass_curve": cli._Levels(self._levels(rng, max(nt, 11)), per_time),
+        }
+        data = _written(tmp_path, columns)
+        assert data == _csv_oracle(columns) == _written(tmp_path, expanded(columns))
+        assert data.count(b"\n") == nt * nx + 1
+
+    @pytest.mark.parametrize("t_count, r_count", [(120, 401), (3, 1000), (2049, 1)])
+    def test_kernel_shaped_level_columns(self, tmp_path, t_count, r_count):
+        rng = np.random.default_rng(t_count)
+        rows = t_count * r_count
+        columns = {
+            "t": cli._Levels(self._levels(rng, max(t_count, 11))[:t_count], np.repeat(np.arange(t_count), r_count)),
+            "r": cli._Levels(self._levels(rng, max(r_count, 11))[:r_count], np.tile(np.arange(r_count), t_count)),
+            "heat_kernel": rng.random(rows),
+            "retarded_propagator": np.resize(self.LEVEL_SPECIALS, rows),
+        }
+        assert _written(tmp_path, columns) == _csv_oracle(columns) == _written(tmp_path, expanded(columns))
+
+    def test_scattered_codes_and_narrow_types(self, tmp_path):
+        # Codes in any order and of any integer type, repeated and unused levels, float32 levels, and
+        # text cells whose width changes from block to block, so that the table is made anew.
+        rng = np.random.default_rng(8)
+        rows = 3 * cli._CSV_BLOCK + 5
+        levels = self._levels(rng, 40)
+        levels[7] = levels[3]
+        names = np.array(["n%d" % (i % 9) for i in range(rows)], dtype=object)
+        names[cli._CSV_BLOCK : 2 * cli._CSV_BLOCK : 5] = "w" * 60
+        columns = {
+            "a": cli._Levels(levels, rng.integers(0, 30, rows).astype(np.uint16)),
+            "name": names.astype(str),
+            "b": cli._Levels(np.array([1e-45, -0.0, math.inf, math.nan, 0.1] * 8, np.float32) * rng.random(40, np.float32),
+                             rng.integers(0, 40, rows).astype(np.int8)),
+            "v": rng.standard_normal(rows),
+            "c": cli._Levels(list(levels[:2]), [1, 0] * (rows // 2) + [1]),
+        }
+        assert _written(tmp_path, columns) == _csv_oracle(columns) == _written(tmp_path, expanded(columns))
+
+    def test_only_level_columns_and_no_rows(self, tmp_path):
+        levels = np.array([1.5, -0.0, 0.0])
+        columns = {"a": cli._Levels(levels, np.array([2, 1, 0, 0])), "b": cli._Levels(levels[::-1], np.arange(4) % 3)}
+        assert _written(tmp_path, columns) == _csv_oracle(columns) == b"a,b\n0,0\n-0,-0\n1.5,1.5\n1.5,0\n"
+        empty = {"a": cli._Levels(levels, np.empty(0, np.intp)), "v": np.empty(0)}
+        assert _written(tmp_path, empty) == _csv_oracle(empty) == b"a,v\n"
+
+    @pytest.mark.parametrize("column, message", [
+        (cli._Levels(np.arange(3.0), np.array([0, 1, 3, 2])), r"^CSV column 't': codes must lie in \[0, 3\), got 0 to 3$"),
+        (cli._Levels(np.arange(3.0), np.array([0, -1, 2, 2])), r"^CSV column 't': codes must lie in \[0, 3\), got -1 to 2$"),
+        (cli._Levels(np.arange(3.0), np.array([0, 1, 2])), r"^CSV columns differ in length: \{'v': 4, 't': 3\}$"),
+        (cli._Levels(np.arange(3.0), np.zeros(5, np.intp)), r"^CSV columns differ in length: \{'v': 4, 't': 5\}$"),
+        (cli._Levels(np.arange(3), np.zeros(4, np.intp)), r"^CSV column 't': levels must be a 1-d float array"),
+        (cli._Levels(np.arange(3.0), np.zeros(4)), r"^CSV column 't': levels must be a 1-d float array"),
+        (cli._Levels(np.empty(0), np.zeros(4, np.intp)), r"^CSV column 't': codes must lie in \[0, 0\)"),
+    ])
+    def test_bad_level_columns_are_refused_before_the_file_is_opened(self, tmp_path, column, message):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=message):
+            cli._write_csv(str(path), {"v": np.zeros(4), "t": column})
+        assert not path.exists()
 
 
 def _cell(value: float, width: int = cli._CELL_WIDTH) -> bytes:

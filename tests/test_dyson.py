@@ -567,6 +567,16 @@ class TestGridRule:
         np.testing.assert_array_equal(field.times, 0.45 * np.arange(1, 6))
         assert field.times[-1] == 2.25
 
+    @pytest.mark.parametrize("grid", [(2.0, 0.025, 10.0, 0.05), (2.0, 0.45, 10.0, 0.1), (0.1, 0.3, 3.35, 0.3)])
+    def test_two_point_shape_is_the_solved_shape(self, grid):
+        assert dyson.two_point_shape(*grid) == two_point_picard(0.5, 1.0, *grid).values.shape
+
+    def test_two_point_shape_allocates_nothing(self):
+        # 20,000 x 2,001 nodes: 320 MB as one float64 field.
+        assert dyson.two_point_shape(2.0, 1e-4, 10.0, 1e-2) == (20000, 2001)
+        with pytest.raises(ValueError, match="^grid span must take a finite number of steps"):
+            dyson.two_point_shape(1e300, 1e-300, 10.0, 0.1)
+
     def test_span_below_half_a_step_takes_one_step(self):
         np.testing.assert_array_equal(one_point_picard(0.25, 1.0, 0.1, 2, step=0.3).nodes, [0.0, 0.3])
         assert dyson._grid_count(1e-9, 1.0) == (1.0, 1)

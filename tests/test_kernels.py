@@ -220,6 +220,20 @@ class TestSampledFunction:
         with pytest.raises(ValueError, match=match):
             SampledFunction.sample(pytest.fail, origin, step, 3)
 
+    @pytest.mark.parametrize("origin, step, count", [(1e308, 1e308, 3), (-1e308, 1e308, 3), (1.0, 1e308, 2**20)])
+    def test_grid_whose_last_node_overflows_is_rejected(self, origin, step, count):
+        # (1e308, 1e308) used to give the nodes [1e308, inf, inf] with only numpy RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^grid last node origin \+ step\*\(n - 1\) = .* must be finite$"):
+                SampledFunction(origin, step, np.zeros(count))
+            with pytest.raises(ValueError, match="^grid last node"):
+                SampledFunction.sample(pytest.fail, origin, step, count)
+
+    def test_grid_reaching_the_largest_double_is_kept(self):
+        u = SampledFunction(0.0, sys.float_info.max / 2, [1.0, 2.0, 3.0])
+        assert u.nodes[-1] == sys.float_info.max
+
     def test_immutability_and_interp(self):
         u = SampledFunction(0.0, 1.0, [0.0, 2.0, 4.0])
         assert not u.values.flags.writeable
@@ -481,6 +495,16 @@ class TestEventProbability:
     def test_infinite_duration(self):
         assert event_probability(2.0, math.inf) == 1.0
         assert event_probability(0.0, math.inf) == 0.0
+
+    @pytest.mark.parametrize("gamma, dtau", [(1e300, np.float64(1e300)), (np.float64(1e300), 1e300),
+                                             (1e300, np.float64(math.inf)), (np.float64(2.0), np.float64(0.5))])
+    def test_computes_with_the_checked_floats(self, gamma, dtau):
+        # numpy scalars used to be multiplied as given, printing "overflow encountered in scalar multiply".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = event_probability(gamma, dtau)
+        assert type(value) is float
+        assert value == -math.expm1(-float(gamma) * float(dtau))
 
 
 class TestTimeEvolution:
